@@ -1,11 +1,11 @@
 """Performance benchmark: the streamed/pruned allocator vs the seed.
 
 Times :meth:`ProactiveAllocator.allocate` (dense grid + Pareto
-streaming + branch-and-bound) against the SEED implementation --
-:meth:`allocate_reference` driven through a shim database that
-restores the original per-query estimate path (bisect hit, exception,
-dominated linear scan) -- on paper-regime batches over a busy
-16-server cloud.
+streaming + branch-and-bound) against the SEED implementation -- the
+naive brute-force oracle ``tests.oracles.allocator.reference_allocate``
+driven through a shim database that restores the original per-query
+estimate path (bisect hit, exception, dominated linear scan) -- on
+paper-regime batches over a busy 16-server cloud.
 
 Writes ``benchmarks/BENCH_allocator.json`` with p50/p95 allocate
 latency per batch size and the peak retained candidate count (the
@@ -35,6 +35,12 @@ import sys
 import time
 from pathlib import Path
 
+# The seed path is the test suite's oracle; make the repo root importable
+# when this file runs as a script.
+REPO_ROOT = Path(__file__).resolve().parents[1]
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
 from repro.campaign.platformrunner import run_campaign
 from repro.core.allocator import (
     ProactiveAllocator,
@@ -46,6 +52,7 @@ from repro.core.model import ModelDatabase
 from repro.obs.runtime import observed
 from repro.service.schema import SCHEMA_VERSION
 from repro.testbed.benchmarks import WorkloadClass
+from tests.oracles.allocator import reference_allocate
 
 OUTPUT = Path(__file__).resolve().parent / "BENCH_allocator.json"
 
@@ -179,7 +186,7 @@ def run(quick=False):
             lambda: optimized.allocate(requests, servers), OPT_REPEATS[size]
         )
         seed_samples, seed_plan = time_calls(
-            lambda: seed.allocate_reference(requests, servers), SEED_REPEATS[size]
+            lambda: reference_allocate(seed, requests, servers), SEED_REPEATS[size]
         )
         assert opt_plan == seed_plan, f"batch {size}: optimized != seed plan"
 

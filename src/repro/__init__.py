@@ -42,7 +42,7 @@ there is internal (see DESIGN.md, "Public API and stability").
 from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
 from repro.core.model import ModelDatabase
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",

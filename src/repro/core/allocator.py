@@ -30,8 +30,9 @@ falls back to the best non-compliant candidate.
 
 Implementation: :meth:`ProactiveAllocator.allocate` is a streaming,
 pruned search engineered to return the *bit-identical* plan of the
-naive brute force (kept as :meth:`allocate_reference` and cross-checked
-property-style in ``tests/properties``):
+naive brute force (the oracle ``reference_allocate`` in
+``tests/oracles/allocator.py``, cross-checked property-style in
+``tests/properties``):
 
 * model estimates come from the dense :class:`EstimateGrid` (one O(1)
   indexed read per (partition, block, server) probe);
@@ -64,7 +65,6 @@ from repro.campaign.records import MixKey, key_for_classes, total_vms
 from repro.common.errors import (
     ConfigurationError,
     InfeasibleAllocationError,
-    ModelLookupError,
     QoSViolationError,
 )
 from repro.core.anytime import AnytimeConfig, AnytimeResult, run_anytime_search
@@ -145,14 +145,11 @@ class _Candidate:
     alternative ranking by average-execution-time-per-VM -- the
     paper's Sect. III metric -- rewards density so strongly that the
     greedy assignment over-consolidates into thrashing mixes; see
-    DESIGN.md, "Key design choices".)  ``makespan_s`` keeps the
-    wall-clock completion estimate for QoS and plan reporting; with
-    this ranking the two coincide.
+    DESIGN.md, "Key design choices".)
     """
 
     assignments: tuple[tuple[str, MixKey, MixKey, EstimatedOutcome], ...]
     rank_time_s: float
-    makespan_s: float
     energy_j: float
     qos_ok: bool
 
@@ -468,7 +465,7 @@ class ProactiveAllocator:
         :class:`AllocationProvenance` with the search's cache/prune
         counters (also folded into the observability registry when one
         is enabled).  The selected plan (assignments, score, QoS flag)
-        is bit-identical to :meth:`allocate_reference`.
+        is bit-identical to the naive brute force.
 
         Raises
         ------
@@ -787,7 +784,7 @@ class ProactiveAllocator:
                 continue
             cell = state.cells[grid.index(mix)]
             if cell is None:
-                # The reference path silently treats an unestimable
+                # The naive brute force silently treats an unestimable
                 # existing mix as zero committed energy; keep the value
                 # but surface the event in the provenance counters.
                 state.stats.energy_fallbacks += 1
@@ -1096,8 +1093,8 @@ class ProactiveAllocator:
     ) -> _Candidate | None:
         """Greedy block assignment against the dense grid.
 
-        Float-for-float identical to the reference `_assign_partition`
-        (same probe order, same score expression, same tie-breaks);
+        Float-for-float identical to the naive brute force's assignment
+        pass (same probe order, same score expression, same tie-breaks);
         the only behavioural addition is the mid-assignment abort: once
         the dominance latch is closed, a partial assignment whose
         admissible lower bounds are already weakly dominated by a
@@ -1126,10 +1123,9 @@ class ProactiveAllocator:
         hits = 0
         misses = 0
         # Running AND of the chosen placements' compliance flags.  Per
-        # block, ``best_compliant`` is exactly
-        # ``_block_meets_deadline(block, best_estimate, deadlines)``
-        # (the block deadline is the min over its classes' deadlines),
-        # so this equals the reference's final all(...) pass.
+        # block, ``best_compliant`` is exactly "the estimate fits every
+        # deadline among the block's classes" (the block deadline is the
+        # min over them), so this equals a final all(...) pass.
         qos_ok = True
 
         for position, block in enumerate(sorted(partition, key=total_vms, reverse=True)):
@@ -1226,211 +1222,9 @@ class ProactiveAllocator:
         return _Candidate(
             assignments=tuple(picks),
             rank_time_s=makespan,
-            makespan_s=makespan,
             energy_j=energy,
             qos_ok=qos_ok,
         )
-
-    # -- reference (naive) path --------------------------------------
-
-    def allocate_reference(
-        self,
-        requests: Sequence[VMRequest],
-        servers: Sequence[ServerState],
-    ) -> AllocationPlan:
-        """The pre-optimization brute force, kept verbatim as the
-        equivalence oracle: materializes every feasible candidate,
-        queries the database per probe, applies no pruning.
-
-        ``tests/properties`` asserts :meth:`allocate` returns the
-        bit-identical plan (assignments, score, QoS flag) on seeded
-        random inputs; ``benchmarks/bench_perf_allocator.py`` uses it
-        for before/after numbers.  Plans from this path carry no
-        provenance.
-
-        The 2-way oracle predates the carbon axis and stays that way:
-        a carbon-active allocator has no reference path and rejects
-        this call outright.
-        """
-        if self._carbon is not None:
-            raise ConfigurationError(
-                "allocate_reference is the 2-way (time, energy) oracle; "
-                "carbon-aware scoring has no reference path"
-            )
-        if not requests:
-            return AllocationPlan(assignments=(), alpha=self.alpha, score=0.0, qos_satisfied=True)
-        if not servers:
-            raise InfeasibleAllocationError("no servers available")
-        ids = [r.vm_id for r in requests]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError(f"duplicate vm_id in batch: {ids}")
-
-        counts = key_for_classes([r.workload_class for r in requests])
-        deadlines = _tightest_deadlines(requests)
-        candidates = self._enumerate_candidates(counts, servers, deadlines)
-        if not candidates:
-            raise InfeasibleAllocationError(
-                f"no feasible partition of mix {counts} across {len(servers)} servers"
-            )
-
-        compliant = [c for c in candidates if c.qos_ok]
-        pool = compliant
-        qos_satisfied = True
-        if not compliant:
-            if self._strict_qos:
-                raise QoSViolationError(
-                    f"every feasible allocation of mix {counts} violates a deadline"
-                )
-            pool = candidates
-            qos_satisfied = False
-
-        scores = score_candidates([(c.rank_time_s, c.energy_j) for c in pool], self._weights)
-        best_index = 0
-        for i in range(1, len(scores)):
-            if scores[i] < scores[best_index] - 1e-12:
-                best_index = i
-        chosen = pool[best_index]
-        return self._materialize(chosen, requests, scores[best_index], qos_satisfied)
-
-    def _enumerate_candidates(
-        self,
-        counts: MixKey,
-        servers: Sequence[ServerState],
-        deadlines: "dict[WorkloadClass, float]",
-    ) -> list[_Candidate]:
-        """All (partition, greedy assignment) candidates with estimates."""
-        candidates: list[_Candidate] = []
-        bounds = self._db.grid_bounds
-        produced = 0
-        for partition in type_partitions(counts, bounds):
-            produced += 1
-            if produced > self._max_candidates:
-                raise ConfigurationError(
-                    f"partition enumeration exceeded {self._max_candidates} "
-                    f"candidates for mix {counts}; split the batch"
-                )
-            candidate = self._assign_partition(partition, servers, deadlines)
-            if candidate is not None:
-                candidates.append(candidate)
-        return candidates
-
-    def _assign_partition(
-        self,
-        partition: tuple[MixKey, ...],
-        servers: Sequence[ServerState],
-        deadlines: "dict[WorkloadClass, float]",
-    ) -> _Candidate | None:
-        """Score-driven assignment of one partition's blocks to servers.
-
-        For every block (largest first -- hardest to fit, and the pass
-        is order-sensitive) each feasible server is evaluated by the
-        alpha objective over the *marginal* cost of hosting the block:
-        marginal energy (combined-mix energy minus what the server's
-        existing mix was already going to consume -- waking an empty
-        server pays its idle draw, joining a busy one amortizes it)
-        and the combined mix's completion time.  The block goes to the
-        best-scoring server, ties resolving to the first in list order
-        (the paper's rule).  Servers whose (current mix, VM cap) are
-        identical are interchangeable, so only the first of each
-        equivalence class is evaluated.
-
-        Returns None when some block cannot be placed anywhere.
-        """
-        max_time = self._db.time_range_s[1]
-        max_energy = self._db.energy_range_j[1]
-        residual: list[MixKey] = [s.allocated for s in servers]
-        base_energy: list[float | None] = [None] * len(servers)  # lazy
-        picks: list[tuple[str, MixKey, MixKey, EstimatedOutcome]] = []
-        touched: dict[int, tuple[float, EstimatedOutcome]] = {}  # index -> (energy0, final est)
-
-        for block in sorted(partition, key=total_vms, reverse=True):
-            block_deadline = _block_deadline(block, deadlines)
-            best_index: int | None = None
-            best_score = float("inf")
-            best_estimate: EstimatedOutcome | None = None
-            best_compliant = False
-            seen_classes: set[tuple[MixKey, int | None]] = set()
-            for index, server in enumerate(servers):
-                equivalence = (residual[index], server.max_vms)
-                if equivalence in seen_classes:
-                    continue
-                seen_classes.add(equivalence)
-                combined = (
-                    residual[index][0] + block[0],
-                    residual[index][1] + block[1],
-                    residual[index][2] + block[2],
-                )
-                if not self._db.within_bounds(combined):
-                    continue
-                if server.max_vms is not None and total_vms(combined) > server.max_vms:
-                    continue
-                try:
-                    estimate = self._db.estimate(combined)
-                except ModelLookupError:
-                    continue
-                if base_energy[index] is None:
-                    base_energy[index] = self._existing_energy(residual[index])
-                marginal_energy = max(0.0, estimate.energy_j - base_energy[index])
-                score = (
-                    self._weights.energy_weight * (marginal_energy / max_energy)
-                    + self._weights.time_weight * (estimate.time_s / max_time)
-                )
-                compliant = block_deadline is None or estimate.time_s <= block_deadline
-                # Deadline-compliant placements always beat non-compliant
-                # ones; within a compliance tier the alpha score decides.
-                better = (compliant, -score) > (best_compliant, -best_score)
-                if best_index is None or better:
-                    best_score = score
-                    best_index = index
-                    best_estimate = estimate
-                    best_compliant = compliant
-            if best_index is None:
-                return None
-            assert best_estimate is not None
-            if best_index not in touched:
-                energy0 = base_energy[best_index]
-                assert energy0 is not None
-                touched[best_index] = (energy0, best_estimate)
-            else:
-                touched[best_index] = (touched[best_index][0], best_estimate)
-            residual[best_index] = best_estimate.key
-            base_energy[best_index] = best_estimate.energy_j
-            picks.append(
-                (servers[best_index].server_id, block, best_estimate.key, best_estimate)
-            )
-
-        makespan = max(est.time_s for _, est in touched.values())
-        rank_time = makespan
-        energy = sum(max(0.0, est.energy_j - energy0) for energy0, est in touched.values())
-        qos_ok = all(
-            _block_meets_deadline(block, estimate, deadlines)
-            for _, block, _, estimate in picks
-        )
-        return _Candidate(
-            assignments=tuple(picks),
-            rank_time_s=rank_time,
-            makespan_s=makespan,
-            energy_j=energy,
-            qos_ok=qos_ok,
-        )
-
-    def _existing_energy(self, mix: MixKey) -> float:
-        """Energy the server's existing mix is already committed to.
-
-        Zero for an idle server: placing nothing there costs nothing,
-        so a block placed on it is charged the full combined-mix energy
-        including the idle draw it wakes up.  (The optimized path reads
-        the same value from the dense grid and counts the
-        lookup-failed-to-zero fallback in the plan provenance.)
-        """
-        if total_vms(mix) == 0:
-            return 0.0
-        try:
-            return self._db.estimate(mix).energy_j
-        except ModelLookupError:
-            return 0.0
-
-    # -- shared -------------------------------------------------------
 
     def _materialize(
         self,
@@ -1438,38 +1232,25 @@ class ProactiveAllocator:
         requests: Sequence[VMRequest],
         score: float,
         qos_satisfied: bool,
-        search_provenance: AllocationProvenance | None = None,
+        search_provenance: AllocationProvenance,
         carbon_impact: "tuple[float, float] | None" = None,
     ) -> AllocationPlan:
         """Bind concrete VM ids to the chosen partition's blocks."""
-        queues: dict[WorkloadClass, list[str]] = {
-            WorkloadClass.CPU: [],
-            WorkloadClass.MEM: [],
-            WorkloadClass.IO: [],
-        }
-        for request in requests:
-            queues[request.workload_class].append(request.vm_id)
-
-        assignments: list[BlockAssignment] = []
-        for server_id, block, combined, estimate in chosen.assignments:
-            vm_ids: list[str] = []
-            for class_index, workload_class in enumerate(
-                (WorkloadClass.CPU, WorkloadClass.MEM, WorkloadClass.IO)
-            ):
-                take = block[class_index]
-                vm_ids.extend(queues[workload_class][:take])
-                del queues[workload_class][:take]
-            assignments.append(
-                BlockAssignment(
-                    server_id=server_id,
-                    block=block,
-                    vm_ids=tuple(vm_ids),
-                    combined_key=combined,
-                    estimate=estimate,
-                )
+        blocks = [block for _, block, _, _ in chosen.assignments]
+        assignments = tuple(
+            BlockAssignment(
+                server_id=server_id,
+                block=block,
+                vm_ids=vm_ids,
+                combined_key=combined,
+                estimate=estimate,
             )
+            for (server_id, block, combined, estimate), vm_ids in zip(
+                chosen.assignments, bind_vm_ids(blocks, requests)
+            )
+        )
         return AllocationPlan(
-            assignments=tuple(assignments),
+            assignments=assignments,
             alpha=self.alpha,
             score=score,
             qos_satisfied=qos_satisfied,
@@ -1478,6 +1259,35 @@ class ProactiveAllocator:
             estimated_cost=None if carbon_impact is None else carbon_impact[1],
             search_provenance=search_provenance,
         )
+
+
+def bind_vm_ids(blocks: Iterable[MixKey], vms: Iterable) -> list[tuple[str, ...]]:
+    """Concrete VM ids for each partition block, in block order.
+
+    ``vms`` are :class:`VMRequest`-like records (``vm_id`` and
+    ``workload_class``).  VMs of one class are interchangeable, so each
+    block takes the next unbound ids of every class it holds, CPU
+    first, then MEM, then IO.
+    """
+    queues: dict[WorkloadClass, list[str]] = {
+        WorkloadClass.CPU: [],
+        WorkloadClass.MEM: [],
+        WorkloadClass.IO: [],
+    }
+    for vm in vms:
+        queues[vm.workload_class].append(vm.vm_id)
+    bound: list[tuple[str, ...]] = []
+    for block in blocks:
+        vm_ids: list[str] = []
+        for class_index, workload_class in enumerate(
+            (WorkloadClass.CPU, WorkloadClass.MEM, WorkloadClass.IO)
+        ):
+            take = block[class_index]
+            vm_ids.extend(queues[workload_class][:take])
+            del queues[workload_class][:take]
+        bound.append(tuple(vm_ids))
+    return bound
+
 
 def _tightest_deadlines(requests: Iterable[VMRequest]) -> dict[WorkloadClass, float]:
     """Per-class minimum of the requests' QoS deadlines.
@@ -1511,28 +1321,6 @@ def _block_deadline(
         if deadline is not None and (tightest is None or deadline < tightest):
             tightest = deadline
     return tightest
-
-
-def _block_meets_deadline(
-    block: MixKey,
-    estimate: EstimatedOutcome,
-    deadlines: dict[WorkloadClass, float],
-) -> bool:
-    """QoS check for one block under its server's combined estimate.
-
-    The estimated execution time of every VM in the mix is the mix's
-    total time (the conservative bound); a block complies when that
-    bound fits the tightest deadline among the block's classes.
-    """
-    for class_index, workload_class in enumerate(
-        (WorkloadClass.CPU, WorkloadClass.MEM, WorkloadClass.IO)
-    ):
-        if block[class_index] == 0:
-            continue
-        deadline = deadlines.get(workload_class)
-        if deadline is not None and estimate.time_s > deadline:
-            return False
-    return True
 
 
 def plan_objective(

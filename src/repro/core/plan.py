@@ -7,7 +7,6 @@ what strategies hand to the datacenter simulator for enactment.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -147,11 +146,11 @@ class AllocationPlan:
     plan may carry ``qos_satisfied=False``.
 
     ``search_provenance`` carries the search/cache counters of the
-    pass that built the plan (None when produced by the reference
-    path); the same counters are folded into the allocator's metrics
-    registry (see :mod:`repro.obs`).  It is excluded from equality so
-    optimized and reference plans compare bit-identical.  The pre-obs
-    name ``provenance`` survives as a deprecated read-only alias.
+    pass that built the plan (None for plans built outside the
+    allocator, such as the test oracle's); the same counters are folded
+    into the allocator's metrics registry (see :mod:`repro.obs`).  It
+    is excluded from equality so optimized and oracle plans compare
+    bit-identical.
 
     ``alpha_carbon`` is the carbon knob the plan was scored with (0.0
     for 2-way plans); ``estimated_carbon_g``/``estimated_cost`` carry
@@ -169,18 +168,6 @@ class AllocationPlan:
     search_provenance: AllocationProvenance | None = field(
         default=None, compare=False, repr=False
     )
-
-    @property
-    def provenance(self) -> AllocationProvenance | None:
-        """Deprecated alias for :attr:`search_provenance` (PR 1 name)."""
-        warnings.warn(
-            "AllocationPlan.provenance is deprecated and will be removed "
-            "in 2.0; read AllocationPlan.search_provenance (or the "
-            "repro.obs metrics registry) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.search_provenance
 
     @property
     def estimated_makespan_s(self) -> float:

@@ -14,6 +14,7 @@ from typing import Mapping, Optional, Sequence
 
 from repro.campaign.records import MixKey, key_for_classes, total_vms
 from repro.common.errors import ConfigurationError, ModelLookupError
+from repro.core.allocator import _block_deadline, bind_vm_ids
 from repro.core.model import EstimatedOutcome, ModelDatabase
 from repro.core.partitions import type_partitions
 from repro.core.scoring import ScoreWeights
@@ -143,7 +144,7 @@ class HeteroProactiveStrategy(AllocationStrategy):
         qos_ok = True
 
         for block in sorted(partition, key=total_vms, reverse=True):
-            block_deadline = self._block_deadline(block, deadlines)
+            block_deadline = _block_deadline(block, deadlines)
             best_id: str | None = None
             best_score = float("inf")
             best_estimate: EstimatedOutcome | None = None
@@ -196,21 +197,6 @@ class HeteroProactiveStrategy(AllocationStrategy):
         return score, picks, qos_ok
 
     @staticmethod
-    def _block_deadline(
-        block: MixKey, deadlines: dict[WorkloadClass, float]
-    ) -> float | None:
-        tightest: float | None = None
-        for index, workload_class in enumerate(
-            (WorkloadClass.CPU, WorkloadClass.MEM, WorkloadClass.IO)
-        ):
-            if block[index] == 0:
-                continue
-            deadline = deadlines.get(workload_class)
-            if deadline is not None and (tightest is None or deadline < tightest):
-                tightest = deadline
-        return tightest
-
-    @staticmethod
     def _existing_energy(db: ModelDatabase, mix: MixKey) -> float:
         if total_vms(mix) == 0:
             return 0.0
@@ -224,19 +210,9 @@ class HeteroProactiveStrategy(AllocationStrategy):
         picks: list[tuple[str, MixKey]],
         vms: Sequence[VMDescriptor],
     ) -> dict[str, str]:
-        queues: dict[WorkloadClass, list[str]] = {
-            WorkloadClass.CPU: [],
-            WorkloadClass.MEM: [],
-            WorkloadClass.IO: [],
+        bound = bind_vm_ids([block for _, block in picks], vms)
+        return {
+            vm_id: server_id
+            for (server_id, _), vm_ids in zip(picks, bound)
+            for vm_id in vm_ids
         }
-        for vm in vms:
-            queues[vm.workload_class].append(vm.vm_id)
-        placement: dict[str, str] = {}
-        for server_id, block in picks:
-            for index, workload_class in enumerate(
-                (WorkloadClass.CPU, WorkloadClass.MEM, WorkloadClass.IO)
-            ):
-                for vm_id in queues[workload_class][: block[index]]:
-                    placement[vm_id] = server_id
-                del queues[workload_class][: block[index]]
-        return placement

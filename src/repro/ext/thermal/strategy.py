@@ -23,12 +23,11 @@ class ThermalAwareProactiveStrategy(ProactiveStrategy):
         thermal: ThermalParams | None = None,
         alpha: float = 0.5,
         margin_c: float = 3.0,
-        use_qos: bool = True,
     ):
         thermal = thermal or ThermalParams()
         cap_w = thermal_power_cap_w(thermal, margin_c)
         capped = PowerCappedDatabase(database, cap_w)
-        super().__init__(capped, alpha=alpha, use_qos=use_qos)  # type: ignore[arg-type]
+        super().__init__(capped, alpha=alpha)  # type: ignore[arg-type]
         self._thermal = thermal
         self._cap_w = cap_w
         self.name = f"PA-{alpha:g}-thermal"

@@ -22,19 +22,19 @@ constraints"):
 
 from __future__ import annotations
 
-import warnings
 from typing import Mapping, Optional, Sequence
 
 from repro.common.errors import AllocationError, QoSViolationError
 from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
 from repro.core.model import ModelDatabase
-from repro.core.plan import AllocationPlan, AllocationProvenance
+from repro.core.plan import AllocationPlan
+from repro.core.scoring import CarbonContext
 from repro.obs.registry import MetricsRegistry
-from repro.obs.runtime import Observability, get_observability
+from repro.obs.runtime import get_observability
 from repro.strategies.base import AllocationStrategy, ServerView, VMDescriptor
 
 #: Registry counter names (sans prefix) the strategy accumulates per
-#: successful plan -- the PR 1 ``search_totals`` keys.
+#: successful plan.
 _TOTAL_KEYS = (
     "plans",
     "grid_hits",
@@ -54,66 +54,40 @@ class ProactiveStrategy(AllocationStrategy):
         The empirical model database.
     alpha:
         Optimization goal (1 = energy, 0 = time, 0.5 = balanced).
-    use_qos:
-        Whether deadlines steer admission and placement; without QoS
-        the strategy always places the best-scoring candidate.
-    obs:
-        Observability bundle; ``None`` resolves the process-local
-        default at construction.  Search-effort counters are recorded
-        as ``strategy.<key>{strategy="PA-x"}`` in the bundle's registry
-        when it is enabled, and in a private registry otherwise (so
-        :attr:`metrics` always works and instances never share
-        counters through the null bundle).
     time_budget_s:
-        Optional wall-clock deadline per allocation, forwarded to both
-        underlying allocators; setting it forces their anytime search
-        mode (see :mod:`repro.core.anytime`).
-    anytime:
-        Anytime-search policy forwarded verbatim to the allocators
-        (``None`` = automatic mode selection, ``False`` = exact only,
-        ``True`` = always anytime, or an ``AnytimeConfig``).
+        Optional wall-clock deadline per allocation, forwarded to the
+        underlying allocator; setting it forces its anytime search mode
+        (see :mod:`repro.core.anytime`).
     carbon:
         Optional :class:`repro.core.scoring.CarbonContext` forwarded
-        verbatim to both underlying allocators, folding carbon mass
-        and energy cost into the score as a third axis.  ``None`` (or
+        verbatim to the underlying allocator, folding carbon mass and
+        energy cost into the score as a third axis.  ``None`` (or
         ``alpha_carbon == 0``) keeps the 2-way scorer bit-identical.
+
+    Search-effort counters are recorded as
+    ``strategy.<key>{strategy="PA-x"}`` in the process-local
+    observability registry when it is enabled at construction, and in a
+    private registry otherwise (so :attr:`metrics` always works and
+    instances never share counters through the null bundle).
     """
 
     def __init__(
         self,
         database: ModelDatabase,
         alpha: float = 0.5,
-        use_qos: bool = True,
-        obs: Observability | None = None,
         time_budget_s: float | None = None,
-        anytime=None,
-        carbon=None,
+        carbon: CarbonContext | None = None,
     ):
-        resolved = obs if obs is not None else get_observability()
-        self._strict = ProactiveAllocator(
+        self._allocator = ProactiveAllocator(
             database,
             alpha=alpha,
-            strict_qos=True,
-            obs=obs,
-            anytime=anytime,
             time_budget_s=time_budget_s,
             carbon=carbon,
         )
-        self._relaxed = ProactiveAllocator(
-            database,
-            alpha=alpha,
-            strict_qos=False,
-            obs=obs,
-            anytime=anytime,
-            time_budget_s=time_budget_s,
-            carbon=carbon,
-        )
-        self._use_qos = bool(use_qos)
-        self.name = self._strict.weights.describe()
+        self.name = self._allocator.weights.describe()
         self._last_plan: AllocationPlan | None = None
-        self._registry = (
-            resolved.registry if resolved.enabled else MetricsRegistry()
-        )
+        obs = get_observability()
+        self._registry = obs.registry if obs.enabled else MetricsRegistry()
         self._counters = {
             key: self._registry.counter(f"strategy.{key}", strategy=self.name)
             for key in _TOTAL_KEYS
@@ -121,11 +95,11 @@ class ProactiveStrategy(AllocationStrategy):
 
     @property
     def alpha(self) -> float:
-        return self._strict.alpha
+        return self._allocator.alpha
 
     @property
     def database(self) -> ModelDatabase:
-        return self._strict.database
+        return self._allocator.database
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -136,33 +110,6 @@ class ProactiveStrategy(AllocationStrategy):
     def last_plan(self) -> Optional[AllocationPlan]:
         """The most recent successful plan (with search provenance)."""
         return self._last_plan
-
-    @property
-    def last_provenance(self) -> Optional[AllocationProvenance]:
-        """Deprecated: read ``last_plan.search_provenance`` instead."""
-        warnings.warn(
-            "ProactiveStrategy.last_provenance is deprecated and will be "
-            "removed in 2.0; read last_plan.search_provenance (per plan) "
-            "or the repro.obs metrics registry (totals) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        plan = self._last_plan
-        return plan.search_provenance if plan is not None else None
-
-    @property
-    def search_totals(self) -> Mapping[str, int]:
-        """Deprecated: cache/prune totals, now read back from the
-        ``strategy.*`` counters in the metrics registry."""
-        warnings.warn(
-            "ProactiveStrategy.search_totals is deprecated and will be "
-            "removed in 2.0; read the strategy.* counters from "
-            "ProactiveStrategy.metrics (or the repro.obs registry "
-            "snapshot) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {key: counter.value for key, counter in self._counters.items()}
 
     def _record(self, plan: AllocationPlan) -> AllocationPlan:
         self._last_plan = plan
@@ -190,16 +137,6 @@ class ProactiveStrategy(AllocationStrategy):
             )
             for server in servers
         ]
-        if not self._use_qos:
-            requests = [
-                VMRequest(vm_id=vm.vm_id, workload_class=vm.workload_class)
-                for vm in vms
-            ]
-            try:
-                return self._record(self._relaxed.allocate(requests, states)).placements()
-            except AllocationError:
-                return None
-
         requests = [
             VMRequest(
                 vm_id=vm.vm_id,
@@ -213,22 +150,24 @@ class ProactiveStrategy(AllocationStrategy):
             for vm in vms
         ]
         try:
-            return self._record(self._strict.allocate(requests, states)).placements()
+            return self._record(self._allocator.allocate(requests, states)).placements()
         except QoSViolationError:
-            if self._hopeless(vms):
-                # The deadline cannot be met anywhere anymore; waiting
-                # longer only makes it worse.  Place best-effort.
-                relaxed_requests = [
-                    VMRequest(vm_id=vm.vm_id, workload_class=vm.workload_class)
-                    for vm in vms
-                ]
-                try:
-                    return self._record(
-                        self._relaxed.allocate(relaxed_requests, states)
-                    ).placements()
-                except AllocationError:
-                    return None
-            return None  # wait for capacity that can honor the deadline
+            if not self._hopeless(vms):
+                return None  # wait for capacity that can honor the deadline
+            # The deadline cannot be met anywhere anymore; waiting longer
+            # only makes it worse.  Place best-effort: without deadlines
+            # every candidate is compliant, so the strict allocator
+            # returns the relaxed optimum.
+            relaxed_requests = [
+                VMRequest(vm_id=vm.vm_id, workload_class=vm.workload_class)
+                for vm in vms
+            ]
+            try:
+                return self._record(
+                    self._allocator.allocate(relaxed_requests, states)
+                ).placements()
+            except AllocationError:
+                return None
         except AllocationError:
             return None
 
@@ -238,7 +177,7 @@ class ProactiveStrategy(AllocationStrategy):
         Any placement runs a VM for at least its class's solo runtime
         Tx; a remaining budget below that can never be honored.
         """
-        optima = self._strict.database.optima
+        optima = self._allocator.database.optima
         for vm in vms:
             if vm.remaining_deadline_s is None:
                 continue

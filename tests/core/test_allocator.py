@@ -9,6 +9,7 @@ from repro.common.errors import (
 )
 from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
 from repro.testbed.benchmarks import WorkloadClass
+from tests.oracles.allocator import reference_allocate
 
 
 def cpu_requests(n, deadline=None):
@@ -199,8 +200,8 @@ class TestProvenance:
         assert not provenance.bnb_active  # below the default threshold
 
     def test_reference_plan_has_no_provenance(self, database):
-        plan = ProactiveAllocator(database).allocate_reference(
-            cpu_requests(3), servers(3)
+        plan = reference_allocate(
+            ProactiveAllocator(database), cpu_requests(3), servers(3)
         )
         assert plan.search_provenance is None
 
@@ -224,7 +225,7 @@ class TestProvenance:
         allocator = ProactiveAllocator(database)
         requests = cpu_requests(4)
         optimized = allocator.allocate(requests, servers(4))
-        reference = allocator.allocate_reference(requests, servers(4))
+        reference = reference_allocate(allocator, requests, servers(4))
         assert optimized == reference
         assert optimized.search_provenance is not None
         assert reference.search_provenance is None

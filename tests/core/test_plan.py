@@ -82,11 +82,6 @@ class TestProvenanceAccess:
         plan = self.plan_with_provenance()
         assert plan.search_provenance.partitions_enumerated == 7
 
-    def test_provenance_alias_warns_but_works(self):
-        plan = self.plan_with_provenance()
-        with pytest.warns(DeprecationWarning, match="search_provenance"):
-            assert plan.provenance is plan.search_provenance
-
     def test_from_counts_defaults_missing_fields_to_zero(self):
         from repro.core.plan import AllocationProvenance
 

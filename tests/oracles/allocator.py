@@ -1,0 +1,249 @@
+"""The naive brute-force allocator: the equivalence oracle.
+
+:func:`reference_allocate` is the pre-optimization PROACTIVE search
+kept verbatim: it materializes every feasible candidate, queries the
+database per probe and applies no pruning.
+``tests/properties/test_allocator_equivalence_prop.py`` asserts that
+:meth:`ProactiveAllocator.allocate` returns the bit-identical plan
+(assignments, score, QoS flag) on seeded random inputs, and
+``benchmarks/bench_perf_allocator.py`` times it for before/after
+numbers.
+
+The oracle scores on (time, energy) only -- it predates the carbon axis
+-- and reads nothing from the allocator but its public ``database``,
+``weights`` and ``strict_qos``.  Its plans carry no search provenance.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from repro.campaign.records import MixKey, key_for_classes, total_vms
+from repro.common.errors import (
+    ConfigurationError,
+    InfeasibleAllocationError,
+    ModelLookupError,
+    QoSViolationError,
+)
+from repro.core.allocator import (
+    ProactiveAllocator,
+    ServerState,
+    VMRequest,
+    _block_deadline,
+    _Candidate,
+    _tightest_deadlines,
+    bind_vm_ids,
+)
+from repro.core.model import EstimatedOutcome
+from repro.core.partitions import type_partitions
+from repro.core.plan import AllocationPlan, BlockAssignment
+from repro.core.scoring import score_candidates
+from repro.testbed.benchmarks import WorkloadClass
+
+
+def reference_allocate(
+    allocator: ProactiveAllocator,
+    requests: Sequence[VMRequest],
+    servers: Sequence[ServerState],
+) -> AllocationPlan:
+    """Allocate like ``allocator.allocate``, by exhaustive enumeration."""
+    weights = allocator.weights
+    if not requests:
+        return AllocationPlan(
+            assignments=(), alpha=weights.alpha, score=0.0, qos_satisfied=True
+        )
+    if not servers:
+        raise InfeasibleAllocationError("no servers available")
+    ids = [r.vm_id for r in requests]
+    if len(set(ids)) != len(ids):
+        raise ConfigurationError(f"duplicate vm_id in batch: {ids}")
+
+    database = allocator.database
+    counts = key_for_classes([r.workload_class for r in requests])
+    deadlines = _tightest_deadlines(requests)
+    candidates: list[_Candidate] = []
+    for partition in type_partitions(counts, database.grid_bounds):
+        candidate = _assign_partition(allocator, partition, servers, deadlines)
+        if candidate is not None:
+            candidates.append(candidate)
+    if not candidates:
+        raise InfeasibleAllocationError(
+            f"no feasible partition of mix {counts} across {len(servers)} servers"
+        )
+
+    compliant = [c for c in candidates if c.qos_ok]
+    pool = compliant
+    qos_satisfied = True
+    if not compliant:
+        if allocator.strict_qos:
+            raise QoSViolationError(
+                f"every feasible allocation of mix {counts} violates a deadline"
+            )
+        pool = candidates
+        qos_satisfied = False
+
+    scores = score_candidates([(c.rank_time_s, c.energy_j) for c in pool], weights)
+    best_index = 0
+    for i in range(1, len(scores)):
+        if scores[i] < scores[best_index] - 1e-12:
+            best_index = i
+    chosen = pool[best_index]
+    blocks = [block for _, block, _, _ in chosen.assignments]
+    assignments = tuple(
+        BlockAssignment(
+            server_id=server_id,
+            block=block,
+            vm_ids=vm_ids,
+            combined_key=combined,
+            estimate=estimate,
+        )
+        for (server_id, block, combined, estimate), vm_ids in zip(
+            chosen.assignments, bind_vm_ids(blocks, requests)
+        )
+    )
+    return AllocationPlan(
+        assignments=assignments,
+        alpha=weights.alpha,
+        score=scores[best_index],
+        qos_satisfied=qos_satisfied,
+    )
+
+
+def _assign_partition(
+    allocator: ProactiveAllocator,
+    partition: tuple[MixKey, ...],
+    servers: Sequence[ServerState],
+    deadlines: dict[WorkloadClass, float],
+) -> _Candidate | None:
+    """Score-driven assignment of one partition's blocks to servers.
+
+    For every block (largest first -- hardest to fit, and the pass
+    is order-sensitive) each feasible server is evaluated by the
+    alpha objective over the *marginal* cost of hosting the block:
+    marginal energy (combined-mix energy minus what the server's
+    existing mix was already going to consume -- waking an empty
+    server pays its idle draw, joining a busy one amortizes it)
+    and the combined mix's completion time.  The block goes to the
+    best-scoring server, ties resolving to the first in list order
+    (the paper's rule).  Servers whose (current mix, VM cap) are
+    identical are interchangeable, so only the first of each
+    equivalence class is evaluated.
+
+    Returns None when some block cannot be placed anywhere.
+    """
+    database = allocator.database
+    weights = allocator.weights
+    max_time = database.time_range_s[1]
+    max_energy = database.energy_range_j[1]
+    residual: list[MixKey] = [s.allocated for s in servers]
+    base_energy: list[float | None] = [None] * len(servers)  # lazy
+    picks: list[tuple[str, MixKey, MixKey, EstimatedOutcome]] = []
+    touched: dict[int, tuple[float, EstimatedOutcome]] = {}  # index -> (energy0, final est)
+
+    for block in sorted(partition, key=total_vms, reverse=True):
+        block_deadline = _block_deadline(block, deadlines)
+        best_index: int | None = None
+        best_score = float("inf")
+        best_estimate: EstimatedOutcome | None = None
+        best_compliant = False
+        seen_classes: set[tuple[MixKey, int | None]] = set()
+        for index, server in enumerate(servers):
+            equivalence = (residual[index], server.max_vms)
+            if equivalence in seen_classes:
+                continue
+            seen_classes.add(equivalence)
+            combined = (
+                residual[index][0] + block[0],
+                residual[index][1] + block[1],
+                residual[index][2] + block[2],
+            )
+            if not database.within_bounds(combined):
+                continue
+            if server.max_vms is not None and total_vms(combined) > server.max_vms:
+                continue
+            try:
+                estimate = database.estimate(combined)
+            except ModelLookupError:
+                continue
+            if base_energy[index] is None:
+                base_energy[index] = _existing_energy(database, residual[index])
+            marginal_energy = max(0.0, estimate.energy_j - base_energy[index])
+            score = (
+                weights.energy_weight * (marginal_energy / max_energy)
+                + weights.time_weight * (estimate.time_s / max_time)
+            )
+            compliant = block_deadline is None or estimate.time_s <= block_deadline
+            # Deadline-compliant placements always beat non-compliant
+            # ones; within a compliance tier the alpha score decides.
+            better = (compliant, -score) > (best_compliant, -best_score)
+            if best_index is None or better:
+                best_score = score
+                best_index = index
+                best_estimate = estimate
+                best_compliant = compliant
+        if best_index is None:
+            return None
+        assert best_estimate is not None
+        if best_index not in touched:
+            energy0 = base_energy[best_index]
+            assert energy0 is not None
+            touched[best_index] = (energy0, best_estimate)
+        else:
+            touched[best_index] = (touched[best_index][0], best_estimate)
+        residual[best_index] = best_estimate.key
+        base_energy[best_index] = best_estimate.energy_j
+        picks.append(
+            (servers[best_index].server_id, block, best_estimate.key, best_estimate)
+        )
+
+    makespan = max(est.time_s for _, est in touched.values())
+    energy = sum(max(0.0, est.energy_j - energy0) for energy0, est in touched.values())
+    qos_ok = all(
+        _block_meets_deadline(block, estimate, deadlines)
+        for _, block, _, estimate in picks
+    )
+    return _Candidate(
+        assignments=tuple(picks),
+        rank_time_s=makespan,
+        energy_j=energy,
+        qos_ok=qos_ok,
+    )
+
+
+def _existing_energy(database, mix: MixKey) -> float:
+    """Energy the server's existing mix is already committed to.
+
+    Zero for an idle server: placing nothing there costs nothing, so a
+    block placed on it is charged the full combined-mix energy
+    including the idle draw it wakes up.  (The optimized path reads the
+    same value from the dense grid and counts the lookup-failed-to-zero
+    fallback in the plan provenance.)
+    """
+    if total_vms(mix) == 0:
+        return 0.0
+    try:
+        return database.estimate(mix).energy_j
+    except ModelLookupError:
+        return 0.0
+
+
+def _block_meets_deadline(
+    block: MixKey,
+    estimate: EstimatedOutcome,
+    deadlines: dict[WorkloadClass, float],
+) -> bool:
+    """QoS check for one block under its server's combined estimate.
+
+    The estimated execution time of every VM in the mix is the mix's
+    total time (the conservative bound); a block complies when that
+    bound fits the tightest deadline among the block's classes.
+    """
+    for class_index, workload_class in enumerate(
+        (WorkloadClass.CPU, WorkloadClass.MEM, WorkloadClass.IO)
+    ):
+        if block[class_index] == 0:
+            continue
+        deadline = deadlines.get(workload_class)
+        if deadline is not None and estimate.time_s > deadline:
+            return False
+    return True

@@ -1,5 +1,6 @@
 """Equivalence oracle: the streamed, branch-and-bound-pruned allocator
-must return the *bit-identical* plan of the retained naive reference.
+must return the *bit-identical* plan of the naive brute force
+(:func:`tests.oracles.allocator.reference_allocate`).
 
 Every optimization in :meth:`ProactiveAllocator.allocate` (dense-grid
 lookups, Pareto-streaming retention, subtree pruning, mid-assignment
@@ -27,6 +28,7 @@ from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
 from repro.core.model import ModelDatabase
 from repro.ext.thermal import PowerCappedDatabase
 from repro.testbed.benchmarks import WorkloadClass
+from tests.oracles.allocator import reference_allocate
 
 CASES_PER_SEED = 24
 SEEDS = range(10)  # 10 x 24 = 240 cases
@@ -127,7 +129,7 @@ def random_allocator(rng: random.Random, database) -> ProactiveAllocator:
 
 def run_both(allocator, requests, servers):
     try:
-        reference = allocator.allocate_reference(requests, servers)
+        reference = reference_allocate(allocator, requests, servers)
         reference_error = None
     except (AllocationError, ConfigurationError) as error:
         reference = None

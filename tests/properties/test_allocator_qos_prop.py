@@ -10,6 +10,25 @@ from repro.testbed.benchmarks import WorkloadClass
 classes = st.sampled_from(list(WorkloadClass))
 alphas = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 deadline_factors = st.floats(min_value=1.1, max_value=20.0, allow_nan=False)
+residuals = st.tuples(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+)
+server_states = st.lists(
+    st.tuples(residuals, st.one_of(st.none(), st.integers(min_value=1, max_value=8))),
+    min_size=1,
+    max_size=4,
+)
+
+
+def outcome(allocator, requests, servers):
+    """The plan (with its provenance) or the error type an allocation yields."""
+    try:
+        plan = allocator.allocate(requests, servers)
+    except AllocationError as error:
+        return type(error)
+    return plan, plan.search_provenance
 
 
 class TestQoSContract:
@@ -95,3 +114,28 @@ class TestQoSContract:
         if relaxed.qos_satisfied:
             # Same candidate pool: identical outcomes expected.
             assert strict.score == relaxed.score
+
+    @given(
+        batch=st.lists(classes, min_size=1, max_size=5),
+        alpha=alphas,
+        layout=server_states,
+        anytime=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_strictness_is_moot_without_deadlines(
+        self, database, batch, alpha, layout, anytime
+    ):
+        """Deadline-free batches make every candidate compliant, so strict
+        and relaxed QoS return the same plan or raise the same error, in
+        the exact and the forced-anytime search alike.  This is why one
+        strict allocator serves a strategy's best-effort fallback."""
+        requests = [VMRequest(f"v{i}", c) for i, c in enumerate(batch)]
+        servers = [
+            ServerState(f"s{i}", allocated=mix, max_vms=cap)
+            for i, (mix, cap) in enumerate(layout)
+        ]
+        strict, relaxed = (
+            ProactiveAllocator(database, alpha=alpha, strict_qos=flag, anytime=anytime)
+            for flag in (True, False)
+        )
+        assert outcome(strict, requests, servers) == outcome(relaxed, requests, servers)

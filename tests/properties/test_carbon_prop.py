@@ -484,17 +484,6 @@ class TestThreeWayScoring:
                 carbon=CarbonContext(signals=signals_pair(), alpha_carbon=0.5),
             )
 
-    def test_carbon_rejects_reference_oracle(self, database):
-        allocator = ProactiveAllocator(
-            database,
-            alpha=0.5,
-            carbon=CarbonContext(signals=signals_pair(), alpha_carbon=0.5),
-        )
-        with pytest.raises(ConfigurationError, match="2-way"):
-            allocator.allocate_reference(
-                [VMRequest("vm-0", WorkloadClass.CPU)], [ServerState("s0")]
-            )
-
     def test_carbon_axis_normalizes_per_dimension(self):
         impacts = [(10.0, 0.2), (5.0, 0.4), (0.0, 0.0)]
         axis = carbon_axis(impacts)

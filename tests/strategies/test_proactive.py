@@ -1,7 +1,5 @@
 """Unit tests for the PROACTIVE strategy wrapper."""
 
-import pytest
-
 from repro.strategies.base import ServerView, VMDescriptor
 from repro.strategies.proactive import ProactiveStrategy
 from repro.testbed.benchmarks import WorkloadClass
@@ -62,9 +60,14 @@ class TestQoSAdmission:
         assert placement is not None
 
     def test_no_qos_mode_always_places(self, database):
-        strategy = ProactiveStrategy(database, use_qos=False)
-        placement = strategy.place(vms(2, deadline=0.001), [view("s0")])
+        # Deadline-free VMs (what a run under QoSPolicy.unlimited() hands
+        # the strategy) are placed on the busy servers the deadline
+        # case above waits on.
+        osc = database.grid_bounds[0]
+        busy = [view("s0", mix=(osc - 1, 0, 0)), view("s1", mix=(osc - 1, 0, 0))]
+        placement = ProactiveStrategy(database, alpha=0.0).place(vms(2), busy)
         assert placement is not None
+        assert len(placement) == 2
 
     def test_compliant_placement_taken_when_available(self, database):
         tc = database.reference_time(WorkloadClass.CPU)
@@ -114,28 +117,3 @@ class TestSearchTelemetry:
         second = ProactiveStrategy(database)
         first.place(vms(2), [view("s0")])
         assert second.metrics.counter("strategy.plans", strategy=second.name).value == 0
-
-    def test_last_provenance_deprecated_but_working(self, database):
-        strategy = ProactiveStrategy(database)
-        with pytest.warns(DeprecationWarning, match="last_provenance"):
-            assert strategy.last_provenance is None
-        strategy.place(vms(3), [view("s0"), view("s1")])
-        with pytest.warns(DeprecationWarning):
-            provenance = strategy.last_provenance
-        assert provenance is not None
-        assert provenance.partitions_enumerated == 3
-
-    def test_search_totals_deprecated_but_working(self, database):
-        strategy = ProactiveStrategy(database)
-        strategy.place(vms(2), [view("s0")])
-        with pytest.warns(DeprecationWarning, match="search_totals"):
-            totals = strategy.search_totals
-        assert totals["plans"] == 1
-        assert totals["grid_hits"] > 0
-
-    def test_search_totals_returns_copy(self, database):
-        strategy = ProactiveStrategy(database)
-        with pytest.warns(DeprecationWarning):
-            strategy.search_totals["plans"] = 99
-        with pytest.warns(DeprecationWarning):
-            assert strategy.search_totals["plans"] == 0

@@ -11,7 +11,7 @@ from repro import ModelDatabase, ProactiveAllocator, ServerState, VMRequest, bui
 
 class TestTopLevelAPI:
     def test_version(self):
-        assert repro.__version__ == "1.7.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_build_model_one_liner(self):
         database = build_model()
@@ -98,49 +98,6 @@ class TestStableFacade:
         with api.observed(registry=registry) as bundle:
             assert api.get_observability() is bundle
             assert api.snapshot()["counters"]["x"] == 1
-
-
-class TestDeprecationShims:
-    """The deprecated provenance accessors warn with pinned text.
-
-    The wording is part of the 1.x contract: downstream code filtering
-    on the message (or reading the migration hint from a log) must not
-    see it drift between minor releases.  Changing either string is an
-    API change and belongs in a major version.
-    """
-
-    PLAN_TEXT = (
-        "AllocationPlan.provenance is deprecated and will be removed "
-        "in 2.0; read AllocationPlan.search_provenance (or the "
-        "repro.obs metrics registry) instead"
-    )
-    STRATEGY_TEXT = (
-        "ProactiveStrategy.last_provenance is deprecated and will be "
-        "removed in 2.0; read last_plan.search_provenance (per plan) "
-        "or the repro.obs metrics registry (totals) instead"
-    )
-
-    def test_plan_provenance_warning_text(self):
-        from repro import api
-
-        database = api.build_model()
-        plan = api.ProactiveAllocator(database, alpha=0.5).allocate(
-            [api.VMRequest("vm0", api.WorkloadClass.CPU)],
-            [api.ServerState("s0")],
-        )
-        with pytest.warns(DeprecationWarning) as caught:
-            provenance = plan.provenance
-        assert provenance == plan.search_provenance
-        assert str(caught.list[0].message) == self.PLAN_TEXT
-
-    def test_strategy_last_provenance_warning_text(self):
-        from repro import api
-        from repro.strategies.proactive import ProactiveStrategy
-
-        strategy = ProactiveStrategy(api.build_model(), alpha=0.5)
-        with pytest.warns(DeprecationWarning) as caught:
-            assert strategy.last_provenance is None
-        assert str(caught.list[0].message) == self.STRATEGY_TEXT
 
 
 class TestSubpackageImports:
