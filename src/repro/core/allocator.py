@@ -59,7 +59,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from repro.campaign.records import MixKey, key_for_classes, total_vms
 from repro.common.errors import (
@@ -88,6 +89,11 @@ from repro.obs.runtime import Observability, get_observability
 from repro.testbed.benchmarks import WorkloadClass
 
 _INF = float("inf")
+
+T = TypeVar("T")
+
+#: A server's class: the model sees it only through (residual mix, VM cap).
+_SERVER_CLASS = attrgetter("allocated", "max_vms")
 
 
 @dataclass(frozen=True)
@@ -467,6 +473,14 @@ class ProactiveAllocator:
         is enabled).  The selected plan (assignments, score, QoS flag)
         is bit-identical to the naive brute force.
 
+        The search runs on the class heads of ``servers`` (see
+        :func:`class_heads`): the first ``len(requests)`` servers, in
+        list order, of each ``(allocated, max_vms)`` class -- no other
+        server can win the paper's first-in-list tie rule.  A call
+        costs O(classes x batch) past that one pass, not O(servers).
+        Error messages and ``energy_fallbacks`` still count every
+        offered server.
+
         Raises
         ------
         InfeasibleAllocationError
@@ -525,7 +539,8 @@ class ProactiveAllocator:
 
         counts = key_for_classes([r.workload_class for r in requests])
         deadlines = _tightest_deadlines(requests)
-        state = self._prepare_state(counts, servers, deadlines)
+        heads, stands_for = class_heads(servers, _SERVER_CLASS, len(requests))
+        state = self._prepare_state(counts, heads, stands_for, deadlines)
 
         # Aggregate-capacity fast path: if the batch exceeds what the
         # servers' residual grid/VM slack could absorb in total, no
@@ -546,7 +561,7 @@ class ProactiveAllocator:
                 # on a fresh state so infeasibility and strict-QoS
                 # errors keep their certified exact-mode semantics.
                 prior = state.stats
-                state = self._prepare_state(counts, servers, deadlines)
+                state = self._prepare_state(counts, heads, stands_for, deadlines)
                 state.stats.anytime = True
                 state.stats.anytime_exact_fallback = True
                 state.stats.anytime_beam_width = prior.anytime_beam_width
@@ -729,8 +744,12 @@ class ProactiveAllocator:
         self,
         counts: MixKey,
         servers: Sequence[ServerState],
+        stands_for: Sequence[int],
         deadlines: "dict[WorkloadClass, float]",
     ) -> _SearchState:
+        """Search scratch over ``servers``, the class heads of the
+        offered list; ``stands_for[i]`` is how many offered servers
+        head ``i`` represents (see :func:`class_heads`)."""
         grid = self._grid
         state = _SearchState()
         state.servers = servers
@@ -768,7 +787,7 @@ class ProactiveAllocator:
         residual0: list[MixKey] = []
         base0: list[float] = []
         inbox: list[bool] = []
-        for server in servers:
+        for server, represented in zip(servers, stands_for):
             mix = server.allocated
             residual0.append(mix)
             if not grid.covers(mix):
@@ -786,8 +805,9 @@ class ProactiveAllocator:
             if cell is None:
                 # The naive brute force silently treats an unestimable
                 # existing mix as zero committed energy; keep the value
-                # but surface the event in the provenance counters.
-                state.stats.energy_fallbacks += 1
+                # but surface the event in the provenance counters,
+                # once per offered server the head stands for.
+                state.stats.energy_fallbacks += represented
                 base0.append(0.0)
             else:
                 base0.append(cell.energy_j)
@@ -1287,6 +1307,44 @@ def bind_vm_ids(blocks: Iterable[MixKey], vms: Iterable) -> list[tuple[str, ...]
             del queues[workload_class][:take]
         bound.append(tuple(vm_ids))
     return bound
+
+
+def class_heads(
+    items: Sequence[T],
+    key: Callable[[T], Hashable],
+    limit: int,
+) -> tuple[list[T], list[int]]:
+    """The first ``limit`` members of every ``key`` class, in list order.
+
+    The greedy assignment sees a server only through its (residual mix,
+    VM cap) class and breaks ties to the first server of the list.  A
+    batch of ``limit`` VMs has at most ``limit`` blocks, so at most
+    ``limit - 1`` servers are touched before its last block is placed:
+    whenever a class is scored, the member picked is among its first
+    ``limit``.  Searching the heads therefore yields the plan a search
+    over every item would.
+
+    Also returns, parallel to the heads, how many items each one stands
+    for: 1, plus the dropped members for a class's last head, so the
+    counts sum to ``len(items)``.
+    """
+    heads: list[T] = []
+    stands_for: list[int] = []
+    kept: dict[Hashable, list[int]] = {}  # class -> [heads kept, index of the last]
+    for item in items:
+        group = key(item)
+        seen = kept.get(group)
+        if seen is None:
+            kept[group] = [1, len(heads)]
+        elif seen[0] < limit:
+            seen[0] += 1
+            seen[1] = len(heads)
+        else:
+            stands_for[seen[1]] += 1
+            continue
+        heads.append(item)
+        stands_for.append(1)
+    return heads, stands_for
 
 
 def _tightest_deadlines(requests: Iterable[VMRequest]) -> dict[WorkloadClass, float]:

@@ -22,10 +22,16 @@ constraints"):
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
 from repro.common.errors import AllocationError, QoSViolationError
-from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
+from repro.core.allocator import (
+    ProactiveAllocator,
+    ServerState,
+    VMRequest,
+    class_heads,
+)
 from repro.core.model import ModelDatabase
 from repro.core.plan import AllocationPlan
 from repro.core.scoring import CarbonContext
@@ -43,6 +49,9 @@ _TOTAL_KEYS = (
     "partitions_enumerated",
     "subtrees_pruned",
 )
+
+#: A view's server class, as the allocator groups servers (see class_heads).
+_VIEW_CLASS = attrgetter("mix", "max_vms")
 
 
 class ProactiveStrategy(AllocationStrategy):
@@ -129,13 +138,16 @@ class ProactiveStrategy(AllocationStrategy):
         vms: Sequence[VMDescriptor],
         servers: Sequence[ServerView],
     ) -> Optional[Mapping[str, str]]:
+        # The allocator only ever picks one of the first len(vms)
+        # servers of a (mix, max_vms) class, so only those become states.
+        heads, _ = class_heads(servers, _VIEW_CLASS, len(vms))
         states = [
             ServerState(
                 server_id=server.server_id,
                 allocated=server.mix,
                 max_vms=server.max_vms,
             )
-            for server in servers
+            for server in heads
         ]
         requests = [
             VMRequest(

@@ -89,6 +89,14 @@ class TestBasicAllocation:
         with pytest.raises(InfeasibleAllocationError):
             ProactiveAllocator(database).allocate(cpu_requests(1), full)
 
+    def test_infeasible_message_names_offered_servers(self, database):
+        # The search runs on one class head here, but the message (which
+        # the service puts in failed-batch records) counts every server.
+        osc, osm, osi = database.grid_bounds
+        full = [ServerState(f"s{i}", allocated=(osc, osm, osi)) for i in range(130)]
+        with pytest.raises(InfeasibleAllocationError, match="across 130 servers"):
+            ProactiveAllocator(database).allocate(cpu_requests(1), full)
+
     def test_mixed_class_batch(self, database):
         requests = [
             VMRequest("c0", WorkloadClass.CPU),

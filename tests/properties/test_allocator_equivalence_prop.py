@@ -9,12 +9,15 @@ random worlds: partial model databases, busy servers with VM caps,
 deadlines, all three paper alphas plus random ones, strict and relaxed
 QoS, a forced branch-and-bound regime (``bnb_min_vms=0``), and the
 thermal :class:`PowerCappedDatabase` duck-type whose ``within_bounds``
-veto is stricter than the grid box.
+veto is stricter than the grid box.  Each seed ends with *crowded*
+worlds (10-80 servers from a few (mix, max_vms) classes, batches up to
+14 VMs) where classes outnumber the batch, so the allocator's
+class-head truncation is compared against the oracle on the full list.
 
 Equality uses ``AllocationPlan.__eq__``, which compares assignments,
 alpha, score, and the QoS flag (provenance is excluded by design); when
 the reference raises, the optimized path must raise the same exception
-type.
+type with the same message.
 """
 
 import random
@@ -22,9 +25,14 @@ import random
 import pytest
 
 from repro.campaign.optimal import ClassOptima, OptimalScenarios
-from repro.campaign.records import BenchmarkRecord
+from repro.campaign.records import BenchmarkRecord, total_vms
 from repro.common.errors import AllocationError, ConfigurationError
-from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
+from repro.core.allocator import (
+    ProactiveAllocator,
+    ServerState,
+    VMRequest,
+    class_heads,
+)
 from repro.core.model import ModelDatabase
 from repro.ext.thermal import PowerCappedDatabase
 from repro.testbed.benchmarks import WorkloadClass
@@ -32,6 +40,7 @@ from tests.oracles.allocator import reference_allocate
 
 CASES_PER_SEED = 24
 SEEDS = range(10)  # 10 x 24 = 240 cases
+CROWDED_CASES_PER_SEED = 8  # appended after the sparse cases of each seed
 
 
 def random_database(rng: random.Random) -> ModelDatabase:
@@ -74,32 +83,52 @@ def random_database(rng: random.Random) -> ModelDatabase:
     return ModelDatabase(records, optima)
 
 
-def random_servers(rng: random.Random, bounds) -> list[ServerState]:
+def random_server_class(rng: random.Random, bounds) -> tuple:
+    """A random (residual mix, VM cap) for one server."""
     osc, osm, osi = bounds
-    servers = []
-    for index in range(rng.randint(1, 6)):
-        roll = rng.random()
-        if roll < 0.45:
-            mix = (0, 0, 0)
-        elif roll < 0.55:
-            # Off-grid residual: the server can never host anything.
-            mix = (osc + 1, rng.randint(0, osm), 0)
-        else:
-            mix = (
-                rng.randint(0, osc),
-                rng.randint(0, osm),
-                rng.randint(0, osi),
-            )
-        max_vms = rng.choice([None, None, rng.randint(1, osc + osm + osi)])
-        servers.append(
-            ServerState(server_id=f"s{index}", allocated=mix, max_vms=max_vms)
+    roll = rng.random()
+    if roll < 0.45:
+        mix = (0, 0, 0)
+    elif roll < 0.55:
+        # Off-grid residual: the server can never host anything.
+        mix = (osc + 1, rng.randint(0, osm), 0)
+    else:
+        mix = (
+            rng.randint(0, osc),
+            rng.randint(0, osm),
+            rng.randint(0, osi),
         )
-    return servers
+    max_vms = rng.choice([None, None, rng.randint(1, osc + osm + osi)])
+    return mix, max_vms
 
 
-def random_requests(rng: random.Random, database: ModelDatabase) -> list[VMRequest]:
+def random_servers(rng: random.Random, bounds, crowded=False) -> list[ServerState]:
+    """1-6 independent servers, or (``crowded``) 10-80 servers drawn
+    from 2-4 (mix, max_vms) prototypes, so classes outnumber a batch
+    and the allocator's class-head truncation is exercised."""
+    if crowded:
+        prototypes = [
+            random_server_class(rng, bounds) for _ in range(rng.randint(2, 4))
+        ]
+        classes = [rng.choice(prototypes) for _ in range(rng.randint(10, 80))]
+    else:
+        classes = [random_server_class(rng, bounds) for _ in range(rng.randint(1, 6))]
+    return [
+        ServerState(server_id=f"s{index}", allocated=mix, max_vms=max_vms)
+        for index, (mix, max_vms) in enumerate(classes)
+    ]
+
+
+def random_requests(
+    rng: random.Random, database: ModelDatabase, crowded=False
+) -> list[VMRequest]:
+    """1-7 VMs; in ``crowded`` mode a third of the batches are padded
+    to 7-14 VMs so branch-and-bound and its knapsack bound run."""
     classes = list(WorkloadClass)
-    batch = [rng.choice(classes) for _ in range(rng.randint(1, 7))]
+    size = rng.randint(1, 7)
+    if crowded and rng.random() < 1 / 3:
+        size = rng.randint(7, 14)
+    batch = [rng.choice(classes) for _ in range(size)]
     with_deadlines = rng.random() < 0.5
     requests = []
     for index, workload_class in enumerate(batch):
@@ -114,6 +143,14 @@ def random_requests(rng: random.Random, database: ModelDatabase) -> list[VMReque
             )
         )
     return requests
+
+
+def random_capped_database(rng: random.Random):
+    """A random database and its thermally capped proxy."""
+    database = random_database(rng)
+    powers = [record.avg_power_w for record in database.records]
+    cap = rng.uniform(min(powers), max(powers) * 1.2)
+    return database, PowerCappedDatabase(database, cap)
 
 
 def random_allocator(rng: random.Random, database) -> ProactiveAllocator:
@@ -156,6 +193,7 @@ def assert_equivalent(case, allocator, requests, servers):
             f"{case}: {type(reference_error).__name__} != "
             f"{type(optimized_error).__name__}"
         )
+        assert str(optimized_error) == str(reference_error), case
         return
     assert optimized_error is None, (
         f"{case}: optimized raised {type(optimized_error).__name__} "
@@ -171,13 +209,17 @@ class TestRandomWorlds:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_streamed_equals_reference(self, seed):
         rng = random.Random(0xA110C + seed)
-        for case_index in range(CASES_PER_SEED):
+        for case_index in range(CASES_PER_SEED + CROWDED_CASES_PER_SEED):
+            crowded = case_index >= CASES_PER_SEED
             database = random_database(rng)
             allocator = random_allocator(rng, database)
-            servers = random_servers(rng, database.grid_bounds)
-            requests = random_requests(rng, database)
+            servers = random_servers(rng, database.grid_bounds, crowded)
+            requests = random_requests(rng, database, crowded)
             assert_equivalent(
-                f"seed={seed} case={case_index}", allocator, requests, servers
+                f"seed={seed} case={case_index} crowded={crowded}",
+                allocator,
+                requests,
+                servers,
             )
 
 
@@ -185,17 +227,51 @@ class TestPowerCappedDuckType:
     @pytest.mark.parametrize("seed", range(4))
     def test_streamed_equals_reference_under_cap(self, seed):
         rng = random.Random(0xCA9 + seed)
-        for case_index in range(12):
-            database = random_database(rng)
-            powers = [record.avg_power_w for record in database.records]
-            cap = rng.uniform(min(powers), max(powers) * 1.2)
-            capped = PowerCappedDatabase(database, cap)
+        for case_index in range(12 + CROWDED_CASES_PER_SEED):
+            crowded = case_index >= 12
+            database, capped = random_capped_database(rng)
             allocator = random_allocator(rng, capped)
-            servers = random_servers(rng, database.grid_bounds)
-            requests = random_requests(rng, database)
+            servers = random_servers(rng, database.grid_bounds, crowded)
+            requests = random_requests(rng, database, crowded)
             assert_equivalent(
-                f"cap-seed={seed} case={case_index}", allocator, requests, servers
+                f"cap-seed={seed} case={case_index} crowded={crowded}",
+                allocator,
+                requests,
+                servers,
             )
+
+    def test_energy_fallbacks_count_offered_servers(self):
+        # Every offered in-grid, non-empty server whose residual cannot
+        # be estimated counts, including class members the search
+        # dropped after the heads.
+        rng = random.Random(0xFA11)
+        dropped_fallbacks = 0
+        for _ in range(60):
+            database, capped = random_capped_database(rng)
+            allocator = random_allocator(rng, capped)
+            servers = random_servers(rng, database.grid_bounds, crowded=True)
+            requests = random_requests(rng, database, crowded=True)
+            try:
+                plan = allocator.allocate(requests, servers)
+            except AllocationError:
+                continue
+            grid = allocator.estimate_grid
+            unestimable = [
+                grid.covers(s.allocated)
+                and total_vms(s.allocated) > 0
+                and grid.get(s.allocated) is None
+                for s in servers
+            ]
+            assert plan.search_provenance.energy_fallbacks == sum(unestimable)
+            heads, _ = class_heads(
+                servers, lambda s: (s.allocated, s.max_vms), len(requests)
+            )
+            kept = {id(head) for head in heads}
+            dropped_fallbacks += sum(
+                flag for s, flag in zip(servers, unestimable) if id(s) not in kept
+            )
+        # A count over the heads alone would have missed these.
+        assert dropped_fallbacks > 0
 
 
 class TestCampaignDatabase:

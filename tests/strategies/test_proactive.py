@@ -1,5 +1,8 @@
 """Unit tests for the PROACTIVE strategy wrapper."""
 
+import pytest
+
+from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
 from repro.strategies.base import ServerView, VMDescriptor
 from repro.strategies.proactive import ProactiveStrategy
 from repro.testbed.benchmarks import WorkloadClass
@@ -117,3 +120,55 @@ class TestSearchTelemetry:
         second = ProactiveStrategy(database)
         first.place(vms(2), [view("s0")])
         assert second.metrics.counter("strategy.plans", strategy=second.name).value == 0
+
+
+class TestClassHeads:
+    """Placement depends on server classes, not on the server count."""
+
+    MIXES = ((0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 1, 0), (1, 1, 1))
+
+    BATCHES = {
+        # Six CPU VMs land on six members of one class at every alpha.
+        "cpu6": vms(6),
+        "mixed": (
+            vms(3)
+            + [VMDescriptor(f"m{i}", WorkloadClass.MEM, None) for i in range(2)]
+            + [VMDescriptor("i0", WorkloadClass.IO, None)]
+        ),
+    }
+
+    def cluster(self, copies):
+        # 65 servers cycling over five (mix, max_vms) classes, plus
+        # ``copies`` servers repeating those classes at the end.
+        classes = [self.MIXES[i % len(self.MIXES)] for i in range(65 + copies)]
+        return [view(f"s{i}", mix=mix) for i, mix in enumerate(classes)]
+
+    @pytest.mark.parametrize("batch_name", sorted(BATCHES))
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_placement_independent_of_cluster_size(
+        self, database, alpha, batch_name, monkeypatch
+    ):
+        batch = self.BATCHES[batch_name]
+        offered = []
+        allocate = ProactiveAllocator.allocate
+
+        def spy(self, requests, servers):
+            offered.append(len(servers))
+            return allocate(self, requests, servers)
+
+        monkeypatch.setattr(ProactiveAllocator, "allocate", spy)
+        small = ProactiveStrategy(database, alpha=alpha).place(batch, self.cluster(0))
+        large_cluster = self.cluster(585)
+        large = ProactiveStrategy(database, alpha=alpha).place(batch, large_cluster)
+        assert small is not None
+        assert large == small
+        assert len(offered) == 2
+        assert all(n <= len(self.MIXES) * len(batch) for n in offered)
+
+        requests = [VMRequest(vm.vm_id, vm.workload_class) for vm in batch]
+        states = [
+            ServerState(server.server_id, server.mix, server.max_vms)
+            for server in large_cluster
+        ]
+        full = ProactiveAllocator(database, alpha=alpha).allocate(requests, states)
+        assert full.placements() == large
