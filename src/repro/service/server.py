@@ -25,7 +25,10 @@ Error mapping is uniform: every failure body is a
 ``ValueError`` from the shared :mod:`repro.common.validation`
 parsers) -> 400, unknown sessions/routes -> 404, wrong method -> 405,
 :class:`~repro.common.errors.BackpressureError` -> 429, anything
-else -> 500.
+else -> 500.  A request whose ``Content-Length`` is not a
+non-negative integer gets 400 and one over :data:`MAX_BODY_BYTES`
+gets 413; both then close the connection, since the body cannot be
+skipped reliably.
 
 Wall-clock reads in this module (request->plan latency, batch
 duration) are observability-only and never influence allocation;
@@ -60,6 +63,7 @@ from repro.service.session import Session, SessionConfig
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 _REQUEST_LINE = re.compile(rb"^([A-Z]+) (\S+) HTTP/1\.[01]$")
+_CONTENT_LENGTH = re.compile(r"[0-9]+\Z")
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,16 @@ class Service:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _HttpError as error:
+                    # Without a usable body length the stream cannot be
+                    # resynchronised: answer, then close the connection.
+                    self._registry.counter(
+                        "service.http.errors", status=str(error.status)
+                    ).inc()
+                    await self._write_response(writer, error.status, error.body)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -229,9 +242,21 @@ class Service:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if _CONTENT_LENGTH.match(raw_length) is None:
+            raise _HttpError(
+                400,
+                "invalid_request",
+                f"Content-Length must be a non-negative integer, got {raw_length!r}",
+            )
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
-            return None
+            raise _HttpError(
+                413,
+                "payload_too_large",
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from repro.campaign.records import MixKey
 from repro.common.errors import SimulationError
 from repro.sim.vm import SimVM, VMState
-from repro.testbed.contention import ContentionParams, MixModel
+from repro.testbed.contention import ActiveVM, ContentionParams, MixModel
 from repro.testbed.power import instantaneous_power
 from repro.testbed.spec import SUBSYSTEMS, ServerSpec
 from repro.testbed.benchmarks import WorkloadClass
@@ -118,6 +118,11 @@ class ServerRuntime:
             self._mix_cache = None
         else:
             self._mix_cache = mix_cache
+        # Memo mode only: the physics of the current mix (cleared on
+        # every mix change) and one shared view per (benchmark, stage
+        # bucket) kind this server has hosted.
+        self._physics: tuple | None = None
+        self._views: dict[tuple[int, bool], ActiveVM] = {}
         if record_chronicle:
             from repro.sim.chronicle import Chronicle
 
@@ -145,6 +150,7 @@ class ServerRuntime:
 
     def _host(self, vm: SimVM) -> None:
         self._vms.append(vm)
+        self._physics = None
         cls = vm.workload_class
         if cls is WorkloadClass.CPU:
             self._ncpu += 1
@@ -157,6 +163,7 @@ class ServerRuntime:
 
     def _unhost(self, vm: SimVM) -> None:
         self._vms.remove(vm)  # ValueError propagates to the caller
+        self._physics = None
         cls = vm.workload_class
         if cls is WorkloadClass.CPU:
             self._ncpu -= 1
@@ -221,27 +228,32 @@ class ServerRuntime:
         return self._mix_physics()[2]
 
     def _mix_physics(self) -> tuple:
-        """(slowdowns, loads, power) for the current mix, memoized
-        bit-exactly.
+        """(slowdowns, loads, power, views) for the current mix,
+        memoized bit-exactly at two levels.
 
         The contention model is a pure function of the per-VM active
         views, and a view is determined by ``(benchmark, stage
-        bucket)`` -- there are only a handful of distinct view kinds,
-        so mix sequences repeat heavily across integration steps and,
-        under a shared cache, across servers.  A hit returns the exact
-        floats the model produced on first sight of that key (and
-        skips building the view objects entirely), so memoization
-        cannot perturb results.
+        bucket)``.  Physics changes only when the mix does, so the
+        first level is this server's entry for its current mix: it is
+        returned without building any key, and cleared by ``_host``/
+        ``_unhost`` (every placement, finish, eviction, migration and
+        crash) and by :meth:`sync` when a VM changes stage.
 
-        The key carries ``id(benchmark)`` rather than the (unhashable)
-        spec; the cached value pins the views tuple so no benchmark id
-        can be recycled onto a different spec while its key is live.
-        The key is the *sequence* of kinds, not the multiset: the
-        model sums demands in VM-list order, and float addition is
+        The second level is the per-run memo, shared by servers of one
+        spec and keyed by the *sequence* of kinds, not the multiset:
+        the model sums demands in VM-list order, and float addition is
         order-sensitive, so only an order-exact key preserves the
-        bit-identity contract with the naive reference.  Slowdowns are
-        cached raw -- callers apply the transient-fault
+        bit-identity contract with the naive reference.  The key
+        carries ``id(benchmark)`` rather than the (unhashable) spec; a
+        memo value pins its views tuple, and every view pins its
+        benchmark, so no id can be recycled onto a different spec while
+        its key is live.  On a miss the views come from this server's
+        per-kind table, so duplicates share one view object.
+
+        Slowdowns are cached raw -- callers apply the transient-fault
         ``_slowdown_factor``, which varies independently of the mix.
+        Without a memo (``mix_cache=False``) every call recomputes from
+        fresh views and the entry is never set.
         """
         cache = self._mix_cache
         if cache is None:
@@ -250,19 +262,29 @@ class ServerRuntime:
             loads = self._model.subsystem_loads(views)
             power = instantaneous_power(loads, len(views), self.spec.power)
             return slowdowns, loads, power
+        physics = self._physics
+        if physics is not None:
+            return physics
         key = tuple(
             (id(vm.benchmark), vm.stage == 0) for vm in self._vms
         )
-        hit = cache.get(key)
-        if hit is None:
-            views = [vm.active_view() for vm in self._vms]
+        physics = cache.get(key)
+        if physics is None:
+            table = self._views
+            views = []
+            for vm, kind in zip(self._vms, key):
+                view = table.get(kind)
+                if view is None:
+                    view = table[kind] = vm.active_view()
+                views.append(view)
             slowdowns, loads = self._model.slowdowns_and_loads(views)
             power = instantaneous_power(loads, len(views), self.spec.power)
             if len(cache) >= _MIX_CACHE_MAX:
                 cache.clear()
-            hit = (slowdowns, loads, power, tuple(views))
-            cache[key] = hit
-        return hit
+            physics = (slowdowns, loads, power, tuple(views))
+            cache[key] = physics
+        self._physics = physics
+        return physics
 
     # -- integration -----------------------------------------------------
 
@@ -320,7 +342,12 @@ class ServerRuntime:
                     t, t + step, self.mix_key(), power, [vm.vm_id for vm in self._vms]
                 )
             for vm, slowdown in zip(self._vms, slowdowns):
+                stage = vm.stage
                 vm.advance(step, slowdown, _EPSILON_S)
+                if vm.stage != stage:
+                    # A stage change is a mix change (SimVM.advance is
+                    # the only place a hosted VM's stage moves).
+                    self._physics = None
             for vm in list(self._vms):
                 if vm.done:
                     finished.append(vm)

@@ -43,7 +43,7 @@ the ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.testbed.benchmarks import BenchmarkSpec, WorkloadClass
@@ -106,6 +106,20 @@ class ActiveVM:
         return self.benchmark.demand(subsystem) * self.demand_scale
 
 
+class _Kind(NamedTuple):
+    """What :meth:`MixModel.slowdowns_and_loads` reuses per VM kind."""
+
+    #: Per-subsystem demands in ``SUBSYSTEMS`` order.
+    demands: tuple[float, ...]
+    workload_class: WorkloadClass
+    #: ``(subsystem index, demand / total_demand)`` for demands > 0,
+    #: the exact weights :meth:`MixModel.bottleneck_factor` computes;
+    #: None when the total demand is <= 0.
+    weights: tuple[tuple[int, float], ...] | None
+    #: Pins the spec so its id cannot be recycled while the entry lives.
+    benchmark: BenchmarkSpec
+
+
 class MixModel:
     """Evaluates loads, slowdowns and power-relevant state for one mix.
 
@@ -116,6 +130,8 @@ class MixModel:
     def __init__(self, server: ServerSpec, params: ContentionParams | None = None):
         self._server = server
         self._params = params or ContentionParams()
+        # Per-kind table of slowdowns_and_loads; see _kind.
+        self._kinds: dict[tuple[int, float], _Kind] = {}
 
     @property
     def server(self) -> ServerSpec:
@@ -240,6 +256,26 @@ class MixModel:
             result.append(self.bottleneck_factor(vm, loads) * interference * thrash * virt)
         return result
 
+    def _kind(self, vm: ActiveVM) -> _Kind:
+        """The :class:`_Kind` of ``vm``, computed on first sight of its
+        ``(id(benchmark), demand_scale)`` and then reused."""
+        key = (id(vm.benchmark), vm.demand_scale)
+        kind = self._kinds.get(key)
+        if kind is None:
+            demands = tuple(vm.demand(s) for s in SUBSYSTEMS)
+            total_demand = sum(demands)
+            if total_demand <= 0.0:
+                weights = None
+            else:
+                weights = tuple(
+                    (i, demand / total_demand)
+                    for i, demand in enumerate(demands)
+                    if demand > 0.0
+                )
+            kind = _Kind(demands, vm.benchmark.workload_class, weights, vm.benchmark)
+            self._kinds[key] = kind
+        return kind
+
     def slowdowns_and_loads(
         self, mix: Sequence[ActiveVM]
     ) -> tuple[list[float], Mapping[Subsystem, float]]:
@@ -249,56 +285,55 @@ class MixModel:
         :meth:`subsystem_loads` separately, for callers that need both
         (the server integrator also prices power off the loads).  Two
         VMs whose views agree on ``(benchmark, demand_scale)`` have
-        identical demand vectors and bottleneck factors, so each
-        distinct kind is evaluated once and its floats reused for
-        every duplicate.  Reused values are the exact floats the naive
-        formulas produce, and the load sums add the same addends in
-        the same VM order, so the pair equals the naive results bit
-        for bit -- asserted exhaustively in
+        identical demand vectors and bottleneck weights, so the model
+        keeps them per kind (:meth:`_kind`) across calls and evaluates
+        each kind's bottleneck once per mix.  Every reused value is the
+        exact float the naive formulas produce; each load is still a
+        ``sum()`` over the per-VM addends in VM order, and each stretch
+        still adds ``w * max(1, rho)`` to 0.0 in ``SUBSYSTEMS`` order,
+        so the pair equals the naive results bit for bit on every
+        interpreter (``sum()`` of floats is compensated from Python
+        3.12 on, so a hand-written fold would not) -- asserted in
         ``tests/testbed/test_contention.py``.
         """
         if not mix:
             return [], self.subsystem_loads(mix)
-        # Per-kind demand vectors; sums run in VM order over cached
-        # addends, which leaves every float addition unchanged.
-        kind_demands: dict[tuple[int, float], tuple[float, ...]] = {}
-        per_vm_demands: list[tuple[float, ...]] = []
-        for vm in mix:
-            kind = (id(vm.benchmark), vm.demand_scale)
-            demands = kind_demands.get(kind)
-            if demands is None:
-                demands = tuple(vm.demand(s) for s in SUBSYSTEMS)
-                kind_demands[kind] = demands
-            per_vm_demands.append(demands)
+        kinds = [self._kind(vm) for vm in mix]
         server = self._server
         loads: dict[Subsystem, float] = {}
+        load_values: list[float] = []
         for i, subsystem in enumerate(SUBSYSTEMS):
-            total = sum(d[i] for d in per_vm_demands)
-            loads[subsystem] = total / server.capacity(subsystem)
+            load = sum(kind.demands[i] for kind in kinds) / server.capacity(subsystem)
+            loads[subsystem] = load
+            load_values.append(load)
         virt = self.virt_factor(mix)
         thrash = self.thrash_factor(mix)
         class_counts: dict[WorkloadClass, int] = {}
-        for vm in mix:
-            cls = vm.benchmark.workload_class
+        for kind in kinds:
+            cls = kind.workload_class
             class_counts[cls] = class_counts.get(cls, 0) + 1
         n = len(mix)
         p = self._params
         result: list[float] = []
-        kind_slowdowns: dict[tuple[int, float], float] = {}
-        for vm in mix:
+        kind_slowdowns: dict[int, float] = {}
+        for vm, kind in zip(mix, kinds):
             if not vm.contended:
                 result.append(virt)
                 continue
-            kind = (id(vm.benchmark), vm.demand_scale)
-            value = kind_slowdowns.get(kind)
+            value = kind_slowdowns.get(id(kind))
             if value is None:
-                cls = vm.benchmark.workload_class
-                same = class_counts[cls] - 1
+                same = class_counts[kind.workload_class] - 1
                 cross = n - 1 - same
                 interference = (
                     1.0 + p.same_class_interference * same + p.cross_class_interference * cross
                 )
-                value = self.bottleneck_factor(vm, loads) * interference * thrash * virt
-                kind_slowdowns[kind] = value
+                if kind.weights is None:
+                    bottleneck = 1.0
+                else:
+                    bottleneck = 0.0
+                    for i, weight in kind.weights:
+                        bottleneck += weight * max(1.0, load_values[i])
+                value = bottleneck * interference * thrash * virt
+                kind_slowdowns[id(kind)] = value
             result.append(value)
         return result, loads

@@ -109,6 +109,58 @@ class TestLifecycle:
         assert response.status == 400
         assert body["error"]["code"] == "invalid_json"
 
+    def raw_exchange(self, svc, content_length):
+        """Send one POST with a raw ``Content-Length`` and read the reply
+        until the server closes the connection."""
+        import socket
+
+        head = (
+            "POST /v1/sessions HTTP/1.1\r\n"
+            "Host: localhost\r\n"
+            f"Content-Length: {content_length}\r\n"
+            "\r\n"
+        ).encode("ascii")
+        with socket.create_connection(
+            (svc.service.config.host, svc.port), timeout=30
+        ) as sock:
+            sock.sendall(head + b"{}")
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        reply = b"".join(chunks)
+        status_line, _, rest = reply.partition(b"\r\n")
+        body = json.loads(rest.partition(b"\r\n\r\n")[2])
+        return status_line.decode("ascii"), body
+
+    def assert_still_healthy(self, svc):
+        status, body = svc.request("GET", "/v1/healthz")
+        assert status == 200
+        assert body["status"] == "ok"
+
+    def test_negative_content_length_400(self, svc):
+        status_line, body = self.raw_exchange(svc, "-5")
+        assert status_line == "HTTP/1.1 400 Bad Request"
+        assert body["error"]["code"] == "invalid_request"
+        assert "Content-Length" in body["error"]["message"]
+        self.assert_still_healthy(svc)
+
+    def test_non_numeric_content_length_400(self, svc):
+        status_line, body = self.raw_exchange(svc, "abc")
+        assert status_line == "HTTP/1.1 400 Bad Request"
+        assert body["error"]["code"] == "invalid_request"
+        self.assert_still_healthy(svc)
+
+    def test_oversize_content_length_413(self, svc):
+        from repro.service.server import MAX_BODY_BYTES
+
+        status_line, body = self.raw_exchange(svc, str(MAX_BODY_BYTES + 1))
+        assert status_line == "HTTP/1.1 413 Payload Too Large"
+        assert body["error"]["code"] == "payload_too_large"
+        self.assert_still_healthy(svc)
+
     def test_metrics_endpoint(self, svc):
         status, body = svc.request("GET", "/v1/metrics")
         assert status == 200

@@ -129,3 +129,68 @@ class TestSyncSemantics:
         crowded.sync(b_crowded)
         solo.sync(b_solo)
         assert crowded.next_boundary(b_crowded) > solo.next_boundary(b_solo)
+
+
+class TestPhysicsEntryInvalidation:
+    """The memo-mode server's per-mix physics entry must be cleared at
+    every mix change: stepped in lockstep with a ``mix_cache=False``
+    server (which recomputes every step), both must agree exactly after
+    every operation."""
+
+    @staticmethod
+    def assert_agree(memo, naive, now_s):
+        assert memo.next_boundary(now_s) == naive.next_boundary(now_s)
+        assert memo.current_power_w() == naive.current_power_w()
+        assert memo.energy() == naive.energy()
+        assert [vm.vm_id for vm in memo.vms] == [vm.vm_id for vm in naive.vms]
+        assert [vm.stage for vm in memo.vms] == [vm.stage for vm in naive.vms]
+        assert [vm.remaining for vm in memo.vms] == [vm.remaining for vm in naive.vms]
+
+    def test_memo_entry_tracks_naive_through_every_mix_change(self):
+        memo = ServerRuntime("s0", default_server())
+        naive = ServerRuntime("s1", default_server(), mix_cache=False)
+        pair = (memo, naive)
+
+        def add(vm_id, workload_class, now_s):
+            for server in pair:
+                server.add_vm(make_vm(vm_id, workload_class), now_s)
+            self.assert_agree(memo, naive, now_s)
+
+        def sync(now_s):
+            finished = [server.sync(now_s) for server in pair]
+            assert [vm.vm_id for vm in finished[0]] == [vm.vm_id for vm in finished[1]]
+            self.assert_agree(memo, naive, now_s)
+            return finished[0]
+
+        sync(0.0)
+        add("cpu0", WorkloadClass.CPU, 0.0)
+        add("mem0", WorkloadClass.MEM, 0.0)
+        # mem0 leaves its 35 s init stage inside this sync, so the
+        # integration crosses a stage change mid-interval.
+        assert sync(100.0) == []
+        assert [vm.stage for vm in memo.vms] == [0, 1]
+        add("io0", WorkloadClass.IO, 100.0)
+        add("cpu1", WorkloadClass.CPU, 100.0)
+        assert sync(400.0) == []
+        assert all(vm.stage == 1 for vm in memo.vms)
+        # A VM finishes mid-step; the others keep running past it.
+        finished = sync(700.0)
+        assert finished and memo.n_vms > 0
+
+        evicted = [server.fail(700.0) for server in pair]
+        assert evicted[0]
+        assert [vm.vm_id for vm in evicted[0]] == [vm.vm_id for vm in evicted[1]]
+        self.assert_agree(memo, naive, 700.0)
+        for server in pair:
+            server.recover(800.0)
+        self.assert_agree(memo, naive, 800.0)
+        add("mem1", WorkloadClass.MEM, 800.0)
+        add("mem2", WorkloadClass.MEM, 800.0)
+        add("io1", WorkloadClass.IO, 800.0)
+        sync(850.0)
+        # A migration departure changes the mix outside sync.
+        for server in pair:
+            server.detach_vm(server.vms[-1], 850.0)
+        self.assert_agree(memo, naive, 850.0)
+        sync(5000.0)
+        assert memo.n_vms == 0

@@ -150,22 +150,55 @@ class TestSlowdownsAndLoads:
         yield []
         for n in range(1, 5):
             for names in itertools.product(self.NAMES, repeat=n):
+                # A contended 0.0 scale has zero total demand, the
+                # bottleneck-factor-is-1.0 branch.
                 yield [
                     vm(
                         name,
-                        scale=rng.choice([0.2, 1.0]),
+                        scale=rng.choice([0.0, 0.2, 1.0]),
                         contended=rng.choice([True, False]),
                     )
                     for name in names
                 ]
         # A crowd deep into thrashing territory, duplicates included.
         yield [vm(rng.choice(self.NAMES)) for _ in range(14)]
+        yield self.twin_mix()
+
+    @staticmethod
+    def twin_mix():
+        """Two distinct specs sharing a name, with different demands."""
+        import dataclasses
+
+        fftw = get_benchmark("fftw")
+        twin = dataclasses.replace(
+            fftw, demands={Subsystem.CPU: 0.4, Subsystem.MEMORY: 0.9, Subsystem.DISK: 0.3}
+        )
+        assert twin.name == fftw.name
+        return [ActiveVM(spec) for spec in (fftw, twin, fftw, twin, fftw, twin, twin)]
 
     def test_bit_identical_to_naive_pair(self, model):
         for mix in self.mixes():
             fast_slowdowns, fast_loads = model.slowdowns_and_loads(mix)
             assert fast_slowdowns == model.slowdowns(mix)
             assert dict(fast_loads) == dict(model.subsystem_loads(mix))
+
+    def test_warm_model_equals_fresh_model(self, model):
+        # ``model`` has evaluated every earlier mix when it meets each
+        # one; a fresh model meets it first.
+        for mix in self.mixes():
+            fresh = MixModel(default_server())
+            warm_slowdowns, warm_loads = model.slowdowns_and_loads(mix)
+            fresh_slowdowns, fresh_loads = fresh.slowdowns_and_loads(mix)
+            assert warm_slowdowns == fresh_slowdowns
+            assert dict(warm_loads) == dict(fresh_loads)
+
+    def test_same_name_specs_are_not_conflated(self, model):
+        mix = self.twin_mix()
+        slowdowns, loads = model.slowdowns_and_loads(mix)
+        assert slowdowns == model.slowdowns(mix)
+        assert dict(loads) == dict(model.subsystem_loads(mix))
+        assert slowdowns[0] != slowdowns[1]
+        assert slowdowns[0] == slowdowns[2] and slowdowns[1] == slowdowns[3]
 
     def test_duplicate_kinds_share_exact_floats(self, model):
         mix = [vm("sysbench"), vm("sysbench"), vm("sysbench")]
