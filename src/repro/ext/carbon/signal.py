@@ -404,9 +404,10 @@ class TemporalSignals:
 
     This is the opaque ``signals`` object carried by
     :class:`repro.sim.datacenter.DatacenterConfig`: the sim layer never
-    imports this module, it only calls the duck-typed ``carbon_of`` /
-    ``cost_of`` accounting methods (an absent signal contributes
-    exactly 0.0).
+    imports this module.  It calls the duck-typed :meth:`accrue` once
+    per simulated interval, in ``ServerRuntime.sync``; ``carbon_of`` /
+    ``cost_of`` are the per-axis forms audits recompute with (an absent
+    signal contributes exactly 0.0).
     """
 
     carbon: TemporalSignal | None = None

@@ -27,8 +27,9 @@ parsers) -> 400, unknown sessions/routes -> 404, wrong method -> 405,
 :class:`~repro.common.errors.BackpressureError` -> 429, anything
 else -> 500.  A request whose ``Content-Length`` is not a
 non-negative integer gets 400 and one over :data:`MAX_BODY_BYTES`
-gets 413; both then close the connection, since the body cannot be
-skipped reliably.
+gets 413; a header line over :data:`MAX_LINE_BYTES`, or more than
+:data:`MAX_HEADERS` header lines, gets 431.  All three then close the
+connection, since the rest of the request cannot be skipped reliably.
 
 Wall-clock reads in this module (request->plan latency, batch
 duration) are observability-only and never influence allocation;
@@ -61,6 +62,10 @@ from repro.service.session import Session, SessionConfig
 #: Largest accepted request body; a guard against accidental (or
 #: hostile) unbounded reads, far above any legitimate admission batch.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Longest accepted request or header line (the stream reader's limit).
+MAX_LINE_BYTES = 64 * 1024
+#: Most header lines accepted per request.
+MAX_HEADERS = 100
 
 _REQUEST_LINE = re.compile(rb"^([A-Z]+) (\S+) HTTP/1\.[01]$")
 _CONTENT_LENGTH = re.compile(r"[0-9]+\Z")
@@ -107,6 +112,7 @@ _STATUS_TEXT = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
@@ -165,7 +171,7 @@ class Service:
         """Bind the listening socket (model loads eagerly, not per request)."""
         self._resolve_database()
         self._server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port
+            self._handle_client, self.config.host, self.config.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -236,10 +242,25 @@ class Service:
         method = match.group(1).decode("ascii")
         path = match.group(2).decode("ascii")
         headers: dict[str, str] = {}
+        n_lines = 0
         while True:
-            raw = await reader.readline()
+            try:
+                raw = await reader.readline()
+            except ValueError:  # the line overran the reader's limit
+                raise _HttpError(
+                    431,
+                    "request_header_fields_too_large",
+                    f"a request header line exceeds the {MAX_LINE_BYTES}-byte limit",
+                ) from None
             if raw in (b"\r\n", b"\n", b""):
                 break
+            n_lines += 1
+            if n_lines > MAX_HEADERS:
+                raise _HttpError(
+                    431,
+                    "request_header_fields_too_large",
+                    f"request has more than {MAX_HEADERS} header lines",
+                )
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         raw_length = headers.get("content-length", "0") or "0"

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -245,6 +246,22 @@ class DatacenterSimulator:
             faults the idle-cluster check is deferred until no failed
             server or pending fault event could still change capacity.
         """
+        path = self._config.chronicle_spill_path
+        # The spill outlives the event loop (final syncs may still
+        # record) and closes on every exit, so a failed run neither
+        # leaks the handle nor loses buffered lines.
+        with ChronicleSpill(path) if path is not None else nullcontext() as spill:
+            return self._simulate(jobs, strategy, qos, rebalancer, faults, spill)
+
+    def _simulate(
+        self,
+        jobs: Sequence[PreparedJob],
+        strategy: AllocationStrategy,
+        qos: QoSPolicy,
+        rebalancer,
+        faults: FaultSchedule | None,
+        spill: ChronicleSpill | None,
+    ) -> SimulationResult:
         obs = self._obs if self._obs is not None else get_observability()
         enabled = obs.enabled
         tracer = obs.tracer
@@ -267,14 +284,6 @@ class DatacenterSimulator:
             )
 
         config = self._config
-        # The spill sink outlives the event loop (final syncs may still
-        # record); it is closed before results are assembled, so replay
-        # via Chronicle.iter_all() sees a complete, flushed file.
-        spill = (
-            ChronicleSpill(config.chronicle_spill_path)
-            if config.chronicle_spill_path is not None
-            else None
-        )
         # In indexed mode every server with the same spec shares one
         # mix-physics memo (the params are cluster-wide), multiplying
         # the hit rate by the cluster size.  Naive mode recomputes every
@@ -804,8 +813,6 @@ class DatacenterSimulator:
             # A fault handled after the last completion may have synced
             # its server past end_time; never rewind.
             server.sync(max(end_time, server.last_sync_s))
-        if spill is not None:
-            spill.close()
 
         if enabled:
             g_queue.set(0)

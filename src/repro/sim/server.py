@@ -94,8 +94,10 @@ class ServerRuntime:
         self._idle_energy_j = 0.0
         # Temporal carbon/price signals (duck-typed: fused accrue per
         # repro.ext.carbon.signal.TemporalSignals; sim must not
-        # import ext).  None keeps the accounting entirely absent, so
-        # signal-free runs touch no extra floats.
+        # import ext).  sync() is the one place an interval's carbon
+        # and cost accrue; the chronicle only records the interval.
+        # None keeps the accounting entirely absent, so signal-free
+        # runs touch no extra floats.
         self._signals = signals
         self._carbon_g = 0.0
         self._cost = 0.0
@@ -130,7 +132,6 @@ class ServerRuntime:
                 server_id,
                 capacity=chronicle_capacity,
                 spill=chronicle_spill,
-                signals=signals,
             )
         else:
             self.chronicle = None

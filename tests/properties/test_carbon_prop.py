@@ -8,8 +8,9 @@ Pins the contracts DESIGN.md states for the carbon scenario:
   whole periods reuses the identical operands, so the integral is
   bit-identical, not merely close;
 * carbon/cost accounting is conserved across sharding and is
-  bit-identical at any worker count, and the chronicle recomputation
-  reproduces the per-server totals exactly;
+  bit-identical at any worker count, and re-integrating each server's
+  chronicle reproduces its carbon and cost totals exactly, with faults,
+  shards and a spilling ring too;
 * ``alpha_carbon = 0`` is a byte-identity: same plan object, same wire
   document, same simulation metrics as a run that never heard of
   carbon;
@@ -41,6 +42,7 @@ from repro.ext.carbon.signal import (
     signal_from_document,
 )
 from repro.ext.carbon.shifting import shift_deferrable
+from repro.faults import FaultEvent, FaultKind, FaultSpec
 from repro.service import schema
 from repro.sim.datacenter import DatacenterConfig
 from repro.strategies.firstfit import FirstFitStrategy
@@ -82,11 +84,15 @@ def signals_pair(seed=7):
     )
 
 
-def run(jobs=None, *, shards=1, workers=1, signals=None, chronicles=False):
+def run(
+    jobs=None, *, shards=1, workers=1, signals=None, chronicles=False, faults=None,
+    **config,
+):
     config = DatacenterConfig(
         n_servers=6,
         record_chronicles=chronicles,
         signals=signals,
+        **config,
     )
     return run_sharded(
         jobs if jobs is not None else make_jobs(24),
@@ -95,7 +101,23 @@ def run(jobs=None, *, shards=1, workers=1, signals=None, chronicles=False):
         config,
         shards=shards,
         workers=workers,
+        faults=faults,
     )
+
+
+def assert_intervals_reaccount(result, pair):
+    """Re-integrating every server's intervals in order replays the
+    server's own float fold, bit for bit, on both axes."""
+    assert len(result.chronicles) == result.n_servers
+    totals = zip(result.chronicles, result.per_server_carbon_g, result.per_server_cost)
+    for chronicle, carbon_g, cost in totals:
+        carbon = recost = 0.0
+        for interval in chronicle.iter_all():
+            span = (interval.power_w, interval.t0_s, interval.t1_s)
+            carbon += pair.carbon_of(*span)
+            recost += pair.cost_of(*span)
+        assert carbon == carbon_g
+        assert recost == cost
 
 
 class TestIntegrationExactness:
@@ -324,20 +346,37 @@ class TestAccountingConservation:
 
     def test_chronicle_recomputation_is_exact(self):
         pair = signals_pair()
-        result = run(shards=1, signals=pair, chronicles=True)
-        assert len(result.chronicles) == result.n_servers
-        for chronicle, expected in zip(result.chronicles, result.per_server_carbon_g):
-            assert chronicle.carbon_g() == expected
-            # Re-integrating the recorded intervals in order replays the
-            # identical float fold.
-            recomputed = 0.0
-            for interval in chronicle.iter_all():
-                recomputed += pair.carbon_of(
-                    interval.power_w, interval.t0_s, interval.t1_s
-                )
-            assert recomputed == expected
-        for chronicle, expected in zip(result.chronicles, result.per_server_cost):
-            assert chronicle.cost() == expected
+        assert_intervals_reaccount(run(shards=1, signals=pair, chronicles=True), pair)
+
+    def test_recomputation_survives_faults_shards_and_spill(self, tmp_path):
+        # Crashes evict and re-place VMs, slowdowns stretch intervals,
+        # shards split the servers over three spill files, and a ring
+        # of two pushes nearly every interval through the spill.
+        pair = signals_pair()
+        faults = FaultSpec(
+            events=(
+                FaultEvent(kind=FaultKind.SERVER_CRASH, time_s=2000.0, server=1),
+                FaultEvent(kind=FaultKind.SERVER_RECOVER, time_s=6000.0, server=1),
+                FaultEvent(
+                    kind=FaultKind.SLOWDOWN,
+                    time_s=1000.0,
+                    server=4,
+                    duration_s=3000.0,
+                    factor=1.5,
+                ),
+            )
+        )
+        result = run(
+            shards=3,
+            signals=pair,
+            chronicles=True,
+            faults=faults,
+            chronicle_capacity=2,
+            chronicle_spill_path=str(tmp_path / "spill.jsonl"),
+        )
+        assert result.fault_log
+        assert sum(c.n_evicted for c in result.chronicles) > 0
+        assert_intervals_reaccount(result, pair)
 
     def test_carbon_only_and_price_only(self):
         carbon_only = run(signals=TemporalSignals(carbon=daily_carbon_signal(7)))

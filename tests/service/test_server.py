@@ -109,24 +109,32 @@ class TestLifecycle:
         assert response.status == 400
         assert body["error"]["code"] == "invalid_json"
 
-    def raw_exchange(self, svc, content_length):
-        """Send one POST with a raw ``Content-Length`` and read the reply
-        until the server closes the connection."""
+    def raw_exchange(self, svc, content_length, headers=()):
+        """Send one POST with a raw ``Content-Length`` (after any extra
+        ``headers`` lines) and read the reply until the server closes
+        the connection."""
         import socket
 
         head = (
             "POST /v1/sessions HTTP/1.1\r\n"
             "Host: localhost\r\n"
-            f"Content-Length: {content_length}\r\n"
+            + "".join(f"{line}\r\n" for line in headers)
+            + f"Content-Length: {content_length}\r\n"
             "\r\n"
         ).encode("ascii")
         with socket.create_connection(
             (svc.service.config.host, svc.port), timeout=30
         ) as sock:
-            sock.sendall(head + b"{}")
+            try:
+                sock.sendall(head + b"{}")
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the server answered and closed before reading it all
             chunks = []
             while True:
-                chunk = sock.recv(65536)
+                try:
+                    chunk = sock.recv(65536)
+                except ConnectionResetError:
+                    break  # closed with unread request bytes; reply came first
                 if not chunk:
                     break
                 chunks.append(chunk)
@@ -159,6 +167,37 @@ class TestLifecycle:
         status_line, body = self.raw_exchange(svc, str(MAX_BODY_BYTES + 1))
         assert status_line == "HTTP/1.1 413 Payload Too Large"
         assert body["error"]["code"] == "payload_too_large"
+        self.assert_still_healthy(svc)
+
+    def test_oversize_header_line_431(self, svc):
+        from repro.service.server import MAX_LINE_BYTES
+
+        status_line, body = self.raw_exchange(
+            svc, "2", headers=["X-Pad: " + "a" * MAX_LINE_BYTES]
+        )
+        assert status_line == "HTTP/1.1 431 Request Header Fields Too Large"
+        assert body["error"]["code"] == "request_header_fields_too_large"
+        assert str(MAX_LINE_BYTES) in body["error"]["message"]
+        self.assert_still_healthy(svc)
+
+    def test_header_count_cap_is_exact(self, svc):
+        from repro.service.server import MAX_HEADERS
+
+        # Host and Content-Length are two of the counted lines.
+        extra = ["Connection: close"] + [f"X-H{i}: v" for i in range(MAX_HEADERS - 3)]
+        status_line, body = self.raw_exchange(svc, "2", headers=extra)
+        assert status_line == "HTTP/1.1 201 Created", body
+        status_line, body = self.raw_exchange(svc, "2", headers=extra + ["X-Last: v"])
+        assert status_line == "HTTP/1.1 431 Request Header Fields Too Large"
+        assert body["error"]["code"] == "request_header_fields_too_large"
+        assert str(MAX_HEADERS) in body["error"]["message"]
+        self.assert_still_healthy(svc)
+
+    def test_twenty_thousand_headers_431(self, svc):
+        headers = [f"X-H{i}: v" for i in range(20_000)]
+        status_line, body = self.raw_exchange(svc, "2", headers=headers)
+        assert status_line == "HTTP/1.1 431 Request Header Fields Too Large"
+        assert body["error"]["code"] == "request_header_fields_too_large"
         self.assert_still_healthy(svc)
 
     def test_metrics_endpoint(self, svc):

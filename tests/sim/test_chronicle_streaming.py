@@ -1,11 +1,27 @@
 """Tests for bounded (ring + spill) chronicles and spill replay."""
 
+import json
+import math
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.sim.datacenter as datacenter
 from repro.common.errors import SimulationError
-from repro.sim.chronicle import Chronicle, ChronicleSpill, iter_spilled
+from repro.sim.chronicle import (
+    SPILL_BATCH_LINES,
+    Chronicle,
+    ChronicleSpill,
+    Interval,
+    encode_interval,
+    iter_spilled,
+)
+from repro.strategies import FirstFitStrategy
+from repro.testbed.benchmarks import WorkloadClass
+from repro.workloads.assignment import PreparedJob
+from repro.workloads.qos import QoSPolicy
 
 
 def fill(chronicle, n, vms=("a",)):
@@ -116,3 +132,146 @@ class TestChronicleSpill:
         assert clone.spill_path == path
         assert [i.t0_s for i in clone.iter_all()] == [0.0, 10.0, 20.0]
         assert clone.total_energy_j() == chronicle.total_energy_j()
+
+
+def reference_line(server_id, interval):
+    """The spill line as the generic JSON encoder spells it."""
+    record = {
+        "server": server_id,
+        "t0": interval.t0_s,
+        "t1": interval.t1_s,
+        "mix": list(interval.mix),
+        "power": interval.power_w,
+        "vms": list(interval.vm_ids),
+    }
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+class ReferenceSpill:
+    """An unbuffered sink that encodes every line with json.dumps."""
+
+    path = None
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, server_id, interval):
+        self.lines.append(reference_line(server_id, interval))
+
+
+IDS = st.one_of(
+    st.sampled_from(
+        ["", '"', "\\", 'a"b\\c', "\x00\x1f\x7f", "caf\u00e9", "\u2603", "\ud800"]
+    ),
+    st.text(max_size=8),
+)
+FLOATS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1e16, 1 / 3]
+        + [math.nan, math.inf, -math.inf]
+    ),
+    st.floats(),
+)
+INTERVALS = st.builds(
+    Interval,
+    t0_s=FLOATS,
+    t1_s=FLOATS,
+    mix=st.tuples(*[st.integers(0, 64)] * 3),
+    power_w=FLOATS,
+    vm_ids=st.lists(IDS, max_size=4).map(tuple),
+)
+
+
+class TestSpillEncoding:
+    @settings(max_examples=300)
+    @given(server_id=IDS, interval=INTERVALS)
+    def test_line_is_the_json_dumps_bytes(self, server_id, interval):
+        assert encode_interval(server_id, interval) == reference_line(server_id, interval)
+
+    @pytest.mark.parametrize(
+        "interval",
+        [
+            Interval(0.0, math.inf, (1, 0, 0), 100.0, ("a",)),
+            Interval(0.0, 1.0, (0, 0, 0), math.nan, ()),
+            Interval(-math.inf, 1.0, (0, 1, 0), 50.0, ("b", "c")),
+            Interval(0, 10, (1, 0, 0), 100, ("a",)),  # ints, not floats
+        ],
+    )
+    def test_non_finite_and_non_float_operands_fall_back(self, interval):
+        assert encode_interval("s0", interval) == reference_line("s0", interval)
+
+    def test_shared_spill_matches_unbuffered_reference_in_order(self, tmp_path):
+        # Three chronicles interleave their evictions into one spill for
+        # more than two buffers' worth of lines, ending mid-buffer, so
+        # both the batch writes and the final flush on close are needed.
+        path = str(tmp_path / "spill.jsonl")
+        reference = ReferenceSpill()
+        servers = ("s0000", 'q"uote', "\u00e9t\u00e9")
+        n_rounds = SPILL_BATCH_LINES
+        with ChronicleSpill(path) as spill:
+            pairs = [
+                (
+                    Chronicle(sid, capacity=1, spill=spill),
+                    Chronicle(sid, capacity=1, spill=reference),
+                )
+                for sid in servers
+            ]
+            for k in range(n_rounds):
+                vm_ids = [f"vm{k}", "x\\y"][: k % 3]
+                for j, pair in enumerate(pairs):
+                    for chronicle in pair:
+                        chronicle.record(
+                            k / 3, (k + 1) / 3, (j, k % 5, 1), 100.0 + k / 7, vm_ids
+                        )
+        expected = reference.lines
+        assert len(expected) == len(servers) * (n_rounds - 1)
+        assert len(expected) > 2 * SPILL_BATCH_LINES
+        assert len(expected) % SPILL_BATCH_LINES
+        assert spill.n_written == len(expected)
+        with open(path, encoding="utf-8") as handle:
+            assert handle.readlines() == expected
+
+
+class TestSpillLifecycle:
+    def test_failed_run_closes_spill_with_every_line_readable(self, tmp_path, monkeypatch):
+        opened = []
+
+        class RecordingSpill(ChronicleSpill):
+            def __init__(self, path):
+                super().__init__(path)
+                opened.append(self)
+
+        class RejectLast(FirstFitStrategy):
+            def place(self, vms, servers):
+                if any(vm.vm_id.startswith("j5-") for vm in vms):
+                    return None
+                return super().place(vms, servers)
+
+        monkeypatch.setattr(datacenter, "ChronicleSpill", RecordingSpill)
+        path = str(tmp_path / "spill.jsonl")
+        config = datacenter.DatacenterConfig(
+            n_servers=1,
+            record_chronicles=True,
+            chronicle_capacity=1,
+            chronicle_spill_path=path,
+        )
+        jobs = [
+            PreparedJob(
+                job_id=i,
+                submit_time_s=700.0 * (i - 1),
+                workload_class=WorkloadClass.CPU,
+                n_vms=2,
+                burst_id=i,
+            )
+            for i in range(1, 6)
+        ]
+        with pytest.raises(SimulationError, match="never be placed"):
+            datacenter.DatacenterSimulator(config).run(
+                jobs, RejectLast(2), QoSPolicy.unlimited()
+            )
+        [spill] = opened
+        with pytest.raises(SimulationError, match="is closed"):
+            spill.write("s0000", Interval(0.0, 1.0, (0, 0, 0), 1.0, ()))
+        rows = list(iter_spilled(path))
+        assert 0 < len(rows) == spill.n_written
+        assert all(server == "s0000" for server, _ in rows)
