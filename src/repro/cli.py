@@ -38,7 +38,12 @@ from typing import Sequence
 
 from repro.analysis.cli import main as _analysis_main
 from repro.campaign.platformrunner import run_campaign
-from repro.common.errors import ConfigurationError, FaultSpecError
+from repro.common.errors import (
+    AllocationError,
+    ConfigurationError,
+    FaultSpecError,
+    TraceFormatError,
+)
 from repro.common.rng import SeedSequenceFactory
 from repro.common.validation import (
     parse_alpha,
@@ -548,7 +553,11 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         time_budget_s=args.time_budget,
         carbon=None if carbon is None else carbon.allocator_context(),
     )
-    plan = allocator.allocate(requests, servers)
+    try:
+        plan = allocator.allocate(requests, servers)
+    except AllocationError as error:
+        print(f"repro allocate: error: {error}", file=sys.stderr)
+        return 2
     if args.format == "json":
         # The embedded plan is the canonical schema document -- the same
         # bytes a service session returns for these requests.
@@ -766,7 +775,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             faults=args.faults,
             spool_dir=args.spool_dir,
         )
-    except (ConfigurationError, FaultSpecError, OSError) as error:
+    except (
+        ConfigurationError,
+        FaultSpecError,
+        TraceFormatError,
+        OSError,
+    ) as error:
         print(f"repro simulate: error: {error}", file=sys.stderr)
         return 2
     applied = sum(1 for record in result.fault_log if record.applied)

@@ -477,9 +477,10 @@ class ProactiveAllocator:
         :func:`class_heads`): the first ``len(requests)`` servers, in
         list order, of each ``(allocated, max_vms)`` class -- no other
         server can win the paper's first-in-list tie rule.  A call
-        costs O(classes x batch) past that one pass, not O(servers).
-        Error messages and ``energy_fallbacks`` still count every
-        offered server.
+        costs O(classes x batch) past that one pass, not O(servers);
+        a :class:`ClassHeads` list, already reduced by the caller for
+        at least ``len(requests)`` VMs, skips the pass.  Error messages
+        and ``energy_fallbacks`` still count every offered server.
 
         Raises
         ------
@@ -495,7 +496,9 @@ class ProactiveAllocator:
         span = obs.tracer.start(
             "allocator.allocate",
             n_vms=len(requests),
-            n_servers=len(servers),
+            n_servers=(
+                servers.offered if isinstance(servers, ClassHeads) else len(servers)
+            ),
             alpha=self.alpha,
         )
         try:
@@ -539,7 +542,16 @@ class ProactiveAllocator:
 
         counts = key_for_classes([r.workload_class for r in requests])
         deadlines = _tightest_deadlines(requests)
-        heads, stands_for = class_heads(servers, _SERVER_CLASS, len(requests))
+        if isinstance(servers, ClassHeads):
+            if servers.limit < len(requests):
+                raise ConfigurationError(
+                    f"class heads kept for batches of {servers.limit} VMs, "
+                    f"got {len(requests)}"
+                )
+            heads, stands_for, offered = servers, servers.stands_for, servers.offered
+        else:
+            heads, stands_for = class_heads(servers, _SERVER_CLASS, len(requests))
+            offered = len(servers)
         state = self._prepare_state(counts, heads, stands_for, deadlines)
 
         # Aggregate-capacity fast path: if the batch exceeds what the
@@ -547,7 +559,7 @@ class ProactiveAllocator:
         # partition is feasible -- skip enumeration entirely.
         if self._capacity_infeasible(counts, state):
             raise InfeasibleAllocationError(
-                f"no feasible partition of mix {counts} across {len(servers)} servers"
+                f"no feasible partition of mix {counts} across {offered} servers"
             )
 
         anytime_result: AnytimeResult | None = None
@@ -577,7 +589,7 @@ class ProactiveAllocator:
         fallback = state.fallback
         if compliant.count == 0 and fallback.count == 0:
             raise InfeasibleAllocationError(
-                f"no feasible partition of mix {counts} across {len(servers)} servers"
+                f"no feasible partition of mix {counts} across {offered} servers"
             )
         if compliant.count:
             frontier = compliant
@@ -1345,6 +1357,27 @@ def class_heads(
         heads.append(item)
         stands_for.append(1)
     return heads, stands_for
+
+
+class ClassHeads(list):
+    """Servers already reduced to their class heads, for :meth:`allocate`.
+
+    The list holds the heads in offered order; ``stands_for[i]`` is how
+    many offered servers head ``i`` stands for (as :func:`class_heads`
+    returns it), ``limit`` the per-class cap the reduction used, and
+    ``offered`` the size of the list it was reduced from.  The
+    allocator searches such a list as is, instead of reducing again.
+    """
+
+    __slots__ = ("stands_for", "limit", "offered")
+
+    def __init__(
+        self, heads: Iterable[ServerState], stands_for: list[int], limit: int
+    ):
+        super().__init__(heads)
+        self.stands_for = stands_for
+        self.limit = limit
+        self.offered = sum(stands_for)
 
 
 def _tightest_deadlines(requests: Iterable[VMRequest]) -> dict[WorkloadClass, float]:

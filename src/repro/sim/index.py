@@ -7,7 +7,7 @@ gauge is recomputed with a full ``sum(...)``.  At paper scale (tens of
 servers) that is invisible; at the ROADMAP's 100x-1000x target it
 dominates the run.
 
-This module keeps three structures incrementally instead:
+This module keeps four structures incrementally instead:
 
 * :class:`ClusterIndex` -- O(1) counters (powered-on servers, active
   VMs, failed servers) plus a dirty set of server slots whose snapshot
@@ -27,6 +27,11 @@ This module keeps three structures incrementally instead:
   Strategies reach it through the duck-typed
   :meth:`ServerViews.free_candidates` hook (no import edge from
   ``strategies`` back into ``sim``).
+* class buckets -- per ``(mix, max_vms)`` class, the positions of its
+  visible views in list order, so PROACTIVE reaches its class heads
+  in O(classes x batch) instead of scanning every view.  Built on the
+  first :meth:`ServerViews.class_heads` request (FF/BF/WF runs never
+  pay for them), patched by ``refresh`` and dropped by ``reset``.
 
 Index invariants (checked by ``tests/sim/test_index.py`` and the
 bit-identity property suite):
@@ -37,11 +42,16 @@ bit-identity property suite):
 * after ``views()``: ``visible[i]`` equals the freshly built snapshot
   of the i-th non-failed server, and every ``_FreeLevel.free[i]``
   equals ``visible[i].free_slots(multiplex)``.
+* once built, the buckets partition ``range(len(visible))`` by
+  ``(visible[i].mix, visible[i].max_vms)``, each in ascending order,
+  so ``class_heads(limit)`` equals
+  ``core.allocator.class_heads(visible, key, limit)`` exactly.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from bisect import insort
+from typing import TYPE_CHECKING, Hashable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.strategies.base import ServerView
@@ -163,12 +173,12 @@ class ServerViews(list):
     """The cached snapshot list handed to strategies.
 
     A plain ``list[ServerView]`` to every existing consumer; on top of
-    that it carries per-multiplex free-capacity levels and exposes
-    :meth:`free_candidates`, which capacity-driven strategies discover
-    via ``getattr`` (duck typing keeps ``strategies`` from importing
-    ``sim``).  The driver patches entries in place via
-    :meth:`refresh` and wipes everything on membership changes via
-    :meth:`reset`.
+    that it carries per-multiplex free-capacity levels and per-class
+    buckets, and exposes :meth:`free_candidates` and
+    :meth:`class_heads`, which strategies discover via ``getattr``
+    (duck typing keeps ``strategies`` from importing ``sim``).  The
+    simulator patches entries in place via :meth:`refresh` and wipes
+    everything on membership changes via :meth:`reset`.
 
     The candidate iterator is snapshot-consistent only within a single
     placement call: the simulator never mutates servers while a
@@ -176,22 +186,42 @@ class ServerViews(list):
     calls (the same rule as for the view snapshots themselves).
     """
 
-    __slots__ = ("_levels",)
+    __slots__ = ("_levels", "_classes", "_buckets")
 
     def __init__(self) -> None:
         super().__init__()
         self._levels: dict[int, _FreeLevel] = {}
+        #: Per position, the view's (mix, max_vms) class, and per class
+        #: its positions in ascending order; None until class_heads asks.
+        self._classes: list[Hashable] | None = None
+        self._buckets: dict[Hashable, list[int]] | None = None
 
     def reset(self) -> None:
         """Forget everything (membership changed; driver re-appends)."""
         del self[:]
         self._levels.clear()
+        self._classes = None
+        self._buckets = None
 
     def refresh(self, pos: int) -> None:
         """Propagate an in-place snapshot replacement at ``pos``."""
         view = self[pos]
         for level in self._levels.values():
             level.refresh(pos, view)
+        classes = self._classes
+        if classes is None:
+            return
+        group = (view.mix, view.max_vms)
+        old = classes[pos]
+        if group == old:
+            return
+        classes[pos] = group
+        buckets = self._buckets
+        members = buckets[old]
+        members.remove(pos)
+        if not members:
+            del buckets[old]
+        insort(buckets.setdefault(group, []), pos)
 
     def free_candidates(self, multiplex: int) -> Iterator[tuple["ServerView", int]]:
         """Yield ``(view, free_slots)`` for every view with headroom,
@@ -201,3 +231,29 @@ class ServerViews(list):
             level = _FreeLevel(multiplex, self)
             self._levels[multiplex] = level
         return level.iter_free(self)
+
+    def class_heads(self, limit: int) -> tuple[list["ServerView"], list[int]]:
+        """The first ``limit`` views of every ``(mix, max_vms)`` class,
+        in list order, and how many views each one stands for -- the
+        duck-typed PROACTIVE fast path, equal to
+        ``core.allocator.class_heads(self, key, limit)``."""
+        buckets = self._buckets
+        if buckets is None:
+            classes = [(view.mix, view.max_vms) for view in self]
+            buckets = {}
+            for pos, group in enumerate(classes):
+                buckets.setdefault(group, []).append(pos)
+            self._classes = classes
+            self._buckets = buckets
+        keep = max(limit, 1)  # class_heads keeps every class's first member
+        picked: list[int] = []
+        dropped: dict[int, int] = {}  # a class's last head -> members past it
+        for members in buckets.values():
+            if len(members) > keep:
+                picked += members[:keep]
+                dropped[members[keep - 1]] = len(members) - keep
+            else:
+                picked += members
+        picked.sort()
+        heads = [self[pos] for pos in picked]
+        return heads, [1 + dropped.get(pos, 0) for pos in picked]

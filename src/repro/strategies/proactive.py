@@ -27,6 +27,7 @@ from typing import Mapping, Optional, Sequence
 
 from repro.common.errors import AllocationError, QoSViolationError
 from repro.core.allocator import (
+    ClassHeads,
     ProactiveAllocator,
     ServerState,
     VMRequest,
@@ -140,15 +141,25 @@ class ProactiveStrategy(AllocationStrategy):
     ) -> Optional[Mapping[str, str]]:
         # The allocator only ever picks one of the first len(vms)
         # servers of a (mix, max_vms) class, so only those become states.
-        heads, _ = class_heads(servers, _VIEW_CLASS, len(vms))
-        states = [
-            ServerState(
-                server_id=server.server_id,
-                allocated=server.mix,
-                max_vms=server.max_vms,
-            )
-            for server in heads
-        ]
+        # The simulator's indexed views keep the classes bucketed; a
+        # plain list is reduced here, in one pass.
+        heads_of = getattr(servers, "class_heads", None)
+        if heads_of is not None:
+            heads, stands_for = heads_of(len(vms))
+        else:
+            heads, stands_for = class_heads(servers, _VIEW_CLASS, len(vms))
+        states = ClassHeads(
+            (
+                ServerState(
+                    server_id=server.server_id,
+                    allocated=server.mix,
+                    max_vms=server.max_vms,
+                )
+                for server in heads
+            ),
+            stands_for,
+            len(vms),
+        )
         requests = [
             VMRequest(
                 vm_id=vm.vm_id,

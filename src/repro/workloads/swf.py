@@ -109,31 +109,50 @@ def read_swf(path: str | os.PathLike) -> tuple[list[str], list[SWFRecord]]:
     """Read an SWF file.
 
     Returns (header_comments, records); comments keep their leading
-    ``;``.  Data lines with the wrong field count or non-integer
-    fields raise :class:`TraceFormatError` with the line number.
+    ``;``.  The file must be UTF-8 text.  Undecodable bytes, data lines
+    with the wrong field count and non-integer fields raise
+    :class:`TraceFormatError` with the line number.
     """
     comments: list[str] = []
     records: list[SWFRecord] = []
-    with open(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith(";"):
-                comments.append(stripped)
-                continue
-            parts = stripped.split()
-            if len(parts) != N_FIELDS:
-                raise TraceFormatError(
-                    f"expected {N_FIELDS} fields, got {len(parts)}",
-                    line_number=line_number,
-                )
-            try:
-                fields = [int(p) for p in parts]
-            except ValueError as exc:
-                raise TraceFormatError(str(exc), line_number=line_number) from exc
-            records.append(SWFRecord.from_fields(fields))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                if stripped.startswith(";"):
+                    comments.append(stripped)
+                    continue
+                parts = stripped.split()
+                if len(parts) != N_FIELDS:
+                    raise TraceFormatError(
+                        f"expected {N_FIELDS} fields, got {len(parts)}",
+                        line_number=line_number,
+                    )
+                try:
+                    fields = [int(p) for p in parts]
+                except ValueError as exc:
+                    raise TraceFormatError(str(exc), line_number=line_number) from exc
+                records.append(SWFRecord.from_fields(fields))
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(
+            f"not UTF-8 text: {exc.reason}", line_number=_undecodable_line(path)
+        ) from exc
     return comments, records
+
+
+def _undecodable_line(path: str | os.PathLike) -> int | None:
+    """The number of the first line that is not UTF-8.  Text-mode reads
+    decode ahead of the line being parsed, so the decoder's error cannot
+    tell the line; a byte-wise rescan can."""
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_number
+    return None
 
 
 def write_swf(

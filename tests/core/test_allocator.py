@@ -1,5 +1,7 @@
 """Unit tests for the proactive allocation algorithm."""
 
+from operator import attrgetter
+
 import pytest
 
 from repro.common.errors import (
@@ -7,9 +9,19 @@ from repro.common.errors import (
     InfeasibleAllocationError,
     QoSViolationError,
 )
-from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
+from repro.core.allocator import (
+    ClassHeads,
+    ProactiveAllocator,
+    ServerState,
+    VMRequest,
+    class_heads,
+)
 from repro.testbed.benchmarks import WorkloadClass
 from tests.oracles.allocator import reference_allocate
+
+
+#: The allocator's server class (see core.allocator.class_heads).
+_SERVER_CLASS = attrgetter("allocated", "max_vms")
 
 
 def cpu_requests(n, deadline=None):
@@ -96,6 +108,24 @@ class TestBasicAllocation:
         full = [ServerState(f"s{i}", allocated=(osc, osm, osi)) for i in range(130)]
         with pytest.raises(InfeasibleAllocationError, match="across 130 servers"):
             ProactiveAllocator(database).allocate(cpu_requests(1), full)
+
+    def test_class_heads_list_searched_as_is(self, database):
+        # A caller's reduction replaces the allocator's own pass: same
+        # plan, and the message still counts the offered servers.
+        offered = servers(6) + [ServerState("full", allocated=database.grid_bounds)]
+        heads, stands_for = class_heads(offered, _SERVER_CLASS, 2)
+        reduced = ClassHeads(heads, stands_for, 2)
+        assert len(reduced) == 3 and reduced.offered == 7
+        allocator = ProactiveAllocator(database)
+        plan = allocator.allocate(cpu_requests(2), reduced)
+        full_plan = allocator.allocate(cpu_requests(2), offered)
+        assert plan.placements() == full_plan.placements()
+        with pytest.raises(ConfigurationError, match="batches of 2 VMs, got 3"):
+            allocator.allocate(cpu_requests(3), reduced)
+        full = [ServerState(f"f{i}", allocated=database.grid_bounds) for i in range(5)]
+        reduced = ClassHeads(*class_heads(full, _SERVER_CLASS, 1), 1)
+        with pytest.raises(InfeasibleAllocationError, match="across 5 servers"):
+            allocator.allocate(cpu_requests(1), reduced)
 
     def test_mixed_class_batch(self, database):
         requests = [

@@ -192,3 +192,41 @@ class TestObservabilityFlags:
         assert "makespan" in out
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
+
+
+class TestTypedErrors:
+    """Domain failures print ``repro <command>: error: ...`` and exit 2."""
+
+    @staticmethod
+    def swf_line(*fields):
+        return " ".join([*fields, *["1"] * (18 - len(fields))]) + "\n"
+
+    @pytest.mark.parametrize("field", ["abc", "nan", "inf"])
+    def test_simulate_non_numeric_swf_field(self, field, tmp_path, capsys):
+        path = tmp_path / "bad.swf"
+        lines = ["; header\n", self.swf_line("1", "0"), self.swf_line("2", field)]
+        path.write_text("".join(lines))
+        assert main(["simulate", "--swf", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro simulate: error: line 3: ")
+        assert field in err
+        assert "Traceback" not in err
+
+    def test_simulate_non_utf8_swf(self, tmp_path, capsys):
+        path = tmp_path / "bad.swf"
+        path.write_bytes(
+            b"; header\n" + self.swf_line("1", "0").encode() + b"; caf\xe9\n"
+        )
+        assert main(["simulate", "--swf", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro simulate: error: line 3: not UTF-8 text")
+        assert "Traceback" not in err
+
+    def test_allocate_infeasible_batch(self, campaign, tmp_path, capsys):
+        campaign.save(tmp_path)
+        argv = ["allocate", "--model", str(tmp_path), "--servers", "1"]
+        assert main([*argv, "--vms", "30cpu"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro allocate: error: no feasible partition")
+        assert "across 1 servers" in captured.err

@@ -3,8 +3,9 @@
 Three families of randomized evidence:
 
 * the indexed event loop (cached views, O(1) counters, free-capacity
-  candidates) is *bit-identical* to the retained naive reference on
-  random worlds, including under random fault schedules;
+  candidates, PROACTIVE class buckets) is *bit-identical* to the
+  retained naive reference on random worlds, including under random
+  fault schedules;
 * the chronicles' incremental aggregates equal a naive recomputation
   over the full interval log, exactly (same operand order);
 * the cluster index never drifts from ground truth under random
@@ -23,6 +24,7 @@ from repro.sim.shard import ShardPlan, partition_jobs, partition_schedule
 from repro.sim.vm import SimVM
 from repro.strategies.bestfit import BestFitStrategy
 from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.proactive import ProactiveStrategy
 from repro.strategies.worstfit import WorstFitStrategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.testbed.spec import default_server
@@ -34,6 +36,9 @@ STRATEGIES = {
     "BF": BestFitStrategy,
     "WF": WorstFitStrategy,
 }
+
+#: PROACTIVE goals: PA-0 (time), PA-0.5, PA-1 (energy).
+PA_ALPHAS = (0.0, 0.5, 1.0)
 
 
 @st.composite
@@ -55,13 +60,29 @@ def job_batches(draw, max_jobs=10):
     return jobs
 
 
-def run(jobs, *, indexed, n_servers, strategy, faults=None, chronicles=False):
+def run(
+    jobs, *, indexed, n_servers, strategy, faults=None, chronicles=False, qos=None
+):
     config = DatacenterConfig(
         n_servers=n_servers, indexed=indexed, record_chronicles=chronicles
     )
     schedule = materialize(faults, n_servers) if faults is not None else None
     sim = DatacenterSimulator(config)
-    return sim.run(jobs, strategy, QoSPolicy.unlimited(), faults=schedule)
+    policy = QoSPolicy.unlimited() if qos is None else qos
+    return sim.run(jobs, strategy, policy, faults=schedule)
+
+
+def run_both(jobs, **kwargs):
+    """Naive and indexed outcomes; a refusal (stranded jobs) counts as
+    the outcome ``("error", message)``."""
+    results = []
+    for indexed in (False, True):
+        try:
+            outcome = run(jobs, indexed=indexed, **kwargs)
+        except SimulationError as error:
+            outcome = ("error", str(error))
+        results.append(outcome)
+    return results
 
 
 class TestIndexedBitIdentity:
@@ -95,21 +116,64 @@ class TestIndexedBitIdentity:
             window_s=(0.0, 5000.0),
             recover_after_s=recover,
         )
-        results = []
-        for indexed in (False, True):
-            # Unrecovered crashes can strand jobs forever; both modes
-            # must then refuse identically.
-            try:
-                outcome = run(
-                    jobs,
-                    indexed=indexed,
-                    n_servers=n_servers,
-                    strategy=FirstFitStrategy(2),
-                    faults=spec,
-                )
-            except SimulationError as error:
-                outcome = ("error", str(error))
-            results.append(outcome)
+        # Unrecovered crashes can strand jobs forever; both modes must
+        # then refuse identically.
+        results = run_both(
+            jobs, n_servers=n_servers, strategy=FirstFitStrategy(2), faults=spec
+        )
+        assert results[0] == results[1]
+        if not isinstance(results[0], tuple):
+            assert results[0].fault_log == results[1].fault_log
+
+    # PROACTIVE reaches its class heads through the views' buckets when
+    # indexed and through one pass over a fresh list when naive.
+
+    @given(
+        job_batches(max_jobs=6),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from(PA_ALPHAS),
+        st.sampled_from([None, 1.5, 4.0]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_proactive_indexed_equals_naive(
+        self, database, jobs, n_servers, alpha, qos_factor
+    ):
+        qos = (
+            None
+            if qos_factor is None
+            else QoSPolicy.from_optima(database.optima, factor=qos_factor)
+        )
+        strategy = ProactiveStrategy(database, alpha=alpha)
+        world = dict(n_servers=n_servers, strategy=strategy, qos=qos)
+        naive = run(jobs, indexed=False, **world)
+        fast = run(jobs, indexed=True, **world)
+        assert fast == naive
+
+    @given(
+        job_batches(max_jobs=6),
+        st.integers(min_value=2, max_value=5),
+        st.sampled_from(PA_ALPHAS),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.floats(min_value=0.5, max_value=8.0),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_proactive_indexed_equals_naive_under_faults(
+        self, database, jobs, n_servers, alpha, seed, rate
+    ):
+        # Every fail/recover resets the views, so the buckets are
+        # rebuilt from the new membership on the next placement.
+        spec = random_crash_spec(
+            seed=seed,
+            crash_rate_per_1000s=rate,
+            window_s=(0.0, 5000.0),
+            recover_after_s=60.0,
+        )
+        results = run_both(
+            jobs,
+            n_servers=n_servers,
+            strategy=ProactiveStrategy(database, alpha=alpha),
+            faults=spec,
+        )
         assert results[0] == results[1]
         if not isinstance(results[0], tuple):
             assert results[0].fault_log == results[1].fault_log

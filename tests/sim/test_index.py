@@ -1,9 +1,13 @@
 """Unit tests for the incremental cluster indexes (repro.sim.index)."""
 
 import json
+from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.allocator import class_heads
 from repro.obs.runtime import Observability
 from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
 from repro.sim.index import ClusterIndex, ServerViews, _BLOCK
@@ -137,6 +141,95 @@ class TestServerViews:
         views[1] = view(1, cpu_slots=1, max_vms=2)
         views.refresh(1)
         assert len(list(views.free_candidates(1))) == 3
+
+
+#: The allocator's grouping of a view: (residual mix, VM cap).
+_VIEW_CLASS = attrgetter("mix", "max_vms")
+
+#: Few mixes and caps, so classes collide and buckets exceed the limits.
+_small_views = st.tuples(
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=1),
+    st.sampled_from([6, 12]),
+)
+
+
+class TestClassBuckets:
+    @staticmethod
+    def assert_heads_match(views):
+        for limit in range(1, 7):
+            assert views.class_heads(limit) == class_heads(views, _VIEW_CLASS, limit)
+
+    @given(
+        st.lists(_small_views, max_size=12),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["refresh", "refresh", "refresh", "reset"]),
+                st.integers(min_value=0, max_value=11),
+                _small_views,
+                st.lists(_small_views, max_size=12),
+            ),
+            max_size=25,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_hook_equals_core_after_every_step(self, initial, steps):
+        views = ServerViews()
+        for i, (ncpu, nmem, max_vms) in enumerate(initial):
+            views.append(view(i, ncpu=ncpu, nmem=nmem, max_vms=max_vms))
+        self.assert_heads_match(views)
+        for op, pos, (ncpu, nmem, max_vms), members in steps:
+            if op == "reset":
+                views.reset()
+                for i, (c, m, cap) in enumerate(members):
+                    views.append(view(i, ncpu=c, nmem=m, max_vms=cap))
+            elif views:
+                pos %= len(views)
+                views[pos] = view(pos, ncpu=ncpu, nmem=nmem, max_vms=max_vms)
+                views.refresh(pos)
+            self.assert_heads_match(views)
+
+    def test_stands_for_counts_every_view(self):
+        views = ServerViews()
+        for i in range(7):
+            views.append(view(i, ncpu=i % 2))
+        heads, stands_for = views.class_heads(2)
+        assert [v.server_id for v in heads] == ["s0000", "s0001", "s0002", "s0003"]
+        assert stands_for == [1, 1, 3, 2]
+        assert sum(stands_for) == len(views)
+
+    def test_limit_zero_keeps_each_class_first_member(self):
+        views = ServerViews()
+        for i in range(3):
+            views.append(view(i))
+        assert views.class_heads(0) == class_heads(views, _VIEW_CLASS, 0)
+        assert views.class_heads(0)[1] == [3]
+
+    def test_buckets_are_lazy(self):
+        views = ServerViews()
+        for i in range(4):
+            views.append(view(i))
+        list(views.free_candidates(2))
+        views[1] = view(1, ncpu=1)
+        views.refresh(1)
+        assert views._buckets is None
+        views.class_heads(1)
+        assert views._buckets is not None
+        views.reset()
+        assert views._buckets is None
+
+    def test_first_fit_run_never_builds_buckets(self):
+        seen = []
+
+        class Spy(FirstFitStrategy):
+            def place(self, vms, servers):
+                seen.append(servers)
+                return super().place(vms, servers)
+
+        sim = DatacenterSimulator(DatacenterConfig(n_servers=4, indexed=True))
+        sim.run(_jobs(), Spy(2), QoSPolicy.unlimited())
+        assert seen and all(isinstance(servers, ServerViews) for servers in seen)
+        assert all(servers._buckets is None for servers in seen)
 
 
 def _jobs():

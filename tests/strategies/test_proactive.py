@@ -2,10 +2,18 @@
 
 import pytest
 
+import repro.core.allocator as allocator_module
+import repro.strategies.proactive as proactive_module
+from repro.common.errors import AllocationError
 from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
+from repro.ext.thermal import PowerCappedDatabase
+from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
+from repro.sim.index import ServerViews
 from repro.strategies.base import ServerView, VMDescriptor
 from repro.strategies.proactive import ProactiveStrategy
 from repro.testbed.benchmarks import WorkloadClass
+from repro.workloads.assignment import PreparedJob
+from repro.workloads.qos import QoSPolicy
 
 
 def view(server_id="s0", mix=(0, 0, 0), max_vms=24):
@@ -172,3 +180,108 @@ class TestClassHeads:
         ]
         full = ProactiveAllocator(database, alpha=alpha).allocate(requests, states)
         assert full.placements() == large
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_scan_per_placement_flat_in_cluster_size(
+        self, database, alpha, monkeypatch
+    ):
+        # Items read to find the class heads, per placement: every item
+        # a one-pass reduction scans, or the classes and heads the
+        # views' buckets visit.  Counted, never timed.
+        scans: list[int] = []
+
+        def counted_pass(items, key, limit):
+            scans[-1] += len(items)
+            return core_pass(items, key, limit)
+
+        def counted_hook(self, limit):
+            heads, stands_for = hook(self, limit)
+            scans[-1] += len(self._buckets) + len(heads)
+            return heads, stands_for
+
+        def counted_place(self, vms, servers):
+            scans.append(0)
+            return place(self, vms, servers)
+
+        core_pass = allocator_module.class_heads
+        hook = ServerViews.class_heads
+        place = ProactiveStrategy.place
+        monkeypatch.setattr(allocator_module, "class_heads", counted_pass)
+        monkeypatch.setattr(proactive_module, "class_heads", counted_pass)
+        monkeypatch.setattr(ServerViews, "class_heads", counted_hook)
+        monkeypatch.setattr(ProactiveStrategy, "place", counted_place)
+
+        classes = list(WorkloadClass)
+        jobs = [
+            PreparedJob(
+                job_id=i + 1,
+                submit_time_s=30.0 * i,
+                workload_class=classes[i % len(classes)],
+                n_vms=1 + i % 4,
+                burst_id=i,
+            )
+            for i in range(12)
+        ]
+        per_size = {}
+        for n_servers in (65, 650):
+            scans.clear()
+            result = DatacenterSimulator(DatacenterConfig(n_servers=n_servers)).run(
+                jobs, ProactiveStrategy(database, alpha=alpha), QoSPolicy.unlimited()
+            )
+            per_size[n_servers] = (list(scans), result.metrics.makespan_s)
+        assert len(per_size[65][0]) >= len(jobs)
+        assert per_size[650] == per_size[65]
+        assert max(per_size[650][0]) < 65
+
+    @pytest.mark.parametrize("as_views", [False, True])
+    def test_energy_fallbacks_count_offered_servers(self, database, as_views):
+        # A thermal cap leaves mixes like (0, 6, 5) unestimable; all 20
+        # such servers count, not just the heads the search keeps.
+        powers = sorted(record.avg_power_w for record in database.records)
+        capped = PowerCappedDatabase(database, powers[len(powers) // 2])
+        offered = [view(f"u{i}", mix=(0, 6, 5)) for i in range(20)]
+        offered += [view(f"s{i}") for i in range(5)]
+        servers = ServerViews() if as_views else []
+        servers.extend(offered)
+        batch = vms(2)
+        strategy = ProactiveStrategy(capped, alpha=0.5)
+        assert strategy.place(batch, servers) is not None
+        through_strategy = strategy.last_plan.search_provenance.energy_fallbacks
+
+        direct = ProactiveAllocator(capped, alpha=0.5).allocate(
+            [VMRequest(vm.vm_id, vm.workload_class) for vm in batch],
+            [ServerState(v.server_id, v.mix, v.max_vms) for v in offered],
+        )
+        assert through_strategy == direct.search_provenance.energy_fallbacks == 20
+        counter = strategy.metrics.counter(
+            "strategy.energy_fallbacks", strategy=strategy.name
+        )
+        assert counter.value == 20
+
+    @pytest.mark.parametrize("as_views", [False, True])
+    def test_infeasible_message_counts_offered_servers(
+        self, database, as_views, monkeypatch
+    ):
+        osc, osm, osi = database.grid_bounds
+        offered = [view(f"s{i}", mix=(osc, osm, osi)) for i in range(130)]
+        servers = ServerViews() if as_views else []
+        servers.extend(offered)
+        with pytest.raises(AllocationError) as direct:
+            ProactiveAllocator(database).allocate(
+                [VMRequest("v0", WorkloadClass.CPU)],
+                [ServerState(v.server_id, v.mix, v.max_vms) for v in offered],
+            )
+        errors = []
+        allocate = ProactiveAllocator.allocate
+
+        def spy(self, requests, states):
+            try:
+                return allocate(self, requests, states)
+            except AllocationError as error:
+                errors.append(str(error))
+                raise
+
+        monkeypatch.setattr(ProactiveAllocator, "allocate", spy)
+        assert ProactiveStrategy(database).place(vms(1), servers) is None
+        assert errors == [str(direct.value)]
+        assert "across 130 servers" in errors[0]

@@ -77,6 +77,14 @@ class TestFileRoundTrip:
         with pytest.raises(TraceFormatError):
             read_swf(path)
 
+    def test_undecodable_bytes_name_their_line(self, tmp_path):
+        path = tmp_path / "trace.swf"
+        line = " ".join(["1"] * N_FIELDS) + "\n"
+        path.write_bytes(b"; header\n" + line.encode() + b"1 \xff\n")
+        with pytest.raises(TraceFormatError, match="line 3: not UTF-8 text") as info:
+            read_swf(path)
+        assert info.value.line_number == 3
+
 
 class TestMerge:
     def test_merge_sorts_by_submit(self):
