@@ -1,4 +1,4 @@
-"""Scale benchmark: the indexed sharded simulation core vs the naive core.
+"""Scale benchmark: the sharded simulation core vs the naive oracle core.
 
 Prepares an EGEE-like workload at each scale (10k and 100k VM budgets;
 1M behind ``--full``), writes the prepared jobs to a CSV, and then
@@ -6,9 +6,11 @@ measures each campaign in a fresh subprocess: the child loads the jobs,
 runs the sharded indexed simulator with a bounded chronicle ring
 spilling to JSONL, and reports wall clock plus its own peak RSS
 (``ru_maxrss``).  A separate child runs the 100k campaign on the naive
-core (``indexed=False``, unsharded, every counter and view recomputed
-by scanning -- the pre-index code path, kept unoptimized on purpose) to
-price the speedup.
+core to price the speedup: the test suite's oracle
+``NaiveDatacenterSimulator`` (``tests/oracles/sim.py``), unsharded,
+with every view and counter recomputed by scanning and the mix physics
+recomputed at every step -- the pre-index code path, kept unoptimized
+on purpose.
 
 Two properties are gated by ``scripts/check_bench_regression.py``:
 
@@ -44,16 +46,23 @@ import tempfile
 import time
 from pathlib import Path
 
+# The naive core is the test suite's oracle; make the repo root
+# importable when this file runs as a script.
+REPO_ROOT = Path(__file__).resolve().parents[1]
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
 from repro.exec.sharded import run_sharded
 from repro.experiments.config import SMALLER, EvaluationConfig
 from repro.experiments.evaluation import prepare_workload
 from repro.faults import random_crash_spec
 from repro.service.schema import SCHEMA_VERSION
-from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
+from repro.sim.datacenter import DatacenterConfig
 from repro.strategies import make_strategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy
+from tests.oracles.sim import NaiveDatacenterSimulator
 
 OUTPUT = Path(__file__).resolve().parent / "BENCH_sim.json"
 
@@ -103,7 +112,6 @@ def child_main(args) -> int:
     chronicled = args.mode == "sharded"
     config = DatacenterConfig(
         n_servers=args.n_servers,
-        indexed=(args.mode != "naive"),
         record_chronicles=chronicled,
         chronicle_capacity=CHRONICLE_CAPACITY if chronicled else None,
         chronicle_spill_path=args.spill if chronicled else None,
@@ -112,7 +120,7 @@ def child_main(args) -> int:
     qos = QoSPolicy.unlimited()
     started = time.perf_counter()
     if args.mode == "naive":
-        result = DatacenterSimulator(config).run(
+        result = NaiveDatacenterSimulator(config).run(
             read_jobs_csv(Path(args.jobs_csv)), strategy, qos
         )
     else:
@@ -181,7 +189,7 @@ def result_fingerprint(result) -> str:
 def identity_checks() -> dict:
     jobs = identity_jobs()
     qos = QoSPolicy.unlimited()
-    config = DatacenterConfig(n_servers=IDENTITY_SERVERS, indexed=True)
+    config = DatacenterConfig(n_servers=IDENTITY_SERVERS)
     verdicts = {}
     for label, faults in (
         ("workers", None),

@@ -62,12 +62,14 @@ def replay_chronicle(chronicle: Chronicle, params: ThermalParams) -> ServerTherm
     """Integrate one server's power history through the RC model.
 
     Gaps between recorded intervals (server powered off) cool toward
-    ambient at zero draw.
+    ambient at zero draw.  The whole log is replayed, spilled intervals
+    included; a bounded chronicle that evicted without a spill raises
+    :class:`~repro.common.errors.SimulationError`.
     """
     state = ThermalState(params)
     over_redline_s = 0.0
     cursor = 0.0
-    for interval in chronicle:
+    for interval in chronicle.iter_all():
         if interval.t0_s > cursor:
             state.step(0.0, interval.t0_s - cursor)  # powered-off gap
         # Within the interval, track redline crossing time.

@@ -7,31 +7,24 @@ weighted average of the values associated to each interval of time"
 server so that the weighted-interval arithmetic can be *recomputed
 after the fact* and checked against the simulated outcomes -- which is
 exactly what ``tests/integration/test_chronicle_consistency.py`` does.
-The chronicle is the audit trail, not an accountant: carbon and cost
-are accrued once per interval by ``ServerRuntime.sync``, and replaying
-:meth:`Chronicle.iter_all` against the signals recomputes them.
+The chronicle is the audit trail, not an accountant: it keeps no
+running totals.  ``ServerRuntime`` is the one energy, carbon and cost
+account; every chronicle quantity (energy, per-VM residency) is a
+replay of :meth:`Chronicle.iter_all`, which is how the audits
+recompute the server's books.
 
 Scale additions (DESIGN.md "Simulation at scale"):
 
-* **Incremental accounting.**  Energy totals and per-VM residency are
-  accumulated as each interval closes, in chronological order -- the
-  exact operand sequence a post-hoc ``sum()`` over the interval list
-  would use, so the running aggregates are bit-identical to the naive
-  recomputation (which the property suite re-derives and compares).
 * **Bounded memory.**  ``capacity`` turns the interval log into a ring
   buffer: once full, the oldest interval is evicted per append, so
-  chronicle memory is flat regardless of run length.  Energy
-  aggregates are unaffected (they were folded in at record time); the
-  per-VM residency map -- which would grow with every VM the server
-  ever hosted -- is not kept at all on bounded chronicles, and
-  residency queries replay spill + residents instead.
+  chronicle memory is flat regardless of run length.
 * **JSONL spill.**  An optional :class:`ChronicleSpill` sink receives
   evicted intervals as JSON lines (the spill file is shared by all
-  servers of a run; each line is tagged with its server id).  The
-  consistency audit replays spilled + resident intervals in original
-  order via :meth:`Chronicle.iter_all`.  Evicting *without* a spill is
-  allowed -- aggregates stay exact -- but interval-level audits then
-  raise rather than silently reporting on a truncated log.
+  servers of a run; each line is tagged with its server id).
+  :meth:`Chronicle.iter_all` replays spilled + resident intervals in
+  original order.  Evicting *without* a spill is allowed, but every
+  interval-level query then raises rather than silently reporting on a
+  truncated log.
 """
 
 from __future__ import annotations
@@ -147,26 +140,39 @@ class ChronicleSpill:
 
 def iter_spilled(path: str, server_id: str | None = None) -> Iterator[tuple[str, Interval]]:
     """Replay ``(server_id, interval)`` pairs from a spill file, in
-    write order, optionally filtered to one server."""
+    write order, optionally filtered to one server.
+
+    Raises :class:`SimulationError` naming the path and line number on
+    a line that is not a JSON record with every field (a spill file
+    truncated or corrupted after the run).
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            raw = json.loads(line)
-            if server_id is not None and raw["server"] != server_id:
-                continue
-            yield raw["server"], Interval(
-                t0_s=raw["t0"],
-                t1_s=raw["t1"],
-                mix=tuple(raw["mix"]),
-                power_w=raw["power"],
-                vm_ids=tuple(raw["vms"]),
-            )
+            try:
+                raw = json.loads(line)
+                server = raw["server"]
+                if server_id is not None and server != server_id:
+                    continue
+                interval = Interval(
+                    t0_s=raw["t0"],
+                    t1_s=raw["t1"],
+                    mix=tuple(raw["mix"]),
+                    power_w=raw["power"],
+                    vm_ids=tuple(raw["vms"]),
+                )
+            except (ValueError, KeyError, TypeError) as error:
+                raise SimulationError(
+                    f"chronicle spill {path}, line {lineno}: corrupt record "
+                    f"({type(error).__name__}: {error})"
+                ) from None
+            yield server, interval
 
 
 class Chronicle:
-    """Interval log for one server, with running aggregates.
+    """Interval log for one server.
 
     ``capacity=None`` retains every interval (the historical
     behavior); an integer capacity keeps only the newest ``capacity``
@@ -190,18 +196,6 @@ class Chronicle:
         self._end_s = float("-inf")
         self.n_recorded = 0
         self.n_evicted = 0
-        # Running aggregates, folded in at record time in chronological
-        # order -- the same operand order as a naive sum() over the full
-        # log, hence bit-identical to the recomputation.
-        self._total_energy_j = 0.0
-        self._busy_energy_j = 0.0
-        self._idle_energy_j = 0.0
-        # Per-VM residency is O(every VM that ever landed here), which
-        # grows with campaign length -- the one thing a bounded ring
-        # exists to avoid.  Unbounded logs keep the running map (O(1)
-        # queries); bounded ones answer residency queries by replaying
-        # spill + residents instead (same operand order, same floats).
-        self._vm_seconds: dict[str, float] | None = {} if capacity is None else None
 
     def __getstate__(self) -> dict:
         # Results (and their chronicles) cross process boundaries via
@@ -243,17 +237,6 @@ class Chronicle:
         self._intervals.append(interval)
         self._end_s = t1_s
         self.n_recorded += 1
-        energy = interval.energy_j
-        self._total_energy_j += energy
-        if interval.vm_ids:
-            self._busy_energy_j += energy
-            seconds = self._vm_seconds
-            if seconds is not None:
-                duration = interval.duration_s
-                for vm_id in interval.vm_ids:
-                    seconds[vm_id] = seconds.get(vm_id, 0.0) + duration
-        else:
-            self._idle_energy_j += energy
 
     def note(self, t_s: float, kind: str, detail: str = "") -> None:
         """Annotate the timeline (faults may land mid-interval, so notes
@@ -291,20 +274,6 @@ class Chronicle:
         yield from self._intervals
 
     # -- the paper's weighted-interval arithmetic ----------------------
-    #
-    # O(1) running aggregates; the property suite recomputes each from
-    # iter_all() and asserts exact equality.
-
-    def total_energy_j(self) -> float:
-        """Energy over the full log (busy intervals only appear while
-        VMs run; idle intervals carry an empty mix)."""
-        return self._total_energy_j
-
-    def busy_energy_j(self) -> float:
-        return self._busy_energy_j
-
-    def idle_energy_j(self) -> float:
-        return self._idle_energy_j
 
     def vm_intervals(self, vm_id: str) -> list[Interval]:
         """The intervals during which one VM was resident (replays the
@@ -318,32 +287,14 @@ class Chronicle:
         ``w_k = dt_k / sum(dt)`` and per-interval "estimated time"
         equal to the full span, ``sum_k w_k * span = span``; we verify
         the simulator against the additive form, which is equivalent
-        and numerically direct.  Unbounded chronicles serve it from the
-        running residency map (no rescan); bounded chronicles replay
-        spill + residents -- adding the same durations in the same
-        chronological order, so both paths return the exact same float.
-        Like every interval-level query, the replay raises when
-        intervals were evicted with no spill attached.
+        and numerically direct.  Like every interval-level query, the
+        replay raises when intervals were evicted with no spill
+        attached.
         """
-        seconds = self._vm_seconds
-        if seconds is not None:
-            try:
-                return seconds[vm_id]
-            except KeyError:
-                raise KeyError(
-                    f"VM {vm_id!r} never appeared on server {self.server_id!r}"
-                ) from None
-        total = 0.0
-        seen = False
-        for interval in self.iter_all():
-            if vm_id in interval.vm_ids:
-                seen = True
-                total += interval.duration_s
-        if not seen:
-            raise KeyError(
-                f"VM {vm_id!r} never appeared on server {self.server_id!r}"
-            )
-        return total
+        durations = [i.duration_s for i in self.vm_intervals(vm_id)]
+        if not durations:
+            raise KeyError(f"VM {vm_id!r} never appeared on server {self.server_id!r}")
+        return sum(durations)
 
     def interval_weights(self, vm_id: str) -> list[tuple[float, MixKey]]:
         """(weight, mix) pairs over the VM's residency -- the inputs of

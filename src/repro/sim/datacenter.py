@@ -37,7 +37,7 @@ from repro.faults import (
 from repro.obs.runtime import Observability, get_observability
 from repro.sim.chronicle import ChronicleSpill
 from repro.sim.engine import EventQueue
-from repro.sim.index import ClusterIndex, ServerViews
+from repro.sim.index import ClusterState
 from repro.sim.metrics import JobOutcome, SimulationMetrics, compute_metrics
 from repro.sim.server import ServerRuntime
 from repro.sim.vm import SimVM, VMState
@@ -76,13 +76,6 @@ class DatacenterConfig:
     #: backfilling, letting up to N queued jobs behind a blocked head
     #: be placed when capacity suits them.
     backfill_window: int = 0
-    #: Use the incremental cluster indexes (see :mod:`repro.sim.index`):
-    #: cached snapshot list, O(1) powered/idle counters, free-capacity
-    #: candidate iteration.  ``False`` runs the retained naive
-    #: reference -- full rebuilds and scans at every event site -- which
-    #: the property suite and the scale bench compare against
-    #: (bit-identical results, very different wall time).
-    indexed: bool = True
     #: Ring-buffer capacity per chronicle (None = retain everything).
     #: Requires ``record_chronicles``; bounds chronicle memory at
     #: ``capacity`` intervals per server regardless of run length.
@@ -201,6 +194,11 @@ class DatacenterSimulator:
     which is the no-op bundle unless one was installed.
     """
 
+    #: The server and cluster-state types the event loop builds; the
+    #: test oracle (``tests/oracles/sim.py``) names its naive ones here.
+    _server_type = ServerRuntime
+    _cluster_type = ClusterState
+
     def __init__(self, config: DatacenterConfig, obs: Observability | None = None):
         self._config = config
         self._obs = obs
@@ -284,13 +282,12 @@ class DatacenterSimulator:
             )
 
         config = self._config
-        # In indexed mode every server with the same spec shares one
-        # mix-physics memo (the params are cluster-wide), multiplying
-        # the hit rate by the cluster size.  Naive mode recomputes every
-        # step, preserving the pre-index core as an honest baseline.
+        # Every server with the same spec shares one mix-physics memo
+        # (the params are cluster-wide), multiplying the hit rate by
+        # the cluster size.
         mix_caches: dict[int, dict] = {}
         servers = [
-            ServerRuntime(
+            self._server_type(
                 server_id=f"s{config.server_id_offset + i:04d}",
                 spec=config.spec_of(i),
                 params=config.params,
@@ -298,21 +295,12 @@ class DatacenterSimulator:
                 record_chronicle=config.record_chronicles,
                 chronicle_capacity=config.chronicle_capacity,
                 chronicle_spill=spill,
-                mix_cache=(
-                    mix_caches.setdefault(id(config.spec_of(i)), {})
-                    if config.indexed
-                    else False
-                ),
+                mix_cache=mix_caches.setdefault(id(config.spec_of(i)), {}),
                 signals=config.signals,
             )
             for i in range(config.n_servers)
         ]
         server_index = {server.server_id: i for i, server in enumerate(servers)}
-        cluster: ClusterIndex | None = None
-        if config.indexed:
-            cluster = ClusterIndex(len(servers))
-            for slot, server in enumerate(servers):
-                server.bind_index(cluster, slot)
 
         ordered_jobs = sorted(jobs, key=lambda j: (j.submit_time_s, j.job_id))
         trackers: list[_JobTracker] = []
@@ -376,57 +364,7 @@ class DatacenterSimulator:
                 powered_on=server.powered_on,
             )
 
-        if cluster is None:
-            # The retained naive reference: a fresh full snapshot per
-            # call, full scans for the gauges and the idle check.  The
-            # bit-identity property suite runs both modes on the same
-            # worlds and compares everything.
-            def views() -> list[ServerView]:
-                return [make_view(slot) for slot in range(len(servers)) if not servers[slot].failed]
-
-            def powered_count() -> int:
-                return sum(1 for s in servers if s.powered_on)
-
-            def cluster_idle() -> bool:
-                return all(server.n_vms == 0 for server in servers) and not any(
-                    server.failed for server in servers
-                )
-
-        else:
-            # Indexed mode: `visible` persists between events; only
-            # slots dirtied since the last call are re-snapshotted, and
-            # membership is rebuilt only after fail/recover.  Content
-            # (and order: server order, failed servers skipped) is
-            # identical to the naive rebuild by construction.
-            visible = ServerViews()
-            positions = [-1] * len(servers)
-            cidx = cluster  # non-Optional alias for the closures
-
-            def views() -> list[ServerView]:
-                if cidx.members_stale:
-                    cidx.members_stale = False
-                    cidx.dirty.clear()
-                    visible.reset()
-                    for slot in range(len(servers)):
-                        if servers[slot].failed:
-                            positions[slot] = -1
-                        else:
-                            positions[slot] = len(visible)
-                            visible.append(make_view(slot))
-                elif cidx.dirty:
-                    for slot in sorted(cidx.dirty):
-                        pos = positions[slot]
-                        if pos >= 0:
-                            visible[pos] = make_view(slot)
-                            visible.refresh(pos)
-                    cidx.dirty.clear()
-                return visible
-
-            def powered_count() -> int:
-                return cidx.powered
-
-            def cluster_idle() -> bool:
-                return cidx.active_vms == 0 and cidx.failed == 0
+        cluster = self._cluster_type(servers, make_view)
 
         def schedule_boundary(index: int, now: float) -> None:
             boundary = servers[index].next_boundary(now)
@@ -455,10 +393,10 @@ class DatacenterSimulator:
                 # histogram only; simulated time (`now`) never sees it.
                 # repro: allow determinism-wallclock -- obs-only measurement
                 wall0 = time.perf_counter()
-                placement = strategy.place(descriptors, views())
+                placement = strategy.place(descriptors, cluster.views())
                 h_place.observe(time.perf_counter() - wall0)  # repro: allow determinism-wallclock -- obs-only
             else:
-                placement = strategy.place(descriptors, views())
+                placement = strategy.place(descriptors, cluster.views())
             if placement is None:
                 if enabled:
                     c_rejected.inc()
@@ -503,7 +441,7 @@ class DatacenterSimulator:
                 if try_place(queue[0], now):
                     queue.popleft()
                     continue
-                if cluster_idle() and faults_remaining == 0 and not realloc_queue:
+                if cluster.idle() and faults_remaining == 0 and not realloc_queue:
                     # With a failed server or faults still pending,
                     # capacity may yet return; the end-of-run unfinished
                     # check is the backstop against a silent hang.
@@ -606,7 +544,7 @@ class DatacenterSimulator:
                     )
                     for vm in group
                 ]
-                placement = strategy.reallocate(descriptors, views())
+                placement = strategy.reallocate(descriptors, cluster.views())
                 if placement is None:
                     break
                 missing = {vm.vm_id for vm in group} - set(placement)
@@ -777,13 +715,13 @@ class DatacenterSimulator:
                         )
                 drain_all(now)
                 if enabled:
-                    g_powered.set(powered_count())
+                    g_powered.set(cluster.powered_count())
             elif kind == "fault":
                 faults_remaining -= 1
                 handle_fault(fault_timeline[index], now)
                 drain_all(now)
                 if enabled:
-                    g_powered.set(powered_count())
+                    g_powered.set(cluster.powered_count())
             else:  # boundary
                 if token != boundary_tokens[index]:
                     continue  # stale prediction: the mix changed since
@@ -802,7 +740,7 @@ class DatacenterSimulator:
                             schedule_boundary(moved_index, now)
                     drain_all(now)
                     if enabled:
-                        g_powered.set(powered_count())
+                        g_powered.set(cluster.powered_count())
 
         if queue or realloc_queue or any(tracker.unfinished for tracker in trackers):
             stuck = [t.job.job_id for t in trackers if t.unfinished]
@@ -816,7 +754,7 @@ class DatacenterSimulator:
 
         if enabled:
             g_queue.set(0)
-            g_powered.set(powered_count())
+            g_powered.set(cluster.powered_count())
             registry.gauge("sim.max_queue_length", **label).set(max_queue_length)
         run_span.end(
             t_sim=end_time,

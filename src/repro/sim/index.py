@@ -1,13 +1,12 @@
-"""Incremental cluster-state indexes for the scaled simulation core.
+"""Incremental cluster-state indexes: the simulator's event-site queries.
 
-The naive event loop does O(n_servers) work at every event site:
-``views()`` rebuilds a full snapshot list per placement attempt, the
-idle-cluster deadlock check scans every server, and the powered-on
-gauge is recomputed with a full ``sum(...)``.  At paper scale (tens of
-servers) that is invisible; at the ROADMAP's 100x-1000x target it
-dominates the run.
-
-This module keeps four structures incrementally instead:
+At every event site the event loop needs three answers: the snapshot
+list handed to a strategy, the powered-on count for the gauge, and
+whether the cluster is idle (the deadlock check).  Scanning every
+server for each would cost O(n_servers) per event -- invisible at paper
+scale, dominant at 100x-1000x.  ``tests/oracles/sim.py`` keeps that
+scan-everything loop as the identity oracle; this module keeps five
+structures incrementally instead:
 
 * :class:`ClusterIndex` -- O(1) counters (powered-on servers, active
   VMs, failed servers) plus a dirty set of server slots whose snapshot
@@ -20,6 +19,9 @@ This module keeps four structures incrementally instead:
   strategies.  Between events only the dirty slots are re-snapshotted
   in place; membership (which servers appear at all) is rebuilt only
   when a failure or recovery flips ``members_stale``.
+* :class:`ClusterState` -- binds the servers to one index and answers
+  the event loop's three queries from it, keeping the view list up to
+  date.
 * :class:`_FreeLevel` -- a per-multiplex free-capacity index over the
   visible views: an array of free-slot counts plus a 64-view block
   occupancy summary, so strategies can iterate feasible candidates in
@@ -34,7 +36,7 @@ This module keeps four structures incrementally instead:
   pay for them), patched by ``refresh`` and dropped by ``reset``.
 
 Index invariants (checked by ``tests/sim/test_index.py`` and the
-bit-identity property suite):
+oracle property suite):
 
 * ``powered == sum(1 for s in servers if s.powered_on)``
 * ``active_vms == sum(s.n_vms for s in servers)``
@@ -257,3 +259,55 @@ class ServerViews(list):
         picked.sort()
         heads = [self[pos] for pos in picked]
         return heads, [1 + dropped.get(pos, 0) for pos in picked]
+
+
+class ClusterState:
+    """The event loop's cluster queries, answered from the indexes.
+
+    Binds every server to one fresh :class:`ClusterIndex` and keeps one
+    :class:`ServerViews` list across events: only slots dirtied since
+    the last :meth:`views` call are re-snapshotted (``make_view(slot)``),
+    and membership is rebuilt only after a fail/recover.  Content and
+    order (server order, failed servers skipped) equal a fresh rebuild
+    by construction.
+    """
+
+    def __init__(self, servers, make_view):
+        self.index = ClusterIndex(len(servers))
+        for slot, server in enumerate(servers):
+            server.bind_index(self.index, slot)
+        self._servers = servers
+        self._make_view = make_view
+        self._visible = ServerViews()
+        self._positions = [-1] * len(servers)
+
+    def views(self) -> ServerViews:
+        """The snapshot list of every non-failed server, in server order."""
+        index = self.index
+        visible = self._visible
+        positions = self._positions
+        if index.members_stale:
+            index.members_stale = False
+            index.dirty.clear()
+            visible.reset()
+            for slot, server in enumerate(self._servers):
+                if server.failed:
+                    positions[slot] = -1
+                else:
+                    positions[slot] = len(visible)
+                    visible.append(self._make_view(slot))
+        elif index.dirty:
+            for slot in sorted(index.dirty):
+                pos = positions[slot]
+                if pos >= 0:
+                    visible[pos] = self._make_view(slot)
+                    visible.refresh(pos)
+            index.dirty.clear()
+        return visible
+
+    def powered_count(self) -> int:
+        return self.index.powered
+
+    def idle(self) -> bool:
+        """No VM hosted and no server failed."""
+        return self.index.active_vms == 0 and self.index.failed == 0

@@ -79,7 +79,7 @@ class ServerRuntime:
         record_chronicle: bool = False,
         chronicle_capacity: int | None = None,
         chronicle_spill: "ChronicleSpill | None" = None,
-        mix_cache: "dict | bool" = True,
+        mix_cache: "dict | None" = None,
         signals: object | None = None,
     ):
         self.server_id = server_id
@@ -110,19 +110,13 @@ class ServerRuntime:
         self._slowdown_factor = 1.0
         self._cluster: "ClusterIndex | None" = None
         self._slot = -1
-        # Mix-physics memo (see _mix_physics).  True = private cache;
-        # a dict may be shared between servers with identical
-        # (spec, params); False = recompute every step (the faithful
-        # pre-index reference used by DatacenterConfig(indexed=False)).
-        if mix_cache is True:
-            self._mix_cache: "dict | None" = {}
-        elif mix_cache is False:
-            self._mix_cache = None
-        else:
-            self._mix_cache = mix_cache
-        # Memo mode only: the physics of the current mix (cleared on
-        # every mix change) and one shared view per (benchmark, stage
-        # bucket) kind this server has hosted.
+        # Mix-physics memo (see _mix_physics): a dict may be shared
+        # between servers with identical (spec, params); None = a
+        # private one.
+        self._mix_cache: dict = {} if mix_cache is None else mix_cache
+        # The physics of the current mix (cleared on every mix change)
+        # and one shared view per (benchmark, stage bucket) kind this
+        # server has hosted.
         self._physics: tuple | None = None
         self._views: dict[tuple[int, bool], ActiveVM] = {}
         if record_chronicle:
@@ -244,7 +238,7 @@ class ServerRuntime:
         spec and keyed by the *sequence* of kinds, not the multiset:
         the model sums demands in VM-list order, and float addition is
         order-sensitive, so only an order-exact key preserves the
-        bit-identity contract with the naive reference.  The key
+        bit-identity contract with the naive oracle.  The key
         carries ``id(benchmark)`` rather than the (unhashable) spec; a
         memo value pins its views tuple, and every view pins its
         benchmark, so no id can be recycled onto a different spec while
@@ -253,19 +247,11 @@ class ServerRuntime:
 
         Slowdowns are cached raw -- callers apply the transient-fault
         ``_slowdown_factor``, which varies independently of the mix.
-        Without a memo (``mix_cache=False``) every call recomputes from
-        fresh views and the entry is never set.
         """
-        cache = self._mix_cache
-        if cache is None:
-            views = [vm.active_view() for vm in self._vms]
-            slowdowns = self._model.slowdowns(views)
-            loads = self._model.subsystem_loads(views)
-            power = instantaneous_power(loads, len(views), self.spec.power)
-            return slowdowns, loads, power
         physics = self._physics
         if physics is not None:
             return physics
+        cache = self._mix_cache
         key = tuple(
             (id(vm.benchmark), vm.stage == 0) for vm in self._vms
         )

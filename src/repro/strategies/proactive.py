@@ -141,8 +141,8 @@ class ProactiveStrategy(AllocationStrategy):
     ) -> Optional[Mapping[str, str]]:
         # The allocator only ever picks one of the first len(vms)
         # servers of a (mix, max_vms) class, so only those become states.
-        # The simulator's indexed views keep the classes bucketed; a
-        # plain list is reduced here, in one pass.
+        # The simulator's views keep the classes bucketed; any other
+        # caller's plain list is reduced here, in one pass.
         heads_of = getattr(servers, "class_heads", None)
         if heads_of is not None:
             heads, stands_for = heads_of(len(vms))

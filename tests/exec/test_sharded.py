@@ -151,12 +151,14 @@ class TestShardedChronicles:
             f"s{i:04d}" for i in range(5)
         ]
         # Every chronicle can replay its full log from its shard's
-        # spill file, and the replayed energy matches the aggregates.
-        for chronicle in result.chronicles:
+        # spill file, and the replayed energy matches its server's.
+        for chronicle, busy, idle in zip(
+            result.chronicles, result.per_server_busy_j, result.per_server_idle_j
+        ):
             intervals = list(chronicle.iter_all())
             assert len(intervals) == chronicle.n_recorded
             assert sum(i.energy_j for i in intervals) == pytest.approx(
-                chronicle.total_energy_j()
+                busy + idle, rel=1e-9
             )
         paths = {c.spill_path for c in result.chronicles if c.n_evicted}
         assert paths  # this workload evicts on a capacity-2 ring

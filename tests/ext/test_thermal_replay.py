@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.ext.thermal import (
     ThermalAwareProactiveStrategy,
     ThermalParams,
     replay_chronicle,
     replay_thermal,
 )
-from repro.sim.chronicle import Chronicle
+from repro.sim.chronicle import Chronicle, ChronicleSpill
 from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
 from repro.strategies.proactive import ProactiveStrategy
 from repro.testbed.benchmarks import WorkloadClass
@@ -69,6 +69,29 @@ class TestReplayChronicle:
         )
         summary = replay_chronicle(chronicle, params)
         assert summary.final_c == pytest.approx(params.ambient_c, abs=0.5)
+
+    @staticmethod
+    def heat(chronicle):
+        for k in range(40):
+            chronicle.record(60.0 * k, 60.0 * (k + 1), (1, 0, 0), 300.0, ["a"])
+
+    def test_bounded_ring_with_spill_replays_the_whole_log(self, tmp_path):
+        params = ThermalParams()
+        unbounded = Chronicle("s0")
+        self.heat(unbounded)
+        with ChronicleSpill(str(tmp_path / "spill.jsonl")) as spill:
+            bounded = Chronicle("s0", capacity=2, spill=spill)
+            self.heat(bounded)
+        assert bounded.n_evicted == 38
+        expected = replay_chronicle(unbounded, params)
+        assert replay_chronicle(bounded, params) == expected
+        assert expected.seconds_over_redline > 0
+
+    def test_eviction_without_spill_raises(self):
+        bounded = Chronicle("s0", capacity=2)
+        self.heat(bounded)
+        with pytest.raises(SimulationError, match="evicted without a spill"):
+            replay_chronicle(bounded, ThermalParams())
 
 
 class TestReplayThermal:

@@ -78,7 +78,7 @@ class TestChronicleConsistency:
 
     def test_energy_matches_accounting(self, run):
         server, _, _ = run
-        assert server.chronicle.total_energy_j() == pytest.approx(
+        assert sum(i.energy_j for i in server.chronicle.iter_all()) == pytest.approx(
             server.energy().total_j, rel=1e-9
         )
 

@@ -1,21 +1,24 @@
-"""Property tests for the scaled simulation core (PR 9).
+"""Property tests for the scaled simulation core.
 
-Three families of randomized evidence:
+Four families of randomized evidence:
 
 * the indexed event loop (cached views, O(1) counters, free-capacity
-  candidates, PROACTIVE class buckets) is *bit-identical* to the
-  retained naive reference on random worlds, including under random
-  fault schedules;
-* the chronicles' incremental aggregates equal a naive recomputation
-  over the full interval log, exactly (same operand order);
+  candidates, PROACTIVE class buckets, memoized mix physics) is
+  *bit-identical* to the naive oracle (``tests/oracles/sim.py``) on
+  random worlds, including under random fault schedules;
+* the oracle really is naive: plain view lists, no physics memo;
+* each server's energy account equals a recomputation from its
+  chronicle's full interval log, across ring/spill, faults and shards;
 * the cluster index never drifts from ground truth under random
   event storms driven through the real ServerRuntime mutation API.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
+from repro.exec.sharded import run_sharded
 from repro.faults import random_crash_spec, materialize
 from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
 from repro.sim.index import ClusterIndex
@@ -30,6 +33,7 @@ from repro.testbed.benchmarks import WorkloadClass
 from repro.testbed.spec import default_server
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy
+from tests.oracles.sim import NaiveDatacenterSimulator, NaiveServerRuntime
 
 STRATEGIES = {
     "FF": FirstFitStrategy,
@@ -60,25 +64,22 @@ def job_batches(draw, max_jobs=10):
     return jobs
 
 
-def run(
-    jobs, *, indexed, n_servers, strategy, faults=None, chronicles=False, qos=None
-):
-    config = DatacenterConfig(
-        n_servers=n_servers, indexed=indexed, record_chronicles=chronicles
-    )
+def run(jobs, *, naive, n_servers, strategy, faults=None, qos=None):
+    """One run on the naive oracle (``naive=True``) or the simulator."""
+    config = DatacenterConfig(n_servers=n_servers)
     schedule = materialize(faults, n_servers) if faults is not None else None
-    sim = DatacenterSimulator(config)
+    simulator = NaiveDatacenterSimulator if naive else DatacenterSimulator
     policy = QoSPolicy.unlimited() if qos is None else qos
-    return sim.run(jobs, strategy, policy, faults=schedule)
+    return simulator(config).run(jobs, strategy, policy, faults=schedule)
 
 
 def run_both(jobs, **kwargs):
     """Naive and indexed outcomes; a refusal (stranded jobs) counts as
     the outcome ``("error", message)``."""
     results = []
-    for indexed in (False, True):
+    for naive in (True, False):
         try:
-            outcome = run(jobs, indexed=indexed, **kwargs)
+            outcome = run(jobs, naive=naive, **kwargs)
         except SimulationError as error:
             outcome = ("error", str(error))
         results.append(outcome)
@@ -95,8 +96,8 @@ class TestIndexedBitIdentity:
     @settings(max_examples=30, deadline=None)
     def test_indexed_equals_naive(self, jobs, n_servers, name, multiplex):
         strategy = STRATEGIES[name](multiplex)
-        naive = run(jobs, indexed=False, n_servers=n_servers, strategy=strategy)
-        fast = run(jobs, indexed=True, n_servers=n_servers, strategy=strategy)
+        naive = run(jobs, naive=True, n_servers=n_servers, strategy=strategy)
+        fast = run(jobs, naive=False, n_servers=n_servers, strategy=strategy)
         assert fast == naive  # outcomes, metrics, energies: exact
 
     @given(
@@ -145,8 +146,8 @@ class TestIndexedBitIdentity:
         )
         strategy = ProactiveStrategy(database, alpha=alpha)
         world = dict(n_servers=n_servers, strategy=strategy, qos=qos)
-        naive = run(jobs, indexed=False, **world)
-        fast = run(jobs, indexed=True, **world)
+        naive = run(jobs, naive=True, **world)
+        fast = run(jobs, naive=False, **world)
         assert fast == naive
 
     @given(
@@ -179,33 +180,111 @@ class TestIndexedBitIdentity:
             assert results[0].fault_log == results[1].fault_log
 
 
-class TestIncrementalAccounting:
+class RecordingNaiveServer(NaiveServerRuntime):
+    """Checks, at every sync, that the oracle server keeps no physics
+    entry, memo or per-kind view table."""
+
+    instances: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.instances.append(self)
+
+    def sync(self, now_s):
+        finished = super().sync(now_s)
+        assert self._physics is None
+        assert not self._mix_cache
+        assert not self._views
+        return finished
+
+
+class RecordingNaiveSimulator(NaiveDatacenterSimulator):
+    _server_type = RecordingNaiveServer
+
+
+class TestOracleIsNaive:
+    """Without these checks the oracle could quietly become the
+    optimized path, and the identity suites above would be vacuous."""
+
     @given(
         job_batches(max_jobs=8),
         st.integers(min_value=1, max_value=4),
+        st.sampled_from(sorted(STRATEGIES)),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_oracle_hands_plain_lists_and_never_memoizes(self, jobs, n_servers, name):
+        handed = []
+
+        class Spy(STRATEGIES[name]):
+            def place(self, vms, servers):
+                handed.append(servers)
+                return super().place(vms, servers)
+
+        RecordingNaiveServer.instances = []
+        config = DatacenterConfig(n_servers=n_servers)
+        RecordingNaiveSimulator(config).run(jobs, Spy(2), QoSPolicy.unlimited())
+        assert handed
+        assert all(type(servers) is list for servers in handed)
+        assert len(RecordingNaiveServer.instances) == n_servers
+        assert all(server._cluster is None for server in RecordingNaiveServer.instances)
+
+
+class TestChronicleConservation:
+    """The server is the one energy account; every chronicle, however
+    it was kept, replays to the same books."""
+
+    @given(
+        job_batches(max_jobs=8),
+        st.integers(min_value=3, max_value=5),
+        st.sampled_from(["unbounded", "ring+spill", "crashes", "shards"]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**31 - 1),
     )
     @settings(max_examples=20, deadline=None)
-    def test_running_aggregates_equal_naive_recomputation(self, jobs, n_servers):
-        result = run(
-            jobs,
-            indexed=True,
+    def test_server_energy_equals_chronicle_replay(
+        self, tmp_path_factory, jobs, n_servers, feature, always_on, seed
+    ):
+        spill = str(tmp_path_factory.mktemp("spill") / "spill.jsonl")
+        bounded = feature != "unbounded"
+        config = DatacenterConfig(
             n_servers=n_servers,
-            strategy=FirstFitStrategy(2),
-            chronicles=True,
+            power_off_when_empty=not always_on,
+            record_chronicles=True,
+            chronicle_capacity=2 if bounded else None,
+            chronicle_spill_path=spill if bounded else None,
         )
-        for chronicle in result.chronicles:
+        strategy = FirstFitStrategy(2)
+        qos = QoSPolicy.unlimited()
+        if feature == "shards":
+            result = run_sharded(jobs, strategy, qos, config, shards=3, workers=1)
+        else:
+            schedule = None
+            if feature == "crashes":
+                spec = random_crash_spec(
+                    seed=seed,
+                    crash_rate_per_1000s=4.0,
+                    window_s=(0.0, 5000.0),
+                    recover_after_s=60.0,
+                )
+                schedule = materialize(spec, n_servers)
+            result = DatacenterSimulator(config).run(
+                jobs, strategy, qos, faults=schedule
+            )
+        # Not bit-exact for busy energy: the chronicle prices
+        # power * (t1 - t0), the server power * step.
+        assert len(result.chronicles) == n_servers
+        for chronicle, busy, idle in zip(
+            result.chronicles, result.per_server_busy_j, result.per_server_idle_j
+        ):
             intervals = list(chronicle.iter_all())
-            # Exact equality: the running sums fold the same operands
-            # in the same order as these recomputations.
-            assert chronicle.total_energy_j() == sum(i.energy_j for i in intervals)
-            assert chronicle.busy_energy_j() == sum(
-                i.energy_j for i in intervals if i.vm_ids
+            assert len(intervals) == chronicle.n_recorded
+            assert sum(i.energy_j for i in intervals if i.vm_ids) == pytest.approx(
+                busy, rel=1e-9, abs=1e-9
             )
-            assert chronicle.idle_energy_j() == sum(
-                i.energy_j for i in intervals if not i.vm_ids
+            assert sum(i.energy_j for i in intervals if not i.vm_ids) == pytest.approx(
+                idle, rel=1e-9, abs=1e-9
             )
-            vms = {vm for i in intervals for vm in i.vm_ids}
-            for vm in vms:
+            for vm in {vm for i in intervals for vm in i.vm_ids}:
                 assert chronicle.vm_execution_time_s(vm) == sum(
                     i.duration_s for i in intervals if vm in i.vm_ids
                 )

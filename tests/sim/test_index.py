@@ -17,6 +17,7 @@ from repro.testbed.benchmarks import WorkloadClass
 from repro.testbed.spec import default_server
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy
+from tests.oracles.sim import NaiveDatacenterSimulator
 
 
 def view(i, ncpu=0, nmem=0, nio=0, powered=True, cpu_slots=2, max_vms=12):
@@ -226,7 +227,7 @@ class TestClassBuckets:
                 seen.append(servers)
                 return super().place(vms, servers)
 
-        sim = DatacenterSimulator(DatacenterConfig(n_servers=4, indexed=True))
+        sim = DatacenterSimulator(DatacenterConfig(n_servers=4))
         sim.run(_jobs(), Spy(2), QoSPolicy.unlimited())
         assert seen and all(isinstance(servers, ServerViews) for servers in seen)
         assert all(servers._buckets is None for servers in seen)
@@ -250,16 +251,14 @@ def _jobs():
 
 class TestIndexedRunEquivalence:
     def test_indexed_and_naive_snapshots_byte_identical(self):
-        # The powered-servers gauge is fed from the O(1) counter on the
-        # indexed path and a full scan on the naive path; the metrics
+        # The powered-servers gauge is fed from the O(1) counter by the
+        # simulator and a full scan by the naive oracle; the metrics
         # snapshots (values, min/max, update counts) must still match
         # byte for byte.
         snapshots = []
-        for indexed in (False, True):
+        for simulator in (NaiveDatacenterSimulator, DatacenterSimulator):
             obs = Observability()
-            sim = DatacenterSimulator(
-                DatacenterConfig(n_servers=4, indexed=indexed), obs=obs
-            )
+            sim = simulator(DatacenterConfig(n_servers=4), obs=obs)
             result = sim.run(_jobs(), FirstFitStrategy(2), QoSPolicy.unlimited())
             snapshots.append(
                 (result, json.dumps(obs.snapshot(), sort_keys=True))

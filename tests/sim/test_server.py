@@ -7,6 +7,7 @@ from repro.sim.server import ServerRuntime
 from repro.sim.vm import SimVM
 from repro.testbed.benchmarks import WorkloadClass
 from repro.testbed.spec import default_server
+from tests.oracles.sim import NaiveServerRuntime
 
 
 def make_vm(vm_id="v0", workload_class=WorkloadClass.CPU):
@@ -132,10 +133,10 @@ class TestSyncSemantics:
 
 
 class TestPhysicsEntryInvalidation:
-    """The memo-mode server's per-mix physics entry must be cleared at
-    every mix change: stepped in lockstep with a ``mix_cache=False``
-    server (which recomputes every step), both must agree exactly after
-    every operation."""
+    """The server's per-mix physics entry must be cleared at every mix
+    change: stepped in lockstep with the oracle's naive server (which
+    recomputes every step), both must agree exactly after every
+    operation."""
 
     @staticmethod
     def assert_agree(memo, naive, now_s):
@@ -148,7 +149,7 @@ class TestPhysicsEntryInvalidation:
 
     def test_memo_entry_tracks_naive_through_every_mix_change(self):
         memo = ServerRuntime("s0", default_server())
-        naive = ServerRuntime("s1", default_server(), mix_cache=False)
+        naive = NaiveServerRuntime("s1", default_server())
         pair = (memo, naive)
 
         def add(vm_id, workload_class, now_s):
