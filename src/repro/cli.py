@@ -77,7 +77,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.profiling.profiler import ApplicationProfiler
 from repro.service import schema
 from repro.sim.datacenter import DatacenterConfig
-from repro.strategies.registry import make_strategy
+from repro.strategies.registry import make_strategy, proactive_alpha
 from repro.testbed.benchmarks import BENCHMARKS, WorkloadClass, get_benchmark
 from repro.workloads.assignment import (
     assign_profiles_and_vms,
@@ -707,6 +707,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
     seeds = SeedSequenceFactory(args.seed)
     try:
+        if args.strategy.startswith("PA-"):
+            proactive_alpha(args.strategy)  # before the trace and the campaign
         if args.swf is not None:
             _comments, records = read_swf(args.swf)
             cleaned, _report = clean_trace(records)
@@ -717,7 +719,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             n_vms = total_vms_requested(jobs)
             # Same server density as the paper's SMALLER cloud unless
             # the user pins the cluster size.
-            n_servers = args.servers or max(
+            n_servers = args.servers if args.servers is not None else max(
                 1, round(SMALLER.n_servers * n_vms / SMALLER.vm_budget)
             )
         else:
@@ -725,7 +727,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 label="SIM", n_servers=SMALLER.n_servers, seed=args.seed
             ).scaled(args.vm_budget)
             jobs, n_vms = prepare_workload(scenario)
-            n_servers = args.servers or scenario.n_servers
+            n_servers = scenario.n_servers if args.servers is None else args.servers
 
         say(f"trace: {len(jobs)} jobs, {n_vms} VMs on {n_servers} servers")
 

@@ -60,7 +60,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from repro.campaign.records import MixKey, key_for_classes, total_vms
 from repro.common.errors import (
@@ -69,7 +69,7 @@ from repro.common.errors import (
     QoSViolationError,
 )
 from repro.core.anytime import AnytimeConfig, AnytimeResult, run_anytime_search
-from repro.core.estimatecache import CacheStats, EstimateGrid, grid_for
+from repro.core.estimatecache import CacheStats, EstimateGrid, StackedGrid, grid_for
 from repro.core.model import EstimatedOutcome, ModelDatabase
 from repro.core.partitions import count_type_partitions_capped, type_partitions
 from repro.core.plan import AllocationPlan, AllocationProvenance, BlockAssignment
@@ -292,6 +292,7 @@ class _SearchState:
         "bounds",
         "stride_c",
         "stride_m",
+        "offsets",
         "norm_time",
         "norm_energy",
         "residual0",
@@ -311,12 +312,14 @@ class _SearchState:
 
 
 class ProactiveAllocator:
-    """The paper's allocation algorithm, bound to one model database.
+    """The paper's allocation algorithm over one model database, or one per server.
 
     Parameters
     ----------
     database:
-        The empirical model (records + Table I bounds).
+        The empirical model (records + Table I bounds), or a mapping
+        ``{server_id: database}`` covering every offered server (see
+        DESIGN.md, "Per-server databases").
     alpha:
         Optimization goal: 1 = minimize energy (PA-1), 0 = minimize
         execution time (PA-0), 0.5 = balanced (PA-0.5).
@@ -373,7 +376,7 @@ class ProactiveAllocator:
 
     def __init__(
         self,
-        database: ModelDatabase,
+        database: "ModelDatabase | Mapping[str, ModelDatabase]",
         alpha: float = 0.5,
         strict_qos: bool = True,
         max_candidates: int = 2_000_000,
@@ -383,7 +386,18 @@ class ProactiveAllocator:
         time_budget_s: float | None = None,
         carbon: CarbonContext | None = None,
     ):
+        self._slab_of: dict[str, int] | None = None
+        distinct = [database]
+        if isinstance(database, Mapping):
+            # One slab of the stacked grid per distinct database.
+            distinct = list({id(db): db for db in database.values()}.values())
+            slab_of = {id(db): slab for slab, db in enumerate(distinct)}
+            self._slab_of = {name: slab_of[id(db)] for name, db in database.items()}
         self._db = database
+        self._databases = tuple(distinct)
+        self._stack = StackedGrid(distinct)
+        self._norm_time = max(db.time_range_s[1] for db in distinct)
+        self._norm_energy = max(db.energy_range_j[1] for db in distinct)
         self._carbon = (
             carbon if carbon is not None and carbon.alpha_carbon > 0.0 else None
         )
@@ -401,7 +415,6 @@ class ProactiveAllocator:
             raise ConfigurationError(f"bnb_min_vms must be >= 0, got {bnb_min_vms}")
         self._bnb_min_vms = int(bnb_min_vms)
         self._obs = obs
-        self._grid: EstimateGrid = grid_for(database)
         if anytime is False:
             if time_budget_s is not None:
                 raise ConfigurationError(
@@ -434,8 +447,27 @@ class ProactiveAllocator:
         self._count_memo: dict = {}
 
     @property
-    def database(self) -> ModelDatabase:
+    def database(self) -> "ModelDatabase | Mapping[str, ModelDatabase]":
+        """The model database, or the per-server mapping, as passed."""
         return self._db
+
+    @property
+    def databases(self) -> tuple:
+        """The distinct model databases, in slab order."""
+        return self._databases
+
+    def database_for(self, server_id: str) -> ModelDatabase:
+        """The model database that scores ``server_id``."""
+        return self._databases[self._slab(server_id)]
+
+    def _slab(self, server_id: str) -> int:
+        try:
+            return 0 if self._slab_of is None else self._slab_of[server_id]
+        except KeyError:
+            raise ConfigurationError(f"no database for server {server_id!r}") from None
+
+    def _slab_class(self, server: ServerState) -> tuple:
+        return (server.allocated, server.max_vms, self._slab(server.server_id))
 
     @property
     def alpha(self) -> float:
@@ -457,8 +489,8 @@ class ProactiveAllocator:
 
     @property
     def estimate_grid(self) -> EstimateGrid:
-        """The dense estimate cache backing the optimized search."""
-        return self._grid
+        """The dense estimate cache backing the optimized search (the first slab's)."""
+        return self._stack.grids[0]
 
     def allocate(
         self,
@@ -475,7 +507,7 @@ class ProactiveAllocator:
 
         The search runs on the class heads of ``servers`` (see
         :func:`class_heads`): the first ``len(requests)`` servers, in
-        list order, of each ``(allocated, max_vms)`` class -- no other
+        list order, of each ``(allocated, max_vms[, database])`` class -- no other
         server can win the paper's first-in-list tie rule.  A call
         costs O(classes x batch) past that one pass, not O(servers);
         a :class:`ClassHeads` list, already reduced by the caller for
@@ -550,7 +582,8 @@ class ProactiveAllocator:
                 )
             heads, stands_for, offered = servers, servers.stands_for, servers.offered
         else:
-            heads, stands_for = class_heads(servers, _SERVER_CLASS, len(requests))
+            key = _SERVER_CLASS if self._slab_of is None else self._slab_class
+            heads, stands_for = class_heads(servers, key, len(requests))
             offered = len(servers)
         state = self._prepare_state(counts, heads, stands_for, deadlines)
 
@@ -679,7 +712,7 @@ class ProactiveAllocator:
         if cached is None:
             reached = count_type_partitions_capped(
                 counts,
-                self._db.grid_bounds,
+                self._stack.bounds,
                 cap=config.exact_partition_limit,
                 memo=self._count_memo,
             )
@@ -703,8 +736,8 @@ class ProactiveAllocator:
         if state.tables is None:
             # Guidance needs the min-containing tables even when the
             # batch is below the branch-and-bound arming size.
-            state.tables = self._grid.bound_tables()
-        bounds = self._db.grid_bounds
+            state.tables = self._stack.bound_tables()
+        bounds = self._stack.bounds
         norm_time = state.norm_time
         norm_energy = state.norm_energy
         energy_weight = self._weights.energy_weight
@@ -762,7 +795,7 @@ class ProactiveAllocator:
         """Search scratch over ``servers``, the class heads of the
         offered list; ``stands_for[i]`` is how many offered servers
         head ``i`` represents (see :func:`class_heads`)."""
-        grid = self._grid
+        stack = self._stack
         state = _SearchState()
         state.servers = servers
         state.server_ids = [s.server_id for s in servers]
@@ -770,12 +803,12 @@ class ProactiveAllocator:
         state.deadlines = deadlines
         state.deadline_memo = {}
         state.stats = CacheStats()
-        state.cells = grid.cells
-        state.bounds = grid.bounds
-        state.stride_c = grid.stride_c
-        state.stride_m = grid.stride_m
-        state.norm_time = self._db.time_range_s[1]
-        state.norm_energy = self._db.energy_range_j[1]
+        state.cells = stack.cells
+        state.bounds = stack.bounds
+        state.stride_c = stack.stride_c
+        state.stride_m = stack.stride_m
+        state.norm_time = self._norm_time
+        state.norm_energy = self._norm_energy
         state.compliant = _Frontier()
         state.fallback = _Frontier()
         if self._carbon is not None:
@@ -796,13 +829,18 @@ class ProactiveAllocator:
         state.ub_energy = -_INF
         state.block_memo = {}
 
+        slabs = [0] * len(servers)
+        if self._slab_of is not None:
+            slabs = [self._slab(server.server_id) for server in servers]
+        state.offsets = [stack.offsets[slab] for slab in slabs]
         residual0: list[MixKey] = []
         base0: list[float] = []
         inbox: list[bool] = []
-        for server, represented in zip(servers, stands_for):
+        for server, represented, slab in zip(servers, stands_for, slabs):
             mix = server.allocated
             residual0.append(mix)
-            if not grid.covers(mix):
+            box = stack.boxes[slab]
+            if mix[0] > box[0] or mix[1] > box[1] or mix[2] > box[2]:
                 # Off-grid residual: every combined mix is off-grid
                 # too, so the server can never host a block and its
                 # base energy is never consulted.
@@ -813,7 +851,8 @@ class ProactiveAllocator:
             if total_vms(mix) == 0:
                 base0.append(0.0)
                 continue
-            cell = state.cells[grid.index(mix)]
+            row = stack.offsets[slab] + mix[0] * stack.stride_c + mix[1] * stack.stride_m
+            cell = state.cells[row + mix[2]]
             if cell is None:
                 # The naive brute force silently treats an unestimable
                 # existing mix as zero committed energy; keep the value
@@ -832,7 +871,7 @@ class ProactiveAllocator:
             # which would drop carbon-preferable candidates; the carbon
             # path enumerates the full feasible pool instead.
             state.stats.bnb_active = True
-            state.tables = grid.bound_tables()
+            state.tables = stack.bound_tables()
             state.ub_time, state.ub_energy = self._upper_bounds(counts, state)
             state.dominance = True
         return state
@@ -895,12 +934,13 @@ class ProactiveAllocator:
         stride_m = state.stride_m
         ub_time = -_INF
         best = [0.0] + [-_INF] * n
-        # Identical (residual, cap, base) servers share scan results.
-        scan_memo: dict[tuple[MixKey, int | None], tuple[float, list[float]]] = {}
+        # Identical (residual, cap, slab) servers share scan results.
+        scan_memo: dict[tuple[MixKey, int | None, int], tuple[float, list[float]]] = {}
         for index, server in enumerate(state.servers):
             if not state.inbox[index]:
                 continue
-            key = (state.residual0[index], server.max_vms)
+            offset = state.offsets[index]
+            key = (state.residual0[index], server.max_vms, offset)
             cached = scan_memo.get(key)
             if cached is None:
                 rc, rm, ri = state.residual0[index]
@@ -919,7 +959,7 @@ class ProactiveAllocator:
                 gains[0] = 0.0
                 for c in range(rc, hi_c + 1):
                     for m in range(rm, hi_m + 1):
-                        row = c * stride_c + m * stride_m
+                        row = offset + c * stride_c + m * stride_m
                         for i in range(ri, hi_i + 1):
                             placed = (c - rc) + (m - rm) + (i - ri)
                             if placed == 0 or placed > cap:
@@ -992,7 +1032,7 @@ class ProactiveAllocator:
             ki = ri + bi
             if kc > osc or km > osm or ki > osi:
                 continue
-            grid_index = kc * stride_c + km * stride_m + ki
+            grid_index = state.offsets[index] + kc * stride_c + km * stride_m + ki
             needed = min_vms[grid_index]
             if needed == _INF:
                 continue
@@ -1047,7 +1087,7 @@ class ProactiveAllocator:
 
     def _stream_candidates(self, counts: MixKey, state: _SearchState) -> None:
         """Enumerate partitions, assign greedily, stream into frontiers."""
-        bounds = self._db.grid_bounds
+        bounds = self._stack.bounds
         stats = state.stats
 
         prune = None
@@ -1145,6 +1185,7 @@ class ProactiveAllocator:
         time_weight = self._weights.time_weight
         server_ids = state.server_ids
         caps = state.caps
+        offsets = state.offsets
         n_servers = len(server_ids)
         check_abort = abortable and state.dominance
 
@@ -1169,9 +1210,9 @@ class ProactiveAllocator:
                 min_energy_tab = tables.min_energy_containing
                 lb_t = 0.0
                 lb_e = 0.0
-                for energy0, estimate in touched.values():
+                for index, (energy0, estimate) in touched.items():
                     kc, km, ki = estimate.key
-                    grid_index = kc * stride_c + km * stride_m + ki
+                    grid_index = offsets[index] + kc * stride_c + km * stride_m + ki
                     t = min_time_tab[grid_index]
                     if t > lb_t:
                         lb_t = t
@@ -1196,12 +1237,13 @@ class ProactiveAllocator:
             best_score = _INF
             best_estimate: EstimatedOutcome | None = None
             best_compliant = False
-            seen_classes: set[tuple[MixKey, int | None]] = set()
+            seen_classes: set[tuple[MixKey, int | None, int]] = set()
             seen_add = seen_classes.add
             for index in range(n_servers):
                 mix = residual[index]
                 cap = caps[index]
-                equivalence = (mix, cap)
+                offset = offsets[index]
+                equivalence = (mix, cap, offset)
                 if equivalence in seen_classes:
                     continue
                 seen_add(equivalence)
@@ -1212,7 +1254,7 @@ class ProactiveAllocator:
                     continue
                 if cap is not None and kc + km + ki > cap:
                     continue
-                estimate = cells[kc * stride_c + km * stride_m + ki]
+                estimate = cells[offset + kc * stride_c + km * stride_m + ki]
                 if estimate is None:
                     misses += 1
                     continue

@@ -9,12 +9,12 @@ performance index, etc.").
 
 Here every *server class* (a named :class:`~repro.testbed.spec
 .ServerSpec`) gets its own benchmarking campaign and model database;
-the heterogeneous allocator scores each candidate server through its
-class's database.
+the core PROACTIVE allocator scores each server through its class's
+database (:class:`HeteroProactiveStrategy` only builds that mapping).
 """
 
 from repro.ext.hetero.classes import ServerClass, build_class_databases, default_classes
-from repro.ext.hetero.allocator import HeteroProactiveStrategy
+from repro.ext.hetero.strategy import HeteroProactiveStrategy
 
 __all__ = [
     "ServerClass",

@@ -56,15 +56,23 @@ def make_strategy(
                 raise ConfigurationError(f"bad random-fit name {name!r}") from None
         return RandomFitStrategy(multiplex, rng=rng)
     if name.startswith("PA-"):
+        alpha = proactive_alpha(name)
         if database is None:
             raise ConfigurationError(f"strategy {name!r} requires a model database")
-        try:
-            alpha = float(name[3:])
-        except ValueError:
-            raise ConfigurationError(f"bad proactive name {name!r}") from None
         return ProactiveStrategy(database, alpha=alpha, carbon=carbon)
     known = sorted(STRATEGY_BUILDERS) + ["PA-<alpha>", "RAND[-k]"]
     raise ConfigurationError(f"unknown strategy {name!r}; known: {known}")
+
+
+def proactive_alpha(name: str) -> float:
+    """The alpha of a ``PA-<alpha>`` name; ConfigurationError unless in [0, 1]."""
+    try:
+        alpha = float(name[3:])
+    except ValueError:
+        raise ConfigurationError(f"bad proactive name {name!r}") from None
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigurationError(f"bad proactive name {name!r}: alpha must lie in [0, 1]")
+    return alpha
 
 
 def paper_strategies(

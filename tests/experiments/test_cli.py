@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.cli as cli_module
 from repro.cli import _parse_batch, build_parser, main
 
 
@@ -221,6 +222,25 @@ class TestTypedErrors:
         err = capsys.readouterr().err
         assert err.startswith("repro simulate: error: line 3: not UTF-8 text")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["PA-2", "PA--1", "PA-abc"])
+    def test_simulate_bad_proactive_name_before_campaign(self, name, monkeypatch, capsys):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("the campaign ran before the name was checked")
+
+        monkeypatch.setattr(cli_module, "run_campaign", no_campaign)
+        assert main(["simulate", "--strategy", name, "--vm-budget", "50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro simulate: error: bad proactive name {name!r}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("servers", ["0", "-4"])
+    def test_simulate_non_positive_servers(self, servers, capsys):
+        assert main(["simulate", "--servers", servers, "--vm-budget", "50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"repro simulate: error: n_servers must be >= 1, got {servers}"
+        )
 
     def test_allocate_infeasible_batch(self, campaign, tmp_path, capsys):
         campaign.save(tmp_path)

@@ -1,5 +1,8 @@
 """Unit tests for the heterogeneous-hardware extension."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -98,6 +101,30 @@ class TestHeteroStrategy:
 
         counts = Counter(placement.values())
         assert counts.get("s1", 0) >= counts.get("s0", 0)
+
+    def test_plans_come_from_the_core_allocator(self, databases):
+        labels = ["legacy", "modern", "legacy"]
+        strategy = HeteroProactiveStrategy(databases, self._class_map(labels))
+        assert strategy.name == "PA-0.5-hetero"
+        batch = [VMDescriptor(f"v{i}", WorkloadClass.MEM) for i in range(4)]
+        assert strategy.place(batch, self._views(labels)) is not None
+        assert strategy.last_plan.search_provenance is not None
+        assert strategy.database_for("s1") is databases["modern"]
+
+    def test_survives_deepcopy_and_pickle(self, databases):
+        # Sharded runs deep-copy the strategy and ship it to workers.
+        labels = ["legacy", "modern", "modern"]
+        strategy = HeteroProactiveStrategy(databases, self._class_map(labels))
+        batch = [VMDescriptor(f"v{i}", WorkloadClass.IO) for i in range(5)]
+        placement = strategy.place(batch, self._views(labels))
+        for clone in (copy.deepcopy(strategy), pickle.loads(pickle.dumps(strategy))):
+            assert clone.place(batch, self._views(labels)) == placement
+
+    def test_unmapped_server_is_named(self, databases):
+        strategy = HeteroProactiveStrategy(databases, self._class_map(["legacy"]))
+        views = self._views(["legacy", "modern"])
+        with pytest.raises(ConfigurationError, match="'s1'"):
+            strategy.place([VMDescriptor("v0", WorkloadClass.CPU)], views)
 
     def test_none_when_nothing_fits(self, databases):
         labels = ["legacy"]

@@ -10,8 +10,11 @@ database per probe and applies no pruning.
 numbers.
 
 The oracle scores on (time, energy) only -- it predates the carbon axis
--- and reads nothing from the allocator but its public ``database``,
-``weights`` and ``strict_qos``.  Its plans carry no search provenance.
+-- and reads nothing from the allocator but its public ``databases``,
+``database_for``, ``weights`` and ``strict_qos``.  Every probe queries
+its server's own database (one database for a plain allocator, one per
+hardware class for a per-server mapping).  Its plans carry no search
+provenance.
 """
 
 from __future__ import annotations
@@ -58,11 +61,16 @@ def reference_allocate(
     if len(set(ids)) != len(ids):
         raise ConfigurationError(f"duplicate vm_id in batch: {ids}")
 
-    database = allocator.database
+    # Partitions span the union of the databases' boxes; each server
+    # rejects the blocks its own box cannot hold.
+    bounds = tuple(
+        max(database.grid_bounds[axis] for database in allocator.databases)
+        for axis in range(3)
+    )
     counts = key_for_classes([r.workload_class for r in requests])
     deadlines = _tightest_deadlines(requests)
     candidates: list[_Candidate] = []
-    for partition in type_partitions(counts, database.grid_bounds):
+    for partition in type_partitions(counts, bounds):
         candidate = _assign_partition(allocator, partition, servers, deadlines)
         if candidate is not None:
             candidates.append(candidate)
@@ -123,18 +131,19 @@ def _assign_partition(
     marginal energy (combined-mix energy minus what the server's
     existing mix was already going to consume -- waking an empty
     server pays its idle draw, joining a busy one amortizes it)
-    and the combined mix's completion time.  The block goes to the
-    best-scoring server, ties resolving to the first in list order
-    (the paper's rule).  Servers whose (current mix, VM cap) are
-    identical are interchangeable, so only the first of each
-    equivalence class is evaluated.
+    and the combined mix's completion time, both estimated by the
+    server's own database and normalized by the largest ranges over
+    all databases.  The block goes to the best-scoring server, ties
+    resolving to the first in list order (the paper's rule).  Servers
+    whose (current mix, VM cap, database) are identical are
+    interchangeable, so only the first of each equivalence class is
+    evaluated.
 
     Returns None when some block cannot be placed anywhere.
     """
-    database = allocator.database
     weights = allocator.weights
-    max_time = database.time_range_s[1]
-    max_energy = database.energy_range_j[1]
+    max_time = max(database.time_range_s[1] for database in allocator.databases)
+    max_energy = max(database.energy_range_j[1] for database in allocator.databases)
     residual: list[MixKey] = [s.allocated for s in servers]
     base_energy: list[float | None] = [None] * len(servers)  # lazy
     picks: list[tuple[str, MixKey, MixKey, EstimatedOutcome]] = []
@@ -146,9 +155,10 @@ def _assign_partition(
         best_score = float("inf")
         best_estimate: EstimatedOutcome | None = None
         best_compliant = False
-        seen_classes: set[tuple[MixKey, int | None]] = set()
+        seen_classes: set[tuple[MixKey, int | None, int]] = set()
         for index, server in enumerate(servers):
-            equivalence = (residual[index], server.max_vms)
+            database = allocator.database_for(server.server_id)
+            equivalence = (residual[index], server.max_vms, id(database))
             if equivalence in seen_classes:
                 continue
             seen_classes.add(equivalence)

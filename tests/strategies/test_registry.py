@@ -31,6 +31,11 @@ class TestMakeStrategy:
         with pytest.raises(ConfigurationError):
             make_strategy("PA-x", database=database)
 
+    @pytest.mark.parametrize("name", ["PA-2", "PA--1", "PA-nan"])
+    def test_out_of_range_alpha_is_a_configuration_error(self, name, database):
+        with pytest.raises(ConfigurationError, match=r"alpha must lie in \[0, 1\]"):
+            make_strategy(name, database=database)
+
     def test_unknown_name_lists_known(self):
         with pytest.raises(ConfigurationError, match="FF"):
             make_strategy("MAGIC")
