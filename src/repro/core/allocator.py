@@ -49,7 +49,11 @@ naive brute force (the oracle ``reference_allocate`` in
   table), and subtrees/partial assignments whose admissible
   (time, energy) lower bounds are already weakly dominated by a
   retained compliant candidate are cut once the running pool maxima
-  provably cover anything the pruned candidates could contribute.
+  provably cover anything the pruned candidates could contribute;
+* smaller batches enumerate their whole family unpruned, and read it
+  from the process-wide memo of
+  :func:`~repro.core.partitions.partition_family`, already in
+  assignment order.
 
 See DESIGN.md, "Key design choices", for why each step preserves
 bit-identical output.
@@ -71,7 +75,11 @@ from repro.common.errors import (
 from repro.core.anytime import AnytimeConfig, AnytimeResult, run_anytime_search
 from repro.core.estimatecache import CacheStats, EstimateGrid, StackedGrid, grid_for
 from repro.core.model import EstimatedOutcome, ModelDatabase
-from repro.core.partitions import count_type_partitions_capped, type_partitions
+from repro.core.partitions import (
+    count_type_partitions_capped,
+    largest_first,
+    ordered_type_partitions,
+)
 from repro.core.plan import AllocationPlan, AllocationProvenance, BlockAssignment
 from repro.core.scoring import (
     CarbonContext,
@@ -753,7 +761,9 @@ class ProactiveAllocator:
 
         def evaluate(partition):
             stats.partitions_enumerated += 1
-            candidate = self._assign_streamed(partition, state, abortable=True)
+            candidate = self._assign_streamed(
+                largest_first(partition), state, abortable=True
+            )
             if candidate is None:
                 return None
             self._offer(candidate, state)
@@ -1097,6 +1107,7 @@ class ProactiveAllocator:
             # maxima are order-independent, and larger running maxima
             # close the dominance latch sooner.  It is re-offered (or
             # provably dominated) at its natural enumeration position.
+            # All-singleton blocks are already in assignment order.
             finest = (
                 ((1, 0, 0),) * counts[0]
                 + ((0, 1, 0),) * counts[1]
@@ -1127,7 +1138,7 @@ class ProactiveAllocator:
                 return False
 
         produced = 0
-        for partition in type_partitions(counts, bounds, prune=prune):
+        for partition in ordered_type_partitions(counts, bounds, prune=prune):
             produced += 1
             if produced > self._max_candidates:
                 raise ConfigurationError(
@@ -1165,6 +1176,9 @@ class ProactiveAllocator:
     ) -> _Candidate | None:
         """Greedy block assignment against the dense grid.
 
+        ``partition`` arrives in assignment order, largest block first
+        (:func:`~repro.core.partitions.largest_first`).
+
         Float-for-float identical to the naive brute force's assignment
         pass (same probe order, same score expression, same tie-breaks);
         the only behavioural addition is the mid-assignment abort: once
@@ -1201,7 +1215,7 @@ class ProactiveAllocator:
         # min over them), so this equals a final all(...) pass.
         qos_ok = True
 
-        for position, block in enumerate(sorted(partition, key=total_vms, reverse=True)):
+        for position, block in enumerate(partition):
             if check_abort and position > 0 and (
                 state.ready or self._dominance_ready(state)
             ):

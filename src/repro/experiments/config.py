@@ -44,7 +44,7 @@ class EvaluationConfig:
             raise ConfigurationError(f"vm_budget must be >= 1, got {self.vm_budget}")
         if self.raw_jobs < 1:
             raise ConfigurationError(f"raw_jobs must be >= 1, got {self.raw_jobs}")
-        if self.qos_factor <= 1:
+        if not self.qos_factor > 1:  # NaN too
             raise ConfigurationError(f"qos_factor must be > 1, got {self.qos_factor}")
 
     def scaled(self, vm_budget: int) -> "EvaluationConfig":

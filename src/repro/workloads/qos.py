@@ -61,7 +61,7 @@ class QoSPolicy:
         The factor must exceed 1 (a deadline below the solo runtime is
         unsatisfiable even on an idle server).
         """
-        if factor <= 1.0:
+        if not factor > 1.0:  # NaN too
             raise ConfigurationError(f"factor must be > 1, got {factor}")
         return cls(
             max_response_s={

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.campaign.platformrunner import CampaignResult, run_campaign
+from repro.core import partitions
 from repro.core.model import ModelDatabase
 from repro.testbed.spec import ServerSpec, default_server
 
@@ -32,6 +33,29 @@ def campaign(server: ServerSpec) -> CampaignResult:
 def database(campaign: CampaignResult) -> ModelDatabase:
     """The model database built from the shared campaign."""
     return ModelDatabase.from_campaign(campaign)
+
+
+@pytest.fixture
+def type_partitions_calls(monkeypatch):
+    """Counts :func:`~repro.core.partitions.type_partitions` calls.
+
+    The allocator's partition families are memoized process-wide
+    (:func:`~repro.core.partitions.partition_family`), so a test that
+    counts or substitutes ``type_partitions`` must start from an empty
+    memo: this fixture clears it before and after the test.  Yields a
+    list holding one ``(counts, bounds)`` entry per call.
+    """
+    calls = []
+    real = partitions.type_partitions
+
+    def counting(counts, bounds=None, prune=None):
+        calls.append((counts, bounds))
+        return real(counts, bounds, prune=prune)
+
+    partitions.partition_family.cache_clear()
+    monkeypatch.setattr(partitions, "type_partitions", counting)
+    yield calls
+    partitions.partition_family.cache_clear()
 
 
 @pytest.fixture

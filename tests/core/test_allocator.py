@@ -16,6 +16,8 @@ from repro.core.allocator import (
     VMRequest,
     class_heads,
 )
+from repro.core.partitions import partition_family
+from repro.core.scoring import CarbonContext
 from repro.testbed.benchmarks import WorkloadClass
 from tests.oracles.allocator import reference_allocate
 
@@ -274,3 +276,58 @@ class TestProvenance:
         full = [ServerState("s0", allocated=(osc, 0, 0), max_vms=osc)]
         with pytest.raises(InfeasibleAllocationError):
             ProactiveAllocator(database).allocate(cpu_requests(1), full)
+
+
+def mixed_requests(n_cpu, n_mem, n_io):
+    return (
+        cpu_requests(n_cpu)
+        + [VMRequest(f"m{i}", WorkloadClass.MEM) for i in range(n_mem)]
+        + [VMRequest(f"i{i}", WorkloadClass.IO) for i in range(n_io)]
+    )
+
+
+class FlatSignals:
+    """Constant carbon intensity and price (the CarbonContext duck type)."""
+
+    def carbon_mass_g(self, energy_j, t0_s, t1_s):
+        return 1e-4 * energy_j
+
+    def energy_cost(self, energy_j, t0_s, t1_s):
+        return 1e-6 * energy_j
+
+
+class TestPartitionFamilies:
+    """Unpruned batches of at most 8 VMs read their partitions from the
+    process-wide memo; branch-and-bound and larger batches stream."""
+
+    def test_allocators_share_one_enumeration(self, database, type_partitions_calls):
+        requests = mixed_requests(2, 1, 1)
+        first = ProactiveAllocator(database).allocate(requests, servers(4))
+        second = ProactiveAllocator(database).allocate(requests, servers(4))
+        assert type_partitions_calls == [((2, 1, 1), database.grid_bounds)]
+        assert first == second
+        assert first.search_provenance == second.search_provenance
+        assert first.search_provenance.partitions_enumerated == len(
+            partition_family((2, 1, 1), database.grid_bounds)
+        )
+
+    def test_branch_and_bound_batch_streams(self, database, type_partitions_calls):
+        plan = ProactiveAllocator(database).allocate(mixed_requests(3, 3, 3), servers(4))
+        assert plan.search_provenance.bnb_active
+        assert partition_family.cache_info().currsize == 0
+        assert len(type_partitions_calls) == 1
+
+    def test_carbon_batch_above_the_bound_streams(self, database, type_partitions_calls):
+        allocator = ProactiveAllocator(
+            database, carbon=CarbonContext(signals=FlatSignals(), alpha_carbon=0.5)
+        )
+        plan = allocator.allocate(mixed_requests(3, 3, 3), servers(4))
+        assert not plan.search_provenance.bnb_active
+        assert partition_family.cache_info().currsize == 0
+        assert len(type_partitions_calls) == 1
+
+    @pytest.mark.parametrize("bnb_min_vms", [9, 0], ids=["memo", "branch-and-bound"])
+    def test_candidate_limit_still_fires(self, database, bnb_min_vms):
+        allocator = ProactiveAllocator(database, max_candidates=3, bnb_min_vms=bnb_min_vms)
+        with pytest.raises(ConfigurationError, match="exceeded 3 candidates"):
+            allocator.allocate(mixed_requests(2, 1, 1), servers(4))

@@ -2,13 +2,31 @@
 
 import pytest
 
+from repro.campaign.records import total_vms
 from repro.core.partitions import (
+    FAMILY_MAX_VMS,
     bell_number,
     count_set_partitions,
     count_type_partitions,
+    largest_first,
+    ordered_type_partitions,
+    partition_family,
     set_partitions,
     type_partitions,
 )
+
+#: Table I's grid bounds (OSC, OSM, OSI) and two small boxes.
+BOXES = [(9, 7, 7), (2, 1, 1), (0, 3, 3)]
+
+
+def small_mixes(max_vms=FAMILY_MAX_VMS):
+    return [
+        (c, m, i)
+        for c in range(max_vms + 1)
+        for m in range(max_vms + 1 - c)
+        for i in range(max_vms + 1 - c - m)
+        if c + m + i > 0
+    ]
 
 
 class TestBellNumbers:
@@ -194,3 +212,50 @@ class TestPruneCallback:
 
     def test_prune_everything_yields_nothing(self):
         assert list(type_partitions((3, 2, 1), prune=lambda *_: True)) == []
+
+
+class TestPartitionFamilies:
+    @pytest.mark.parametrize("bounds", BOXES)
+    def test_family_is_type_partitions_largest_block_first(self, bounds):
+        for counts in small_mixes():
+            expected = tuple(
+                tuple(sorted(p, key=total_vms, reverse=True))
+                for p in type_partitions(counts, bounds)
+            )
+            assert partition_family(counts, bounds) == expected, counts
+
+    def test_largest_first_is_stable(self):
+        # Equal-size blocks keep their canonical (enumeration) order.
+        partition = ((1, 0, 0), (0, 2, 0), (0, 1, 1), (0, 0, 1))
+        assert largest_first(partition) == ((0, 2, 0), (0, 1, 1), (1, 0, 0), (0, 0, 1))
+
+    def test_family_sizes_are_bounded(self):
+        # The memory bound the module docstring states: no family of at
+        # most FAMILY_MAX_VMS VMs exceeds 300 partitions at any bounds,
+        # and all of them together hold 9,800.
+        sizes = [count_type_partitions(counts) for counts in small_mixes()]
+        assert len(sizes) == 164
+        assert max(sizes) == 300
+        assert sum(sizes) == 9_800
+
+    def test_larger_batches_are_not_kept(self):
+        with pytest.raises(ValueError, match="at most 8 VMs"):
+            partition_family((3, 3, 3), (9, 7, 7))
+
+    def test_ordered_partitions_read_the_memo_without_prune(self):
+        family = partition_family((2, 1, 1), (9, 7, 7))
+        assert ordered_type_partitions((2, 1, 1), (9, 7, 7)) is family
+
+    def test_ordered_partitions_stream_with_prune_or_above_the_bound(self):
+        pruned = ordered_type_partitions((2, 1, 1), (9, 7, 7), prune=lambda *_: False)
+        assert tuple(pruned) == partition_family((2, 1, 1), (9, 7, 7))
+        large = ordered_type_partitions((3, 3, 3), (9, 7, 7))
+        assert list(large) == [
+            largest_first(p) for p in type_partitions((3, 3, 3), (9, 7, 7))
+        ]
+
+    def test_memo_counts_one_enumeration_per_key(self, type_partitions_calls):
+        for _ in range(3):
+            partition_family((1, 2, 0), (9, 7, 7))
+        partition_family((1, 2, 0), (2, 1, 1))
+        assert type_partitions_calls == [((1, 2, 0), (9, 7, 7)), ((1, 2, 0), (2, 1, 1))]

@@ -242,6 +242,14 @@ class TestTypedErrors:
             f"repro simulate: error: n_servers must be >= 1, got {servers}"
         )
 
+    def test_simulate_nan_qos_factor(self, capsys):
+        # NaN deadlines never bind: the run would report 0% violations.
+        argv = ["simulate", "--qos-factor", "nan", "--vm-budget", "50"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro simulate: error: factor must be > 1, got nan")
+        assert "Traceback" not in err
+
     def test_allocate_infeasible_batch(self, campaign, tmp_path, capsys):
         campaign.save(tmp_path)
         argv = ["allocate", "--model", str(tmp_path), "--servers", "1"]

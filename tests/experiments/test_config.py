@@ -33,6 +33,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             EvaluationConfig(label="x", n_servers=1, qos_factor=1.0)
 
+    def test_nan_qos_factor_rejected(self):
+        with pytest.raises(ConfigurationError, match="got nan"):
+            EvaluationConfig(label="x", n_servers=1, qos_factor=float("nan"))
+
+    def test_infinite_qos_factor_accepted(self):
+        config = EvaluationConfig(label="x", n_servers=1, qos_factor=float("inf"))
+        assert config.qos_factor == float("inf")
+
 
 class TestScaled:
     def test_servers_scale_proportionally(self):

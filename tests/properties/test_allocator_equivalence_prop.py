@@ -282,6 +282,20 @@ class TestPerServerDatabases:
                 other=ProactiveAllocator(database, **knobs),
             )
 
+    def test_abort_bound_reads_each_servers_slab(self):
+        # A seeded two-class world (6 servers, 4 VMs, branch-and-bound
+        # forced) where the mid-assignment abort bound decides the plan:
+        # read at the first slab's offset instead of each touched
+        # server's own, it aborts the winning partial assignment.
+        rng = random.Random(253)
+        first, mapping, servers = random_two_class_world(rng)
+        requests = random_requests(rng, first, crowded=True)
+        allocator = ProactiveAllocator(mapping, alpha=0.0, bnb_min_vms=0)
+        assert len(set(mapping.values())) == 2
+        assert_equivalent("slab abort bound", allocator, requests, servers)
+        plan = allocator.allocate(requests, servers)
+        assert plan.search_provenance.aborted_assignments > 0
+
     def test_upper_bounds_cover_every_two_class_candidate(self):
         # The dominance latch waits until the pool maxima reach these
         # bounds, so they must cover every candidate of every slab.

@@ -14,7 +14,7 @@ Four families of randomized evidence:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
@@ -136,6 +136,22 @@ class TestIndexedBitIdentity:
         st.sampled_from([None, 1.5, 4.0]),
     )
     @settings(max_examples=25, deadline=None)
+    @example(
+        # PROACTIVE refuses a 4-VM MEM job under a 1.5x deadline on one
+        # idle server: both modes must refuse with the same message.
+        jobs=[
+            PreparedJob(
+                job_id=1,
+                submit_time_s=0.0,
+                workload_class=WorkloadClass.MEM,
+                n_vms=4,
+                burst_id=0,
+            )
+        ],
+        n_servers=1,
+        alpha=0.0,
+        qos_factor=1.5,
+    )
     def test_proactive_indexed_equals_naive(
         self, database, jobs, n_servers, alpha, qos_factor
     ):
@@ -145,10 +161,8 @@ class TestIndexedBitIdentity:
             else QoSPolicy.from_optima(database.optima, factor=qos_factor)
         )
         strategy = ProactiveStrategy(database, alpha=alpha)
-        world = dict(n_servers=n_servers, strategy=strategy, qos=qos)
-        naive = run(jobs, naive=True, **world)
-        fast = run(jobs, naive=False, **world)
-        assert fast == naive
+        results = run_both(jobs, n_servers=n_servers, strategy=strategy, qos=qos)
+        assert results[0] == results[1]
 
     @given(
         job_batches(max_jobs=6),

@@ -171,6 +171,19 @@ class TestCoalescingDeterminism:
                 )
 
 
+class TestSharedPartitionFamilies:
+    def test_two_sessions_enumerate_a_mix_once(self, database, type_partitions_calls):
+        # Each session owns its allocator; the partition family of a mix
+        # is memoized process-wide, so the second session reuses it.
+        documents = []
+        for session_id in ("sess-a", "sess-b"):
+            session = Session(session_id, SessionConfig(n_servers=4, coalesce=4), database)
+            session.admit(requests(4))
+            documents.append(plan_bytes(session.flush()))
+        assert type_partitions_calls == [((2, 1, 1), database.grid_bounds)]
+        assert documents[0] == documents[1]
+
+
 class TestSnapshotRestore:
     def test_state_document_round_trips(self, database):
         session = new_session(database)

@@ -38,6 +38,16 @@ class TestQoSPolicy:
         with pytest.raises(ConfigurationError):
             QoSPolicy.from_optima(campaign.optima, factor=1.0)
 
+    def test_from_optima_rejects_nan_factor(self, campaign):
+        # NaN deadlines would fail every comparison and never bind.
+        with pytest.raises(ConfigurationError, match="got nan"):
+            QoSPolicy.from_optima(campaign.optima, factor=float("nan"))
+
+    def test_from_optima_infinite_factor_means_no_deadline(self, campaign):
+        policy = QoSPolicy.from_optima(campaign.optima, factor=float("inf"))
+        for workload_class in WORKLOAD_CLASSES:
+            assert policy.max_response(workload_class) == float("inf")
+
     def test_unlimited_never_binds(self):
         policy = QoSPolicy.unlimited()
         assert policy.deadline_for(WorkloadClass.CPU, 5.0) == float("inf")
