@@ -13,13 +13,14 @@ are interchangeable within a workload class, the default fast path
 enumerates *type partitions* (multiset partitions over class counts)
 instead of raw Orlov set partitions -- the candidate spaces are
 equivalent for scoring purposes and the type-aware one is exponentially
-smaller.  Each partition's blocks are assigned greedily to the first
-feasible server in list order (feasible = the server's combined mix
-stays inside the database grid and under its VM limit); candidates are
-ranked by the alpha objective with ties resolving to the
-earliest-enumerated candidate, which implements "if two partitions have
-the same rank in different servers, we select the first server of the
-list".
+smaller.  Each partition's blocks, largest first, are assigned greedily:
+a block goes to the feasible server (the combined mix stays inside the
+database grid and under the server's VM limit) with the best marginal
+alpha score, deadline-compliant placements first, and a tie goes to the
+first server of the list.  Candidates are ranked by the alpha objective
+with ties resolving to the earliest-enumerated candidate, which
+implements "if two partitions have the same rank in different servers,
+we select the first server of the list".
 
 QoS: a candidate is compliant when, for every placed VM, the estimated
 execution time of its server's combined mix is within the VM's maximum
@@ -35,7 +36,15 @@ naive brute force (the oracle ``reference_allocate`` in
 ``tests/properties``):
 
 * model estimates come from the dense :class:`EstimateGrid` (one O(1)
-  indexed read per (partition, block, server) probe);
+  indexed read per probe);
+* the greedy scores each distinct block once per call against each
+  *pristine* server class -- heads sharing (residual mix, VM cap,
+  database) -- and keeps the classes sorted by compliance and score.
+  Assigning a partition then reads that table for the servers it has
+  not touched and re-scores only the few it has, instead of probing
+  every server class for every block of every partition.  The
+  ``grid_hits``/``grid_misses`` counters still count one probe per
+  block and distinct *current* server class, as that scan would;
 * instead of materializing every feasible candidate, only the
   (makespan, energy) Pareto frontier is retained -- the alpha score is
   monotone in both axes under any fixed normalization, so a candidate
@@ -63,7 +72,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from repro.campaign.records import MixKey, key_for_classes, total_vms
@@ -102,6 +111,9 @@ T = TypeVar("T")
 
 #: A server's class: the model sees it only through (residual mix, VM cap).
 _SERVER_CLASS = attrgetter("allocated", "max_vms")
+
+#: Block-table order: deadline-compliant first, then the alpha score.
+_RANK = itemgetter(0, 1)
 
 
 @dataclass(frozen=True)
@@ -294,7 +306,6 @@ class _SearchState:
         "server_ids",
         "caps",
         "deadlines",
-        "deadline_memo",
         "stats",
         "cells",
         "bounds",
@@ -316,6 +327,10 @@ class _SearchState:
         "ub_time",
         "ub_energy",
         "block_memo",
+        "class_index",
+        "class_of",
+        "class_members",
+        "block_tables",
     )
 
 
@@ -811,7 +826,6 @@ class ProactiveAllocator:
         state.server_ids = [s.server_id for s in servers]
         state.caps = [s.max_vms for s in servers]
         state.deadlines = deadlines
-        state.deadline_memo = {}
         state.stats = CacheStats()
         state.cells = stack.cells
         state.bounds = stack.bounds
@@ -875,6 +889,23 @@ class ProactiveAllocator:
         state.residual0 = residual0
         state.base0 = base0
         state.inbox = inbox
+        # Pristine server classes: heads sharing (residual, cap, slab
+        # offset) score every block alike.  Classes are numbered in
+        # order of their first member; members stay in index order.
+        class_index: dict[tuple[MixKey, int | None, int], int] = {}
+        class_of: list[int] = []
+        class_members: list[list[int]] = []
+        for index, equivalence in enumerate(zip(residual0, state.caps, state.offsets)):
+            cls = class_index.get(equivalence)
+            if cls is None:
+                cls = class_index[equivalence] = len(class_members)
+                class_members.append([])
+            class_members[cls].append(index)
+            class_of.append(cls)
+        state.class_index = class_index
+        state.class_of = class_of
+        state.class_members = class_members
+        state.block_tables = {}
 
         if self._carbon is None and total_vms(counts) >= self._bnb_min_vms:
             # Branch-and-bound prunes on (time, energy) upper bounds,
@@ -1168,6 +1199,60 @@ class ProactiveAllocator:
             else:
                 fallback.count += 1
 
+    def _block_table(self, block: MixKey, state: _SearchState) -> tuple:
+        """Score ``block`` once against every pristine server class.
+
+        Returns ``(hits, misses, ranked, deadline)``: the grid hits and
+        misses of probing every class, the hit classes as ``(not
+        compliant, score, members, estimate)`` sorted by compliance and
+        then score, and the block deadline.  The sort is
+        stable and classes are numbered by their first member, so among
+        tied classes the one holding the lowest index comes first.
+        Built on a block's first sight in an ``allocate`` call, kept in
+        ``state.block_tables``.
+        """
+        deadlines = state.deadlines
+        block_deadline = _block_deadline(block, deadlines) if deadlines else None
+        cells = state.cells
+        osc, osm, osi = state.bounds
+        stride_c = state.stride_c
+        stride_m = state.stride_m
+        max_time = state.norm_time
+        max_energy = state.norm_energy
+        energy_weight = self._weights.energy_weight
+        time_weight = self._weights.time_weight
+        base0 = state.base0
+        bc, bm, bi = block
+        hits = 0
+        misses = 0
+        ranked: list[tuple[bool, float, list[int], EstimatedOutcome]] = []
+        for (mix, cap, offset), members in zip(state.class_index, state.class_members):
+            kc = mix[0] + bc
+            km = mix[1] + bm
+            ki = mix[2] + bi
+            if kc > osc or km > osm or ki > osi:
+                continue
+            if cap is not None and kc + km + ki > cap:
+                continue
+            estimate = cells[offset + kc * stride_c + km * stride_m + ki]
+            if estimate is None:
+                misses += 1
+                continue
+            hits += 1
+            marginal_energy = estimate.energy_j - base0[members[0]]
+            if marginal_energy < 0.0:
+                marginal_energy = 0.0
+            score = (
+                energy_weight * (marginal_energy / max_energy)
+                + time_weight * (estimate.time_s / max_time)
+            )
+            compliant = block_deadline is None or estimate.time_s <= block_deadline
+            ranked.append((not compliant, score, members, estimate))
+        ranked.sort(key=_RANK)
+        table = (hits, misses, ranked, block_deadline)
+        state.block_tables[block] = table
+        return table
+
     def _assign_streamed(
         self,
         partition: tuple[MixKey, ...],
@@ -1179,16 +1264,26 @@ class ProactiveAllocator:
         ``partition`` arrives in assignment order, largest block first
         (:func:`~repro.core.partitions.largest_first`).
 
-        Float-for-float identical to the naive brute force's assignment
-        pass (same probe order, same score expression, same tie-breaks);
-        the only behavioural addition is the mid-assignment abort: once
-        the dominance latch is closed, a partial assignment whose
-        admissible lower bounds are already weakly dominated by a
-        retained compliant candidate is abandoned (it could neither be
-        selected nor move the pool maxima).
+        Each block goes to the server with the best ``(compliant,
+        -score)``, the lowest index winning ties: the naive brute
+        force's rule, float for float.  Untouched servers still have
+        their pristine class, so the best of them comes from the
+        block's table (:meth:`_block_table`): the lowest untouched
+        index among the leading classes that tie.  Only the servers
+        this partition has already touched are scored afresh, from
+        their current estimate.  ``grid_hits``/``grid_misses`` still
+        count one probe per distinct *current* class, as a scan over
+        every server would: the table's totals, minus the classes whose
+        members are all touched, plus the touched servers' current
+        classes that no untouched server shares.
+
+        The one behavioural addition to the brute force is the
+        mid-assignment abort: once the dominance latch is closed, a
+        partial assignment whose admissible lower bounds are already
+        weakly dominated by a retained compliant candidate is abandoned
+        (it could neither be selected nor move the pool maxima).
         """
-        deadlines = state.deadlines
-        deadline_memo = state.deadline_memo
+        tables = state.block_tables
         cells = state.cells
         osc, osm, osi = state.bounds
         stride_c = state.stride_c
@@ -1200,17 +1295,29 @@ class ProactiveAllocator:
         server_ids = state.server_ids
         caps = state.caps
         offsets = state.offsets
-        n_servers = len(server_ids)
+        base0 = state.base0
+        residual0 = state.residual0
+        class_index = state.class_index
+        class_of = state.class_of
+        class_members = state.class_members
         check_abort = abortable and state.dominance
+        last = len(partition) - 1
 
-        residual: list[MixKey] = list(state.residual0)
-        base_energy: list[float] = list(state.base0)
         picks: list[tuple[str, MixKey, MixKey, EstimatedOutcome]] = []
+        # index -> (pristine base energy, current estimate)
         touched: dict[int, tuple[float, EstimatedOutcome]] = {}
+        # Untouched members left, for the classes this partition touched,
+        # and the (mix, cap, offset) of the classes with none left: the
+        # table counted their probes, which no longer happen.
+        untouched: dict[int, int] = {}
+        dead: list[tuple[MixKey, int | None, int]] = []
+        # Touched servers whose probe counts apart from the table: one
+        # per distinct current class that is not a live pristine class.
+        counted: set[int] = set()
         hits = 0
         misses = 0
         # Running AND of the chosen placements' compliance flags.  Per
-        # block, ``best_compliant`` is exactly "the estimate fits every
+        # block, compliance is exactly "the estimate fits every
         # deadline among the block's classes" (the block deadline is the
         # min over them), so this equals a final all(...) pass.
         qos_ok = True
@@ -1219,9 +1326,9 @@ class ProactiveAllocator:
             if check_abort and position > 0 and (
                 state.ready or self._dominance_ready(state)
             ):
-                tables = state.tables
-                min_time_tab = tables.min_time_containing
-                min_energy_tab = tables.min_energy_containing
+                bound_tables = state.tables
+                min_time_tab = bound_tables.min_time_containing
+                min_energy_tab = bound_tables.min_energy_containing
                 lb_t = 0.0
                 lb_e = 0.0
                 for index, (energy0, estimate) in touched.items():
@@ -1239,28 +1346,14 @@ class ProactiveAllocator:
                     state.stats.grid_misses += misses
                     return None
 
-            if deadlines:
-                block_deadline = deadline_memo.get(block, False)
-                if block_deadline is False:
-                    block_deadline = _block_deadline(block, deadlines)
-                    deadline_memo[block] = block_deadline
-            else:
-                block_deadline = None
+            table = tables.get(block)
+            if table is None:
+                table = self._block_table(block, state)
+            block_hits, block_misses, ranked, block_deadline = table
+            hits += block_hits
+            misses += block_misses
             bc, bm, bi = block
-            best_index = -1
-            best_score = _INF
-            best_estimate: EstimatedOutcome | None = None
-            best_compliant = False
-            seen_classes: set[tuple[MixKey, int | None, int]] = set()
-            seen_add = seen_classes.add
-            for index in range(n_servers):
-                mix = residual[index]
-                cap = caps[index]
-                offset = offsets[index]
-                equivalence = (mix, cap, offset)
-                if equivalence in seen_classes:
-                    continue
-                seen_add(equivalence)
+            for mix, cap, offset in dead:
                 kc = mix[0] + bc
                 km = mix[1] + bm
                 ki = mix[2] + bi
@@ -1268,26 +1361,72 @@ class ProactiveAllocator:
                     continue
                 if cap is not None and kc + km + ki > cap:
                     continue
-                estimate = cells[offset + kc * stride_c + km * stride_m + ki]
-                if estimate is None:
-                    misses += 1
-                    continue
-                hits += 1
-                marginal_energy = estimate.energy_j - base_energy[index]
-                if marginal_energy < 0.0:
-                    marginal_energy = 0.0
-                score = (
-                    energy_weight * (marginal_energy / max_energy)
-                    + time_weight * (estimate.time_s / max_time)
-                )
-                compliant = block_deadline is None or estimate.time_s <= block_deadline
-                # Deadline-compliant placements always beat non-compliant
-                # ones; within a compliance tier the alpha score decides.
-                if best_index < 0 or (compliant, -score) > (best_compliant, -best_score):
-                    best_score = score
-                    best_index = index
-                    best_estimate = estimate
-                    best_compliant = compliant
+                if cells[offset + kc * stride_c + km * stride_m + ki] is None:
+                    misses -= 1
+                else:
+                    hits -= 1
+
+            best_index = -1
+            best_noncompliant = True
+            best_score = _INF
+            best_estimate: EstimatedOutcome | None = None
+            if not touched:
+                if ranked:
+                    best_noncompliant, best_score, members, best_estimate = ranked[0]
+                    best_index = members[0]
+            else:
+                for noncompliant, score, members, estimate in ranked:
+                    if best_index >= 0 and (
+                        noncompliant != best_noncompliant or score > best_score
+                    ):
+                        break
+                    for index in members:
+                        if index not in touched:
+                            if best_index < 0 or index < best_index:
+                                best_index = index
+                                best_noncompliant = noncompliant
+                                best_score = score
+                                best_estimate = estimate
+                            break
+                for index, (_, current) in touched.items():
+                    mix = current.key
+                    kc = mix[0] + bc
+                    km = mix[1] + bm
+                    ki = mix[2] + bi
+                    if kc > osc or km > osm or ki > osi:
+                        continue
+                    cap = caps[index]
+                    if cap is not None and kc + km + ki > cap:
+                        continue
+                    estimate = cells[offsets[index] + kc * stride_c + km * stride_m + ki]
+                    if estimate is None:
+                        if index in counted:
+                            misses += 1
+                        continue
+                    if index in counted:
+                        hits += 1
+                    marginal_energy = estimate.energy_j - current.energy_j
+                    if marginal_energy < 0.0:
+                        marginal_energy = 0.0
+                    score = (
+                        energy_weight * (marginal_energy / max_energy)
+                        + time_weight * (estimate.time_s / max_time)
+                    )
+                    noncompliant = not (
+                        block_deadline is None or estimate.time_s <= block_deadline
+                    )
+                    # Deadline-compliant placements always beat
+                    # non-compliant ones; within a compliance tier the
+                    # alpha score decides, then the lower index.
+                    if best_index < 0 or (noncompliant, score, index) < (
+                        best_noncompliant,
+                        best_score,
+                        best_index,
+                    ):
+                        best_index = index
+                        best_noncompliant = noncompliant
+                        best_score = score
+                        best_estimate = estimate
             if best_index < 0:
                 state.stats.grid_hits += hits
                 state.stats.grid_misses += misses
@@ -1295,22 +1434,43 @@ class ProactiveAllocator:
             assert best_estimate is not None
             previous = touched.get(best_index)
             if previous is None:
-                touched[best_index] = (base_energy[best_index], best_estimate)
+                touched[best_index] = (base0[best_index], best_estimate)
+                cls = class_of[best_index]
+                left = untouched.get(cls)
+                if left is None:
+                    left = len(class_members[cls])
+                untouched[cls] = left - 1
+                if left == 1:
+                    dead.append(
+                        (residual0[best_index], caps[best_index], offsets[best_index])
+                    )
             else:
                 touched[best_index] = (previous[0], best_estimate)
-            residual[best_index] = best_estimate.key
-            base_energy[best_index] = best_estimate.energy_j
             picks.append((server_ids[best_index], block, best_estimate.key, best_estimate))
-            qos_ok = qos_ok and best_compliant
+            qos_ok = qos_ok and not best_noncompliant
+            if position < last:
+                representatives: dict[tuple[MixKey, int | None, int], int] = {}
+                for index, (_, current) in touched.items():
+                    equivalence = (current.key, caps[index], offsets[index])
+                    cls = class_index.get(equivalence)
+                    if cls is None or untouched.get(cls) == 0:
+                        representatives.setdefault(equivalence, index)
+                counted = set(representatives.values())
 
         state.stats.grid_hits += hits
         state.stats.grid_misses += misses
-        makespan = max(est.time_s for _, est in touched.values())
-        energy = sum(max(0.0, est.energy_j - energy0) for energy0, est in touched.values())
+        makespan = -_INF
+        gains: list[float] = []
+        for energy0, estimate in touched.values():
+            if estimate.time_s > makespan:
+                makespan = estimate.time_s
+            gain = estimate.energy_j - energy0
+            gains.append(gain if gain > 0.0 else 0.0)
         return _Candidate(
             assignments=tuple(picks),
             rank_time_s=makespan,
-            energy_j=energy,
+            # sum(), not a hand fold: from Python 3.12 it is compensated.
+            energy_j=sum(gains),
             qos_ok=qos_ok,
         )
 

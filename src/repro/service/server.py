@@ -30,6 +30,8 @@ non-negative integer gets 400 and one over :data:`MAX_BODY_BYTES`
 gets 413; a header line over :data:`MAX_LINE_BYTES`, or more than
 :data:`MAX_HEADERS` header lines, gets 431.  All three then close the
 connection, since the rest of the request cannot be skipped reliably.
+A connection that completes no request within :data:`IDLE_TIMEOUT_S`
+is closed; if its request line had arrived, it gets a 408 first.
 
 Wall-clock reads in this module (request->plan latency, batch
 duration) are observability-only and never influence allocation;
@@ -66,6 +68,9 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 MAX_LINE_BYTES = 64 * 1024
 #: Most header lines accepted per request.
 MAX_HEADERS = 100
+#: Seconds a connection may take to send its next complete request,
+#: idle or part-way through one, before the server closes it.
+IDLE_TIMEOUT_S = 60.0
 
 _REQUEST_LINE = re.compile(rb"^([A-Z]+) (\S+) HTTP/1\.[01]$")
 _CONTENT_LENGTH = re.compile(r"[0-9]+\Z")
@@ -110,11 +115,97 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
+
+
+def _response_bytes(status: int, document: dict) -> bytes:
+    """One HTTP/1.1 response carrying ``document`` as JSON."""
+    payload = json.dumps(document, indent=2, sort_keys=True).encode("utf-8")
+    head = (
+        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        f"\r\n"
+    ).encode("ascii")
+    return head + payload
+
+
+class _RequestTimer:
+    """A connection's idle timeout: one timer handle per connection.
+
+    ``arm`` starts the wait for a request by moving the deadline and
+    ``disarm`` ends it once a complete request is read.  The handle is
+    rescheduled only when it fires before the current deadline, so a
+    busy connection pays one clock read per request rather than a heap
+    push and a cancellation.  On expiry the transport is closed, which
+    ends the handler's pending read; ``started`` (set once the request
+    line has arrived) makes the client get a 408 envelope first.
+    """
+
+    __slots__ = (
+        "_loop",
+        "_writer",
+        "_registry",
+        "_handle",
+        "_deadline",
+        "_waiting",
+        "started",
+        "expired",
+    )
+
+    def __init__(self, writer: asyncio.StreamWriter, registry: MetricsRegistry):
+        self._loop = asyncio.get_running_loop()
+        self._writer = writer
+        self._registry = registry
+        self._handle: asyncio.TimerHandle | None = None
+        self._deadline = 0.0
+        self._waiting = False
+        self.started = False
+        self.expired = False
+
+    def arm(self) -> None:
+        self.started = False
+        self._waiting = True
+        self._deadline = self._loop.time() + IDLE_TIMEOUT_S
+        if self._handle is None:
+            self._handle = self._loop.call_at(self._deadline, self._fire)
+
+    def disarm(self) -> None:
+        self._waiting = False
+
+    def cancel(self) -> None:
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _fire(self) -> None:
+        self._handle = None
+        if not self._waiting:
+            return  # a request is being served; the next arm() reschedules
+        if self._loop.time() < self._deadline:
+            self._handle = self._loop.call_at(self._deadline, self._fire)
+            return
+        self._expire()
+
+    def _expire(self) -> None:
+        self.expired = True
+        if self.started:
+            self._registry.counter("service.http.errors", status="408").inc()
+            self._writer.write(
+                _response_bytes(
+                    408,
+                    schema.error_envelope(
+                        "request_timeout",
+                        f"no complete request within {IDLE_TIMEOUT_S:g} s",
+                    ),
+                )
+            )
+        self._writer.close()
 
 
 class Service:
@@ -201,19 +292,24 @@ class Service:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        timer = _RequestTimer(writer, self._registry)
         try:
             while True:
+                timer.arm()
                 try:
-                    request = await self._read_request(reader)
+                    request = await self._read_request(reader, timer)
                 except _HttpError as error:
                     # Without a usable body length the stream cannot be
                     # resynchronised: answer, then close the connection.
-                    self._registry.counter(
-                        "service.http.errors", status=str(error.status)
-                    ).inc()
-                    await self._write_response(writer, error.status, error.body)
+                    if not timer.expired:
+                        self._registry.counter(
+                            "service.http.errors", status=str(error.status)
+                        ).inc()
+                        await self._write_response(writer, error.status, error.body)
                     break
-                if request is None:
+                finally:
+                    timer.disarm()
+                if request is None or timer.expired:
                     break
                 method, path, headers, body = request
                 status, document = await self._dispatch(method, path, body)
@@ -223,19 +319,21 @@ class Service:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
+            timer.cancel()
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_request(self, reader: asyncio.StreamReader):
+    async def _read_request(self, reader: asyncio.StreamReader, timer: _RequestTimer):
         try:
             line = await reader.readline()
         except (ValueError, asyncio.LimitOverrunError):
             return None
         if not line:
             return None
+        timer.started = True
         match = _REQUEST_LINE.match(line.rstrip(b"\r\n"))
         if match is None:
             return None
@@ -284,14 +382,7 @@ class Service:
     async def _write_response(
         self, writer: asyncio.StreamWriter, status: int, document: dict
     ) -> None:
-        payload = json.dumps(document, indent=2, sort_keys=True).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"\r\n"
-        ).encode("ascii")
-        writer.write(head + payload)
+        writer.write(_response_bytes(status, document))
         await writer.drain()
 
     # -- routing -------------------------------------------------------

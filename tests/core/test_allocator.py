@@ -4,6 +4,8 @@ from operator import attrgetter
 
 import pytest
 
+from repro.campaign.optimal import ClassOptima, OptimalScenarios
+from repro.campaign.records import BenchmarkRecord
 from repro.common.errors import (
     ConfigurationError,
     InfeasibleAllocationError,
@@ -16,10 +18,11 @@ from repro.core.allocator import (
     VMRequest,
     class_heads,
 )
+from repro.core.model import ModelDatabase
 from repro.core.partitions import partition_family
 from repro.core.scoring import CarbonContext
 from repro.testbed.benchmarks import WorkloadClass
-from tests.oracles.allocator import reference_allocate
+from tests.oracles.allocator import greedy_assign_streamed, reference_allocate
 
 
 #: The allocator's server class (see core.allocator.class_heads).
@@ -214,6 +217,35 @@ class TestQoS:
             assert a.estimate.time_s <= tc * 1.3
 
 
+def cpu_database(points):
+    """A CPU-only model database over ``{n_cpu: (time_s, energy_j)}``."""
+    optima = OptimalScenarios(
+        per_class={
+            WorkloadClass.CPU: ClassOptima(WorkloadClass.CPU, max(points), 1, 100.0),
+            WorkloadClass.MEM: ClassOptima(WorkloadClass.MEM, 1, 1, 150.0),
+            WorkloadClass.IO: ClassOptima(WorkloadClass.IO, 1, 1, 200.0),
+        }
+    )
+    records = [
+        BenchmarkRecord.from_measurement((n, 0, 0), time_s, energy_j, 250.0)
+        for n, (time_s, energy_j) in points.items()
+    ]
+    return ModelDatabase(records, optima)
+
+
+def greedy_picks(allocator, partition, offered):
+    """Server ids the shipped greedy and the greedy oracle give each block."""
+    counts = tuple(map(sum, zip(*partition)))
+    state = allocator._prepare_state(counts, offered, [1] * len(offered), {})
+    shipped = allocator._assign_streamed(partition, state, abortable=False)
+    state = allocator._prepare_state(counts, offered, [1] * len(offered), {})
+    oracle = greedy_assign_streamed(allocator, partition, state, abortable=False)
+    return (
+        [server_id for server_id, *_ in shipped.assignments],
+        [server_id for server_id, *_ in oracle.assignments],
+    )
+
+
 class TestServerTieBreak:
     def test_first_server_preferred_on_ties(self, database):
         # All servers identical and empty: the chosen one must be s0.
@@ -221,6 +253,43 @@ class TestServerTieBreak:
             cpu_requests(2), servers(5)
         )
         assert set(plan.servers_used) == {"s0"}
+
+    def test_lowest_untouched_index_across_tied_classes(self):
+        # Two classes of empty servers: VM cap 1 = {s0, s2}, cap 2 =
+        # {s1}.  Both admit a lone CPU VM at one score.  The first block
+        # takes s0, which is then full; for the second the cap-1 class
+        # leads the tie but its first untouched member is s2, and s1
+        # is the lower index.
+        allocator = ProactiveAllocator(cpu_database({1: (100.0, 1000.0)}))
+        offered = [
+            ServerState("s0", max_vms=1),
+            ServerState("s1", max_vms=2),
+            ServerState("s2", max_vms=1),
+        ]
+        shipped, oracle = greedy_picks(allocator, ((1, 0, 0), (1, 0, 0)), offered)
+        assert shipped == oracle == ["s0", "s1"]
+
+    @pytest.mark.parametrize(
+        "residuals, expected",
+        [
+            # s0 is touched by the first block and ties with untouched s1.
+            (((0, 0, 0), (1, 0, 0)), ["s0", "s0"]),
+            # s1 is touched by the first block and ties with untouched s0.
+            (((1, 0, 0), (0, 0, 0)), ["s1", "s0"]),
+        ],
+    )
+    def test_touched_and_untouched_tie_to_lower_index(self, residuals, expected):
+        # Time-only goal: the first CPU VM prefers the empty server;
+        # the second lands in a two-CPU mix on either server, at one
+        # score, so the lower index must win.
+        allocator = ProactiveAllocator(
+            cpu_database({1: (100.0, 1000.0), 2: (150.0, 1800.0)}), alpha=0.0
+        )
+        offered = [
+            ServerState(f"s{i}", allocated=mix) for i, mix in enumerate(residuals)
+        ]
+        shipped, oracle = greedy_picks(allocator, ((1, 0, 0), (1, 0, 0)), offered)
+        assert shipped == oracle == expected
 
 
 class TestProvenance:

@@ -15,6 +15,13 @@ The oracle scores on (time, energy) only -- it predates the carbon axis
 its server's own database (one database for a plain allocator, one per
 hardware class for a per-server mapping).  Its plans carry no search
 provenance.
+
+:func:`greedy_assign_streamed` is a narrower oracle: the greedy
+block-assignment pass of the optimized allocator as it was before that
+pass read per-call tables of pristine-class scores.  It runs inside the
+shipped search (same pruning, same provenance counters), so patched in
+place of ``ProactiveAllocator._assign_streamed`` it must leave both the
+plan and ``search_provenance`` unchanged.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from repro.common.errors import (
     QoSViolationError,
 )
 from repro.core.allocator import (
+    _INF,
     ProactiveAllocator,
     ServerState,
     VMRequest,
@@ -257,3 +265,145 @@ def _block_meets_deadline(
         if deadline is not None and estimate.time_s > deadline:
             return False
     return True
+
+
+def greedy_assign_streamed(
+    self,
+    partition: tuple[MixKey, ...],
+    state: "_SearchState",
+    abortable: bool,
+) -> _Candidate | None:
+    """The greedy oracle: the per-server scan ``_assign_streamed`` ran
+    before it read per-call tables of pristine-class scores.
+
+    For every block it walks every server index, deduplicates servers by
+    their *current* ``(mix, cap, slab offset)`` class and probes the grid
+    once per class, keeping the first server of the best class (deadline
+    compliance first, then the alpha score, then list order).  So
+    ``grid_hits``/``grid_misses`` count the live classes of each block.
+    The mid-assignment abort is the shipped one.  It takes the allocator
+    as ``self``: patch it over ``ProactiveAllocator._assign_streamed`` to
+    compare plans and ``search_provenance`` with the shipped greedy
+    (``tests/properties/test_allocator_equivalence_prop.py``).  The one
+    edit to the old body: the block deadline is recomputed per block
+    instead of memoized on the search state.
+    """
+    deadlines = state.deadlines
+    cells = state.cells
+    osc, osm, osi = state.bounds
+    stride_c = state.stride_c
+    stride_m = state.stride_m
+    max_time = state.norm_time
+    max_energy = state.norm_energy
+    energy_weight = self._weights.energy_weight
+    time_weight = self._weights.time_weight
+    server_ids = state.server_ids
+    caps = state.caps
+    offsets = state.offsets
+    n_servers = len(server_ids)
+    check_abort = abortable and state.dominance
+
+    residual: list[MixKey] = list(state.residual0)
+    base_energy: list[float] = list(state.base0)
+    picks: list[tuple[str, MixKey, MixKey, EstimatedOutcome]] = []
+    touched: dict[int, tuple[float, EstimatedOutcome]] = {}
+    hits = 0
+    misses = 0
+    # Running AND of the chosen placements' compliance flags.  Per
+    # block, ``best_compliant`` is exactly "the estimate fits every
+    # deadline among the block's classes" (the block deadline is the
+    # min over them), so this equals a final all(...) pass.
+    qos_ok = True
+
+    for position, block in enumerate(partition):
+        if check_abort and position > 0 and (
+            state.ready or self._dominance_ready(state)
+        ):
+            tables = state.tables
+            min_time_tab = tables.min_time_containing
+            min_energy_tab = tables.min_energy_containing
+            lb_t = 0.0
+            lb_e = 0.0
+            for index, (energy0, estimate) in touched.items():
+                kc, km, ki = estimate.key
+                grid_index = offsets[index] + kc * stride_c + km * stride_m + ki
+                t = min_time_tab[grid_index]
+                if t > lb_t:
+                    lb_t = t
+                gain = min_energy_tab[grid_index] - energy0
+                if gain > 0.0:
+                    lb_e += gain
+            if self._has_dominator(state, lb_t, lb_e):
+                state.stats.aborted_assignments += 1
+                state.stats.grid_hits += hits
+                state.stats.grid_misses += misses
+                return None
+
+        block_deadline = _block_deadline(block, deadlines) if deadlines else None
+        bc, bm, bi = block
+        best_index = -1
+        best_score = _INF
+        best_estimate: EstimatedOutcome | None = None
+        best_compliant = False
+        seen_classes: set[tuple[MixKey, int | None, int]] = set()
+        seen_add = seen_classes.add
+        for index in range(n_servers):
+            mix = residual[index]
+            cap = caps[index]
+            offset = offsets[index]
+            equivalence = (mix, cap, offset)
+            if equivalence in seen_classes:
+                continue
+            seen_add(equivalence)
+            kc = mix[0] + bc
+            km = mix[1] + bm
+            ki = mix[2] + bi
+            if kc > osc or km > osm or ki > osi:
+                continue
+            if cap is not None and kc + km + ki > cap:
+                continue
+            estimate = cells[offset + kc * stride_c + km * stride_m + ki]
+            if estimate is None:
+                misses += 1
+                continue
+            hits += 1
+            marginal_energy = estimate.energy_j - base_energy[index]
+            if marginal_energy < 0.0:
+                marginal_energy = 0.0
+            score = (
+                energy_weight * (marginal_energy / max_energy)
+                + time_weight * (estimate.time_s / max_time)
+            )
+            compliant = block_deadline is None or estimate.time_s <= block_deadline
+            # Deadline-compliant placements always beat non-compliant
+            # ones; within a compliance tier the alpha score decides.
+            if best_index < 0 or (compliant, -score) > (best_compliant, -best_score):
+                best_score = score
+                best_index = index
+                best_estimate = estimate
+                best_compliant = compliant
+        if best_index < 0:
+            state.stats.grid_hits += hits
+            state.stats.grid_misses += misses
+            return None
+        assert best_estimate is not None
+        previous = touched.get(best_index)
+        if previous is None:
+            touched[best_index] = (base_energy[best_index], best_estimate)
+        else:
+            touched[best_index] = (previous[0], best_estimate)
+        residual[best_index] = best_estimate.key
+        base_energy[best_index] = best_estimate.energy_j
+        picks.append((server_ids[best_index], block, best_estimate.key, best_estimate))
+        qos_ok = qos_ok and best_compliant
+
+    state.stats.grid_hits += hits
+    state.stats.grid_misses += misses
+    makespan = max(est.time_s for _, est in touched.values())
+    energy = sum(max(0.0, est.energy_j - energy0) for energy0, est in touched.values())
+    return _Candidate(
+        assignments=tuple(picks),
+        rank_time_s=makespan,
+        energy_j=energy,
+        qos_ok=qos_ok,
+    )

@@ -18,6 +18,11 @@ databases with different grid bounds (a heterogeneous cloud), and one
 database registered under two names must plan exactly as the
 single-database allocator does.
 
+:class:`TestGreedyOracle` pins the greedy pass alone: the shipped
+allocator against itself with the pre-table greedy scan
+(:func:`tests.oracles.allocator.greedy_assign_streamed`) patched in.
+Plans *and* search provenance must match, counters included.
+
 Equality uses ``AllocationPlan.__eq__``, which compares assignments,
 alpha, score, and the QoS flag (provenance is excluded by design); when
 the reference raises, the optimized path must raise the same exception
@@ -25,6 +30,7 @@ type with the same message.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,11 +47,16 @@ from repro.core.model import ModelDatabase
 from repro.core.partitions import type_partitions
 from repro.ext.thermal import PowerCappedDatabase
 from repro.testbed.benchmarks import WorkloadClass
-from tests.oracles.allocator import _assign_partition, reference_allocate
+from tests.oracles.allocator import (
+    _assign_partition,
+    greedy_assign_streamed,
+    reference_allocate,
+)
 
 CASES_PER_SEED = 24
 SEEDS = range(10)  # 10 x 24 = 240 cases
 CROWDED_CASES_PER_SEED = 8  # appended after the sparse cases of each seed
+GREEDY_ORACLE_CASES = 300
 
 
 def random_database(rng: random.Random) -> ModelDatabase:
@@ -396,3 +407,76 @@ class TestCampaignDatabase:
                 requests,
                 servers,
             )
+
+
+def plan_and_provenance(allocator, requests, servers):
+    """The plan and its provenance counters, or the error raised."""
+    plan, error = outcome(lambda: allocator.allocate(requests, servers))
+    if error is not None:
+        return (type(error), str(error)), None
+    return plan, plan.search_provenance.as_dict()
+
+
+class TestGreedyOracle:
+    """The table-driven greedy pass against the per-server scan it
+    replaced: same plans, same ``search_provenance`` (``grid_hits``,
+    ``grid_misses`` and ``aborted_assignments`` included)."""
+
+    def test_shipped_greedy_equals_oracle_greedy(self, monkeypatch):
+        rng = random.Random(0x6EED)
+        covered = Counter()
+        for case_index in range(GREEDY_ORACLE_CASES):
+            world = ("plain", "power-capped", "two-slab")[case_index % 3]
+            if world == "two-slab":
+                database, target, servers = random_two_class_world(
+                    rng, crowded=rng.random() < 0.5
+                )
+            else:
+                database, target = random_capped_database(rng)
+                if world == "plain":
+                    target = database
+                # Half the worlds are crowded: classes outnumber the batch.
+                servers = random_servers(
+                    rng, database.grid_bounds, crowded=rng.random() < 0.5
+                )
+            # 1-14 VMs: a third of the batches arm branch-and-bound.
+            requests = random_requests(rng, database, crowded=True)
+            allocator = ProactiveAllocator(
+                target,
+                # Mid-assignment aborts come mostly from alpha 0 batches.
+                alpha=rng.choice([0.0, 0.0, 0.5, 1.0, round(rng.random(), 3)]),
+                strict_qos=rng.random() < 0.5,
+                bnb_min_vms=rng.choice([0, 9]),
+                anytime=rng.choice([None, None, True]),
+            )
+            shipped, shipped_counts = plan_and_provenance(allocator, requests, servers)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    ProactiveAllocator, "_assign_streamed", greedy_assign_streamed
+                )
+                oracle, oracle_counts = plan_and_provenance(allocator, requests, servers)
+            case = f"greedy case={case_index} world={world}"
+            assert shipped == oracle, case
+            assert shipped_counts == oracle_counts, case
+            if shipped_counts is None:
+                continue
+            covered["plans"] += 1
+            covered[world] += 1
+            covered["deadlines"] += any(r.max_exec_time_s for r in requests)
+            covered["capped servers"] += any(s.max_vms for s in servers)
+            covered["aborts"] += shipped_counts["aborted_assignments"] > 0
+            covered["branch-and-bound"] += shipped_counts["bnb_active"]
+            covered["anytime"] += shipped_counts.get("anytime", False)
+            covered["grid misses"] += shipped_counts["grid_misses"] > 0
+        for feature in (
+            "plain",
+            "power-capped",
+            "two-slab",
+            "deadlines",
+            "capped servers",
+            "aborts",
+            "branch-and-bound",
+            "anytime",
+            "grid misses",
+        ):
+            assert covered[feature] >= 3, covered

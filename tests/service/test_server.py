@@ -6,7 +6,8 @@ a genuine HTTP round-trip through the stdlib client.  Covered: the
 session lifecycle, coalesced-batch determinism across chunkings (and
 against the in-process :class:`~repro.service.session.Session`),
 backpressure 429s, validation-message parity with the CLI flags, the
-chaos endpoint against a live session, and snapshot/restore.
+chaos endpoint against a live session, snapshot/restore, and the
+idle timeout.
 """
 
 from __future__ import annotations
@@ -206,6 +207,87 @@ class TestLifecycle:
         assert body["schema_version"] == "1"
         assert body["counters"]["service.http.requests"] >= 1
         assert body["counters"]["service.sessions.created"] >= 1
+
+
+class TestIdleTimeout:
+    """A connection that sends no complete request within
+    ``IDLE_TIMEOUT_S`` is closed; a half-sent request gets a 408."""
+
+    TIMEOUT_S = 0.5
+
+    @pytest.fixture(autouse=True)
+    def short_timeout(self, monkeypatch):
+        import repro.service.server as server
+
+        monkeypatch.setattr(server, "IDLE_TIMEOUT_S", self.TIMEOUT_S)
+
+    def connect(self, svc):
+        import socket
+
+        return socket.create_connection(
+            (svc.service.config.host, svc.port), timeout=10 * self.TIMEOUT_S + 5
+        )
+
+    def read_reply(self, sock, pending=b""):
+        """One response off ``sock``: (status line, document, leftover
+        bytes), or None when the server closed the connection first."""
+        data = pending
+        while b"\r\n\r\n" not in data:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return None
+            data += chunk
+        head, _, rest = data.partition(b"\r\n\r\n")
+        lines = head.decode("ascii").split("\r\n")
+        length = next(
+            int(line.partition(":")[2])
+            for line in lines
+            if line.lower().startswith("content-length:")
+        )
+        while len(rest) < length:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed mid-body"
+            rest += chunk
+        return lines[0], json.loads(rest[:length]), rest[length:]
+
+    def test_idle_keep_alive_connection_closed(self, svc):
+        import time
+
+        with self.connect(svc) as sock:
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: localhost\r\n\r\n")
+            status_line, body, leftover = self.read_reply(sock)
+            assert status_line == "HTTP/1.1 200 OK"
+            started = time.monotonic()
+            # Idle: the server closes without sending anything more.
+            assert leftover == b"" and sock.recv(65536) == b""
+            assert time.monotonic() - started >= 0.8 * self.TIMEOUT_S
+
+    def test_stalled_half_request_gets_408(self, svc):
+        with self.connect(svc) as sock:
+            sock.sendall(b"POST /v1/sessions HTTP/1.1\r\nHost: localhost\r\n")
+            status_line, body, leftover = self.read_reply(sock)
+            assert status_line == "HTTP/1.1 408 Request Timeout"
+            assert body["error"]["code"] == "request_timeout"
+            assert leftover == b"" and sock.recv(65536) == b""
+        status, metrics = svc.request("GET", "/v1/metrics")
+        assert metrics["counters"]['service.http.errors{status="408"}'] >= 1
+
+    def test_busy_client_untouched(self, svc):
+        import time
+
+        # Requests a fifth of the timeout apart, on one connection, for
+        # well over twice the timeout: every one is answered.
+        with self.connect(svc) as sock:
+            deadline = time.monotonic() + 2.5 * self.TIMEOUT_S
+            answered = 0
+            while time.monotonic() < deadline:
+                sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: localhost\r\n\r\n")
+                reply = self.read_reply(sock)
+                assert reply is not None, f"closed after {answered} requests"
+                assert reply[0] == "HTTP/1.1 200 OK"
+                answered += 1
+                time.sleep(self.TIMEOUT_S / 5)
+        assert answered >= 10
 
 
 class TestValidationParity:
