@@ -39,7 +39,7 @@ from repro.sim.chronicle import ChronicleSpill
 from repro.sim.engine import EventQueue
 from repro.sim.index import ClusterState
 from repro.sim.metrics import JobOutcome, SimulationMetrics, compute_metrics
-from repro.sim.server import ServerRuntime
+from repro.sim.server import KindRegistry, ServerRuntime
 from repro.sim.vm import SimVM, VMState
 from repro.strategies.base import AllocationStrategy, ServerView, VMDescriptor
 from repro.testbed.contention import ContentionParams
@@ -284,8 +284,9 @@ class DatacenterSimulator:
         config = self._config
         # Every server with the same spec shares one mix-physics memo
         # (the params are cluster-wide), multiplying the hit rate by
-        # the cluster size.
+        # the cluster size, and the kind registry its keys are coded in.
         mix_caches: dict[int, dict] = {}
+        kind_registries: dict[int, KindRegistry] = {}
         servers = [
             self._server_type(
                 server_id=f"s{config.server_id_offset + i:04d}",
@@ -296,6 +297,7 @@ class DatacenterSimulator:
                 chronicle_capacity=config.chronicle_capacity,
                 chronicle_spill=spill,
                 mix_cache=mix_caches.setdefault(id(config.spec_of(i)), {}),
+                kinds=kind_registries.setdefault(id(config.spec_of(i)), KindRegistry()),
                 signals=config.signals,
             )
             for i in range(config.n_servers)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from repro.campaign.records import MixKey
 from repro.common.errors import SimulationError
 from repro.sim.vm import SimVM, VMState
-from repro.testbed.contention import ActiveVM, ContentionParams, MixModel
+from repro.testbed.contention import ContentionParams, KindRecord, MixModel, kind_record
 from repro.testbed.power import instantaneous_power
 from repro.testbed.spec import SUBSYSTEMS, ServerSpec
 from repro.testbed.benchmarks import WorkloadClass
@@ -34,6 +34,35 @@ _EPSILON_S = 1e-9
 #: sequences) so steady-state runs never thrash; at a few hundred
 #: bytes per entry the worst case stays in the tens of megabytes.
 _MIX_CACHE_MAX = 32768
+
+
+class KindRegistry:
+    """Small integer codes for the VM kinds of one run.
+
+    A kind is a ``(benchmark, init stage?)`` pair: it fixes the VM's
+    view, hence everything the contention model reads of it.  Codes
+    are handed out in order of first sight, and ``records[code]`` is
+    the kind's :class:`~repro.testbed.contention.KindRecord`, which
+    pins the benchmark, so no ``id`` in the table can be recycled
+    onto another spec while the registry lives.  Servers of one spec
+    share a registry beside their mix memo (see
+    :meth:`ServerRuntime._mix_physics`).
+    """
+
+    __slots__ = ("_codes", "records")
+
+    def __init__(self) -> None:
+        self._codes: dict[tuple[int, bool], int] = {}
+        self.records: list[KindRecord] = []
+
+    def code_of(self, vm: SimVM) -> int:
+        """The code of ``vm``'s current kind, interned on first sight."""
+        key = (id(vm.benchmark), vm.stage == 0)
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = len(self.records)
+            self.records.append(kind_record(vm.active_view()))
+        return code
 
 
 @dataclass(frozen=True)
@@ -80,6 +109,7 @@ class ServerRuntime:
         chronicle_capacity: int | None = None,
         chronicle_spill: "ChronicleSpill | None" = None,
         mix_cache: "dict | None" = None,
+        kinds: KindRegistry | None = None,
         signals: object | None = None,
     ):
         self.server_id = server_id
@@ -108,17 +138,21 @@ class ServerRuntime:
         #: (see repro.faults); all mutations except recover() reject.
         self.failed = False
         self._slowdown_factor = 1.0
+        # True while a transient slowdown is set, so unfaulted steps
+        # skip scaling the slowdowns (a no-op by 1.0).
+        self._slowed = False
         self._cluster: "ClusterIndex | None" = None
         self._slot = -1
-        # Mix-physics memo (see _mix_physics): a dict may be shared
-        # between servers with identical (spec, params); None = a
-        # private one.
+        # Mix-physics memo and the kind registry its keys are coded
+        # in (see _mix_physics): both may be shared between servers
+        # with identical (spec, params); None = private ones.
         self._mix_cache: dict = {} if mix_cache is None else mix_cache
-        # The physics of the current mix (cleared on every mix change)
-        # and one shared view per (benchmark, stage bucket) kind this
-        # server has hosted.
+        self._kinds = KindRegistry() if kinds is None else kinds
+        # The physics of the current mix (cleared on every mix change),
+        # and the kind code of each hosted VM, parallel to _vms (None
+        # until the memo is first consulted).
         self._physics: tuple | None = None
-        self._views: dict[tuple[int, bool], ActiveVM] = {}
+        self._codes: list[int] | None = None
         if record_chronicle:
             from repro.sim.chronicle import Chronicle
 
@@ -145,6 +179,8 @@ class ServerRuntime:
 
     def _host(self, vm: SimVM) -> None:
         self._vms.append(vm)
+        if self._codes is not None:
+            self._codes.append(self._kinds.code_of(vm))
         self._physics = None
         cls = vm.workload_class
         if cls is WorkloadClass.CPU:
@@ -157,7 +193,17 @@ class ServerRuntime:
             self._cluster.on_host(self._slot)
 
     def _unhost(self, vm: SimVM) -> None:
-        self._vms.remove(vm)  # ValueError propagates to the caller
+        # By identity: list.remove would run SimVM's field-by-field
+        # __eq__ on every VM ahead of the target.
+        vms = self._vms
+        for i, hosted in enumerate(vms):
+            if hosted is vm:
+                break
+        else:
+            raise ValueError(f"VM {vm.vm_id!r} is not hosted")  # detach_vm reports it
+        del vms[i]
+        if self._codes is not None:
+            del self._codes[i]
         self._physics = None
         cls = vm.workload_class
         if cls is WorkloadClass.CPU:
@@ -223,27 +269,28 @@ class ServerRuntime:
         return self._mix_physics()[2]
 
     def _mix_physics(self) -> tuple:
-        """(slowdowns, loads, power, views) for the current mix,
-        memoized bit-exactly at two levels.
+        """(slowdowns, loads, power) for the current mix, memoized
+        bit-exactly at two levels.
 
-        The contention model is a pure function of the per-VM active
-        views, and a view is determined by ``(benchmark, stage
-        bucket)``.  Physics changes only when the mix does, so the
+        The contention model is a pure function of the per-VM views,
+        and a view is determined by the VM's kind, ``(benchmark, init
+        stage?)``.  Physics changes only when the mix does, so the
         first level is this server's entry for its current mix: it is
         returned without building any key, and cleared by ``_host``/
         ``_unhost`` (every placement, finish, eviction, migration and
         crash) and by :meth:`sync` when a VM changes stage.
 
         The second level is the per-run memo, shared by servers of one
-        spec and keyed by the *sequence* of kinds, not the multiset:
-        the model sums demands in VM-list order, and float addition is
+        spec and keyed by the *sequence* of kind codes (``_codes``, one
+        per hosted VM in VM order, interned by the shared
+        :class:`KindRegistry`), not the multiset: the model sums
+        demands in VM-list order, and float addition is
         order-sensitive, so only an order-exact key preserves the
-        bit-identity contract with the naive oracle.  The key
-        carries ``id(benchmark)`` rather than the (unhashable) spec; a
-        memo value pins its views tuple, and every view pins its
-        benchmark, so no id can be recycled onto a different spec while
-        its key is live.  On a miss the views come from this server's
-        per-kind table, so duplicates share one view object.
+        bit-identity contract with the naive oracle.  The codes are
+        interned on the first consultation and then kept current by
+        ``_host``/``_unhost`` and the stage change in :meth:`sync`, so
+        a lookup only copies the list into a tuple.  A miss is priced
+        from the registry's records.
 
         Slowdowns are cached raw -- callers apply the transient-fault
         ``_slowdown_factor``, which varies independently of the mix.
@@ -251,25 +298,20 @@ class ServerRuntime:
         physics = self._physics
         if physics is not None:
             return physics
+        codes = self._codes
+        if codes is None:
+            code_of = self._kinds.code_of
+            codes = self._codes = [code_of(vm) for vm in self._vms]
+        key = tuple(codes)
         cache = self._mix_cache
-        key = tuple(
-            (id(vm.benchmark), vm.stage == 0) for vm in self._vms
-        )
         physics = cache.get(key)
         if physics is None:
-            table = self._views
-            views = []
-            for vm, kind in zip(self._vms, key):
-                view = table.get(kind)
-                if view is None:
-                    view = table[kind] = vm.active_view()
-                views.append(view)
-            slowdowns, loads = self._model.slowdowns_and_loads(views)
-            power = instantaneous_power(loads, len(views), self.spec.power)
+            records = self._kinds.records
+            slowdowns, loads = self._model.slowdowns_and_loads([records[c] for c in key])
+            power = instantaneous_power(loads, len(key), self.spec.power)
             if len(cache) >= _MIX_CACHE_MAX:
                 cache.clear()
-            physics = (slowdowns, loads, power, tuple(views))
-            cache[key] = physics
+            physics = cache[key] = (slowdowns, loads, power)
         self._physics = physics
         return physics
 
@@ -311,9 +353,9 @@ class ServerRuntime:
                 t = now_s
                 break
             physics = self._mix_physics()
-            # Multiplying by the (usually 1.0) transient-fault factor is
-            # exact, so the unfaulted path is bit-identical to before.
-            slowdowns = [s * self._slowdown_factor for s in physics[0]]
+            slowdowns = physics[0]
+            if self._slowed:
+                slowdowns = [s * self._slowdown_factor for s in slowdowns]
             power = physics[2]
             next_boundary = min(
                 vm.remaining[vm.stage] * s for vm, s in zip(self._vms, slowdowns)
@@ -328,17 +370,25 @@ class ServerRuntime:
                 self.chronicle.record(
                     t, t + step, self.mix_key(), power, [vm.vm_id for vm in self._vms]
                 )
-            for vm, slowdown in zip(self._vms, slowdowns):
+            any_done = False
+            for i, (vm, slowdown) in enumerate(zip(self._vms, slowdowns)):
                 stage = vm.stage
                 vm.advance(step, slowdown, _EPSILON_S)
                 if vm.stage != stage:
                     # A stage change is a mix change (SimVM.advance is
                     # the only place a hosted VM's stage moves).
                     self._physics = None
-            for vm in list(self._vms):
-                if vm.done:
-                    finished.append(vm)
-                    self._unhost(vm)
+                    if vm.stage == 1:
+                        if self._codes is not None:
+                            self._codes[i] = self._kinds.code_of(vm)
+                    else:
+                        # Done: unhosted below, so its code goes too.
+                        any_done = True
+            if any_done:
+                for vm in list(self._vms):
+                    if vm.done:
+                        finished.append(vm)
+                        self._unhost(vm)
             t += step
         if finished:
             # The mix changed: outstanding boundary predictions are stale.
@@ -472,6 +522,7 @@ class ServerRuntime:
         self.epoch += 1
         self._set_power(None)
         self._slowdown_factor = 1.0
+        self._slowed = False
         self.failed = True
         if self._cluster is not None:
             self._cluster.on_failure(self._slot, True)
@@ -499,6 +550,7 @@ class ServerRuntime:
                 f"server {self.server_id}: set_slowdown at {now_s} without sync"
             )
         self._slowdown_factor = factor
+        self._slowed = True
         self.epoch += 1
 
     def clear_slowdown(self, now_s: float) -> None:
@@ -508,4 +560,5 @@ class ServerRuntime:
                 f"server {self.server_id}: clear_slowdown at {now_s} without sync"
             )
         self._slowdown_factor = 1.0
+        self._slowed = False
         self.epoch += 1

@@ -106,8 +106,13 @@ class ActiveVM:
         return self.benchmark.demand(subsystem) * self.demand_scale
 
 
-class _Kind(NamedTuple):
-    """What :meth:`MixModel.slowdowns_and_loads` reuses per VM kind."""
+class KindRecord(NamedTuple):
+    """What :meth:`MixModel.slowdowns_and_loads` needs of one VM kind.
+
+    A kind is a benchmark in one phase: every view with the same
+    ``(benchmark, demand_scale, contended)`` has the same record, so a
+    mix can be priced from its records alone (:func:`kind_record`).
+    """
 
     #: Per-subsystem demands in ``SUBSYSTEMS`` order.
     demands: tuple[float, ...]
@@ -116,8 +121,24 @@ class _Kind(NamedTuple):
     #: the exact weights :meth:`MixModel.bottleneck_factor` computes;
     #: None when the total demand is <= 0.
     weights: tuple[tuple[int, float], ...] | None
-    #: Pins the spec so its id cannot be recycled while the entry lives.
+    ram_gb: float
+    contended: bool
+    #: Pins the spec so its id cannot be recycled while the record lives.
     benchmark: BenchmarkSpec
+
+
+def kind_record(vm: ActiveVM) -> KindRecord:
+    """The :class:`KindRecord` of ``vm``'s kind."""
+    demands = tuple(vm.demand(s) for s in SUBSYSTEMS)
+    total_demand = sum(demands)
+    if total_demand <= 0.0:
+        weights = None
+    else:
+        weights = tuple(
+            (i, demand / total_demand) for i, demand in enumerate(demands) if demand > 0.0
+        )
+    bench = vm.benchmark
+    return KindRecord(demands, bench.workload_class, weights, bench.ram_gb, vm.contended, bench)
 
 
 class MixModel:
@@ -130,8 +151,8 @@ class MixModel:
     def __init__(self, server: ServerSpec, params: ContentionParams | None = None):
         self._server = server
         self._params = params or ContentionParams()
-        # Per-kind table of slowdowns_and_loads; see _kind.
-        self._kinds: dict[tuple[int, float], _Kind] = {}
+        # Per-kind records of slowdowns_and_loads; see _kind.
+        self._kinds: dict[tuple[int, float, bool], KindRecord] = {}
 
     @property
     def server(self) -> ServerSpec:
@@ -159,7 +180,10 @@ class MixModel:
         1.0 while the mix fits in guest-usable RAM; grows
         superlinearly (coeff * excess_gb ** exponent) beyond it.
         """
-        excess = self.ram_occupancy_gb(mix) - self._server.usable_ram_gb
+        return self._thrash(self.ram_occupancy_gb(mix))
+
+    def _thrash(self, ram_gb: float) -> float:
+        excess = ram_gb - self._server.usable_ram_gb
         if excess <= 0.0:
             return 1.0
         return 1.0 + self._params.thrash_coeff * excess**self._params.thrash_exponent
@@ -256,68 +280,64 @@ class MixModel:
             result.append(self.bottleneck_factor(vm, loads) * interference * thrash * virt)
         return result
 
-    def _kind(self, vm: ActiveVM) -> _Kind:
-        """The :class:`_Kind` of ``vm``, computed on first sight of its
-        ``(id(benchmark), demand_scale)`` and then reused."""
-        key = (id(vm.benchmark), vm.demand_scale)
+    def _kind(self, vm: ActiveVM) -> KindRecord:
+        """The record of ``vm``'s kind, built on first sight of its
+        ``(id(benchmark), demand_scale, contended)`` and then reused."""
+        key = (id(vm.benchmark), vm.demand_scale, vm.contended)
         kind = self._kinds.get(key)
         if kind is None:
-            demands = tuple(vm.demand(s) for s in SUBSYSTEMS)
-            total_demand = sum(demands)
-            if total_demand <= 0.0:
-                weights = None
-            else:
-                weights = tuple(
-                    (i, demand / total_demand)
-                    for i, demand in enumerate(demands)
-                    if demand > 0.0
-                )
-            kind = _Kind(demands, vm.benchmark.workload_class, weights, vm.benchmark)
-            self._kinds[key] = kind
+            kind = self._kinds[key] = kind_record(vm)
         return kind
 
     def slowdowns_and_loads(
-        self, mix: Sequence[ActiveVM]
+        self, mix: Sequence[ActiveVM] | Sequence[KindRecord]
     ) -> tuple[list[float], Mapping[Subsystem, float]]:
         """Slowdowns plus the loads they were derived from, bit-exactly.
 
         The fast sibling of calling :meth:`slowdowns` and
         :meth:`subsystem_loads` separately, for callers that need both
-        (the server integrator also prices power off the loads).  Two
-        VMs whose views agree on ``(benchmark, demand_scale)`` have
-        identical demand vectors and bottleneck weights, so the model
-        keeps them per kind (:meth:`_kind`) across calls and evaluates
-        each kind's bottleneck once per mix.  Every reused value is the
-        exact float the naive formulas produce; each load is still a
-        ``sum()`` over the per-VM addends in VM order, and each stretch
-        still adds ``w * max(1, rho)`` to 0.0 in ``SUBSYSTEMS`` order,
-        so the pair equals the naive results bit for bit on every
-        interpreter (``sum()`` of floats is compensated from Python
-        3.12 on, so a hand-written fold would not) -- asserted in
-        ``tests/testbed/test_contention.py``.
+        (the server integrator also prices power off the loads).
+        ``mix`` holds either the VMs' views or their kinds' records
+        (what a server's kind registry keeps, so its memo misses build
+        no views); views are mapped to records kept per kind by the
+        model (:meth:`_kind`).  Two VMs of one kind have identical
+        demand vectors and bottleneck weights, so each kind's bottleneck
+        is evaluated once per mix.  Every reused value is the exact
+        float the naive formulas produce; each load and the RAM
+        occupancy are still a ``sum()`` over the per-VM addends in VM
+        order, and each stretch still adds ``w * max(1, rho)`` to 0.0 in
+        ``SUBSYSTEMS`` order, so the pair equals the naive results bit
+        for bit on every interpreter (``sum()`` of floats is compensated
+        from Python 3.12 on, so a hand-written fold would not) --
+        asserted in ``tests/testbed/test_contention.py``.
         """
         if not mix:
-            return [], self.subsystem_loads(mix)
-        kinds = [self._kind(vm) for vm in mix]
+            return [], self.subsystem_loads(())
+        if type(mix[0]) is KindRecord:
+            kinds = mix
+        else:
+            kinds = [self._kind(vm) for vm in mix]
         server = self._server
         loads: dict[Subsystem, float] = {}
         load_values: list[float] = []
-        for i, subsystem in enumerate(SUBSYSTEMS):
-            load = sum(kind.demands[i] for kind in kinds) / server.capacity(subsystem)
+        # One column of per-VM addends per subsystem, in VM order.
+        columns = zip(*[kind.demands for kind in kinds])
+        for subsystem, column in zip(SUBSYSTEMS, columns):
+            load = sum(column) / server.capacity(subsystem)
             loads[subsystem] = load
             load_values.append(load)
-        virt = self.virt_factor(mix)
-        thrash = self.thrash_factor(mix)
+        n = len(kinds)
+        virt = self.virt_factor(kinds)
+        thrash = self._thrash(sum([kind.ram_gb for kind in kinds]))
         class_counts: dict[WorkloadClass, int] = {}
         for kind in kinds:
             cls = kind.workload_class
             class_counts[cls] = class_counts.get(cls, 0) + 1
-        n = len(mix)
         p = self._params
         result: list[float] = []
         kind_slowdowns: dict[int, float] = {}
-        for vm, kind in zip(mix, kinds):
-            if not vm.contended:
+        for kind in kinds:
+            if not kind.contended:
                 result.append(virt)
                 continue
             value = kind_slowdowns.get(id(kind))

@@ -217,8 +217,7 @@ def run_mix(
             continue
 
         views = [r.active_view() for r in active]
-        slowdowns = model.slowdowns(views)
-        loads = model.subsystem_loads(views)
+        slowdowns, loads = model.slowdowns_and_loads(views)
         power = instantaneous_power(loads, len(active), server.power)
 
         # Earliest stage-completion among active VMs, bounded by arrivals.

@@ -196,7 +196,7 @@ class TestIndexedBitIdentity:
 
 class RecordingNaiveServer(NaiveServerRuntime):
     """Checks, at every sync, that the oracle server keeps no physics
-    entry, memo or per-kind view table."""
+    entry or memo, assigns no kind codes and interns no kinds."""
 
     instances: list = []
 
@@ -208,7 +208,8 @@ class RecordingNaiveServer(NaiveServerRuntime):
         finished = super().sync(now_s)
         assert self._physics is None
         assert not self._mix_cache
-        assert not self._views
+        assert self._codes is None
+        assert not self._kinds.records
         return finished
 
 

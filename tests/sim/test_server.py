@@ -133,10 +133,11 @@ class TestSyncSemantics:
 
 
 class TestPhysicsEntryInvalidation:
-    """The server's per-mix physics entry must be cleared at every mix
-    change: stepped in lockstep with the oracle's naive server (which
-    recomputes every step), both must agree exactly after every
-    operation."""
+    """The server's per-mix physics entry must be cleared, and its kind
+    codes kept current, at every mix change: stepped in lockstep with
+    the oracle's naive server (which recomputes every step), both must
+    agree exactly after every operation, and the memo key must equal
+    the codes derived afresh from the hosted VMs."""
 
     @staticmethod
     def assert_agree(memo, naive, now_s):
@@ -146,21 +147,38 @@ class TestPhysicsEntryInvalidation:
         assert [vm.vm_id for vm in memo.vms] == [vm.vm_id for vm in naive.vms]
         assert [vm.stage for vm in memo.vms] == [vm.stage for vm in naive.vms]
         assert [vm.remaining for vm in memo.vms] == [vm.remaining for vm in naive.vms]
+        # Codes are interned on the memo's first consultation (which
+        # next_boundary makes whenever a VM is hosted).
+        fresh = [memo._kinds.code_of(vm) for vm in memo.vms]
+        assert memo._codes == fresh or (memo._codes is None and not fresh)
 
     def test_memo_entry_tracks_naive_through_every_mix_change(self):
+        # A migration destination shares the source's memo and kind
+        # registry, as servers of one spec do in a simulation.
         memo = ServerRuntime("s0", default_server())
+        dest = ServerRuntime(
+            "s2", default_server(), mix_cache=memo._mix_cache, kinds=memo._kinds
+        )
         naive = NaiveServerRuntime("s1", default_server())
+        naive_dest = NaiveServerRuntime("s3", default_server())
         pair = (memo, naive)
+        pairs = (pair, (dest, naive_dest))
+
+        def check(now_s):
+            for servers in pairs:
+                self.assert_agree(*servers, now_s)
 
         def add(vm_id, workload_class, now_s):
             for server in pair:
                 server.add_vm(make_vm(vm_id, workload_class), now_s)
-            self.assert_agree(memo, naive, now_s)
+            check(now_s)
 
         def sync(now_s):
             finished = [server.sync(now_s) for server in pair]
+            for server in pairs[1]:
+                server.sync(now_s)
             assert [vm.vm_id for vm in finished[0]] == [vm.vm_id for vm in finished[1]]
-            self.assert_agree(memo, naive, now_s)
+            check(now_s)
             return finished[0]
 
         sync(0.0)
@@ -181,17 +199,37 @@ class TestPhysicsEntryInvalidation:
         evicted = [server.fail(700.0) for server in pair]
         assert evicted[0]
         assert [vm.vm_id for vm in evicted[0]] == [vm.vm_id for vm in evicted[1]]
-        self.assert_agree(memo, naive, 700.0)
+        check(700.0)
         for server in pair:
             server.recover(800.0)
-        self.assert_agree(memo, naive, 800.0)
+        check(800.0)
         add("mem1", WorkloadClass.MEM, 800.0)
         add("mem2", WorkloadClass.MEM, 800.0)
         add("io1", WorkloadClass.IO, 800.0)
         sync(850.0)
-        # A migration departure changes the mix outside sync.
+        # A migration departure changes the mix outside sync; the VM
+        # arrives on the destination with its progress.
+        for source, target in zip(pair, pairs[1]):
+            target.sync(850.0)
+            target.attach_vm(source.detach_vm(source.vms[-1], 850.0), 850.0)
+        check(850.0)
+        assert [vm.vm_id for vm in dest.vms] == ["io1"]
+        # An abort takes a VM out of the middle of the list: the codes
+        # of its neighbours (a MEM ahead, a CPU behind) must stay put.
+        add("cpu2", WorkloadClass.CPU, 850.0)
+        assert [vm.vm_id for vm in memo.vms] == ["mem1", "mem2", "cpu2"]
         for server in pair:
-            server.detach_vm(server.vms[-1], 850.0)
-        self.assert_agree(memo, naive, 850.0)
+            server.detach_vm(server.vms[1], 850.0)
+        check(850.0)
+        # A transient slowdown stretches the step, then ends.
+        for server in pair:
+            server.set_slowdown(2.5, 850.0)
+        check(850.0)
+        sync(900.0)
+        for server in pair:
+            server.clear_slowdown(900.0)
+        check(900.0)
+        sync(950.0)
         sync(5000.0)
-        assert memo.n_vms == 0
+        assert memo.n_vms == 0 and dest.n_vms == 0
+        assert memo._codes == [] and dest._codes == []

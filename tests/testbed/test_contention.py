@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.testbed.benchmarks import get_benchmark
-from repro.testbed.contention import ActiveVM, ContentionParams, MixModel
+from repro.testbed.contention import ActiveVM, ContentionParams, MixModel, kind_record
 from repro.testbed.spec import Subsystem, default_server
 
 
@@ -181,6 +181,15 @@ class TestSlowdownsAndLoads:
             fast_slowdowns, fast_loads = model.slowdowns_and_loads(mix)
             assert fast_slowdowns == model.slowdowns(mix)
             assert dict(fast_loads) == dict(model.subsystem_loads(mix))
+
+    def test_kind_records_equal_views(self, model):
+        # A server's memo miss hands the model its registry's records,
+        # not views; fresh records per VM also skip the shared-kind reuse.
+        for mix in self.mixes():
+            records = [kind_record(view) for view in mix]
+            slowdowns, loads = model.slowdowns_and_loads(records)
+            assert slowdowns == model.slowdowns(mix)
+            assert dict(loads) == dict(model.subsystem_loads(mix))
 
     def test_warm_model_equals_fresh_model(self, model):
         # ``model`` has evaluated every earlier mix when it meets each

@@ -4,9 +4,10 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.testbed.benchmarks import get_benchmark
+from repro.testbed.contention import MixModel
 from repro.testbed.meter import PowerMeter
 from repro.testbed.runner import MixRunResult, VMInstance, run_mix
-from repro.testbed.spec import default_server
+from repro.testbed.spec import Subsystem, default_server
 
 
 @pytest.fixture
@@ -141,3 +142,51 @@ class TestResultAccessors:
 
     def test_n_vms(self, server):
         assert run_mix(server, instances("fftw", 3)).n_vms == 3
+
+
+class TestFusedPhysics:
+    """``run_mix`` prices each step with ``MixModel.slowdowns_and_loads``;
+    with the naive ``slowdowns`` + ``subsystem_loads`` pair patched in
+    its place, every run must come out equal, float for float."""
+
+    NAMES = ("fftw", "sysbench", "bonnie")
+
+    @classmethod
+    def mixes(cls, server):
+        import dataclasses
+        import random
+
+        rng = random.Random(20110516)
+        # Staggered arrivals: idle gaps, joins mid-stage, ties.
+        yield [
+            VMInstance(f"s{i}", get_benchmark(rng.choice(cls.NAMES)), rng.choice([0.0, 40.0, 40.0, 300.0]))
+            for i in range(6)
+        ]
+        # A crowd deep into thrashing territory.
+        crowd = [VMInstance(f"c{i}", get_benchmark(rng.choice(cls.NAMES))) for i in range(14)]
+        assert sum(vm.benchmark.ram_gb for vm in crowd) > server.usable_ram_gb
+        yield crowd
+        # Two distinct specs sharing a name, with different demands.
+        fftw = get_benchmark("fftw")
+        twin = dataclasses.replace(
+            fftw, demands={Subsystem.CPU: 0.4, Subsystem.MEMORY: 0.9, Subsystem.DISK: 0.3}
+        )
+        yield [VMInstance(f"t{i}", spec) for i, spec in enumerate((fftw, twin, fftw, twin, twin))]
+
+    def test_equals_naive_pair(self, server, monkeypatch):
+        fused = [run_mix(server, mix) for mix in self.mixes(server)]
+        calls = []
+
+        def naive_pair(model, mix):
+            calls.append(len(mix))
+            return model.slowdowns(mix), model.subsystem_loads(mix)
+
+        monkeypatch.setattr(MixModel, "slowdowns_and_loads", naive_pair)
+        naive = [run_mix(server, mix) for mix in self.mixes(server)]
+        assert max(calls) >= 12
+        for fast, slow in zip(fused, naive):
+            assert fast.segments == slow.segments
+            assert fast.load_profile == slow.load_profile
+            assert fast.outcomes == slow.outcomes
+            assert fast.energy_j == slow.energy_j
+            assert fast == slow
