@@ -43,11 +43,18 @@ def key_of_counts(ncpu: int, nmem: int, nio: int) -> MixKey:
 
 
 def key_for_classes(classes: "list[WorkloadClass]") -> MixKey:
-    """Count workload classes into a mix key."""
-    ncpu = sum(1 for c in classes if c is WorkloadClass.CPU)
-    nmem = sum(1 for c in classes if c is WorkloadClass.MEM)
-    nio = sum(1 for c in classes if c is WorkloadClass.IO)
-    return key_of_counts(ncpu, nmem, nio)
+    """Count workload classes into a mix key (at least one VM)."""
+    ncpu = nmem = nio = 0
+    for c in classes:
+        if c is WorkloadClass.CPU:
+            ncpu += 1
+        elif c is WorkloadClass.MEM:
+            nmem += 1
+        elif c is WorkloadClass.IO:
+            nio += 1
+    if ncpu + nmem + nio == 0:
+        raise ValueError("a mix must contain at least one VM")
+    return (ncpu, nmem, nio)
 
 
 @dataclass(frozen=True, order=True)

@@ -103,7 +103,7 @@ from repro.core.scoring import (
 # the injected/ambient handle (see _allocate_impl).
 # repro: allow layering-import -- ambient-observability fallback, see above
 from repro.obs.runtime import Observability, get_observability
-from repro.testbed.benchmarks import WorkloadClass
+from repro.testbed.benchmarks import WORKLOAD_CLASSES, WorkloadClass
 
 _INF = float("inf")
 
@@ -114,6 +114,11 @@ _SERVER_CLASS = attrgetter("allocated", "max_vms")
 
 #: Block-table order: deadline-compliant first, then the alpha score.
 _RANK = itemgetter(0, 1)
+
+#: A workload class's position in a mix key.  (An enum hashes through a
+#: Python-level ``__hash__``, so a class-keyed dict built per call costs
+#: more than this one shared table.)
+_CLASS_POSITION = {workload_class: i for i, workload_class in enumerate(WORKLOAD_CLASSES)}
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,8 @@ class VMRequest:
             raise ConfigurationError(
                 f"max_exec_time_s must be positive or None, got {self.max_exec_time_s}"
             )
-        object.__setattr__(self, "workload_class", WorkloadClass(self.workload_class))
+        if type(self.workload_class) is not WorkloadClass:
+            object.__setattr__(self, "workload_class", WorkloadClass(self.workload_class))
 
 
 @dataclass(frozen=True)
@@ -162,22 +168,33 @@ class ServerState:
         )
 
 
-@dataclass(frozen=True)
 class _Candidate:
     """Internal: one fully assigned partition, pre-scoring.
 
-    ``rank_time_s`` is the time aggregate used for ranking: the
-    estimated completion of the slowest touched server.  (An
+    ``assignments`` holds ``(server_id, block, combined mix, estimate)``
+    per block.  ``rank_time_s`` is the time aggregate used for ranking:
+    the estimated completion of the slowest touched server.  (An
     alternative ranking by average-execution-time-per-VM -- the
     paper's Sect. III metric -- rewards density so strongly that the
     greedy assignment over-consolidates into thrashing mixes; see
-    DESIGN.md, "Key design choices".)
+    DESIGN.md, "Key design choices".)  A slotted class, not a
+    dataclass: one is built per feasible partition, and nothing compares
+    or hashes it.
     """
 
-    assignments: tuple[tuple[str, MixKey, MixKey, EstimatedOutcome], ...]
-    rank_time_s: float
-    energy_j: float
-    qos_ok: bool
+    __slots__ = ("assignments", "rank_time_s", "energy_j", "qos_ok")
+
+    def __init__(
+        self,
+        assignments: tuple[tuple[str, MixKey, MixKey, EstimatedOutcome], ...],
+        rank_time_s: float,
+        energy_j: float,
+        qos_ok: bool,
+    ):
+        self.assignments = assignments
+        self.rank_time_s = rank_time_s
+        self.energy_j = energy_j
+        self.qos_ok = qos_ok
 
 
 class _Frontier:
@@ -528,7 +545,10 @@ class ProactiveAllocator:
         is enabled).  The selected plan (assignments, score, QoS flag)
         is bit-identical to the naive brute force.
 
-        The search runs on the class heads of ``servers`` (see
+        The search reads a server only through its ``server_id``,
+        ``allocated`` and ``max_vms``, so any record carrying those
+        serves (the simulator hands over its snapshots as they are).
+        It runs on the class heads of ``servers`` (see
         :func:`class_heads`): the first ``len(requests)`` servers, in
         list order, of each ``(allocated, max_vms[, database])`` class -- no other
         server can win the paper's first-in-list tie rule.  A call
@@ -689,17 +709,19 @@ class ProactiveAllocator:
         stats.candidates_compliant = compliant.count
         stats.frontier_retained = len(retained)
         stats.frontier_peak = max(compliant.peak, fallback.peak)
-        counts = stats.as_dict()
         if obs is not None:
             obs.registry.counter("allocator.calls").inc()
-            obs.registry.merge_counts(counts, prefix="allocator.")
+            obs.registry.merge_counts(stats.as_dict(), prefix="allocator.")
         # Wall-clock budget figures bypass the (numeric-only) counter
         # registry and live on the provenance record alone.
-        extra: dict = {}
         if anytime_result is not None and self._anytime_config.time_budget_s is not None:
-            extra["time_budget_s"] = self._anytime_config.time_budget_s
-            extra["budget_consumed_s"] = anytime_result.budget_consumed_s
-        provenance = AllocationProvenance.from_counts(counts, **extra)
+            provenance = AllocationProvenance.from_stats(
+                stats,
+                time_budget_s=self._anytime_config.time_budget_s,
+                budget_consumed_s=anytime_result.budget_consumed_s,
+            )
+        else:
+            provenance = AllocationProvenance.from_stats(stats)
         return self._materialize(
             chosen,
             requests,
@@ -1517,23 +1539,17 @@ def bind_vm_ids(blocks: Iterable[MixKey], vms: Iterable) -> list[tuple[str, ...]
     block takes the next unbound ids of every class it holds, CPU
     first, then MEM, then IO.
     """
-    queues: dict[WorkloadClass, list[str]] = {
-        WorkloadClass.CPU: [],
-        WorkloadClass.MEM: [],
-        WorkloadClass.IO: [],
-    }
+    queues: tuple[list[str], list[str], list[str]] = ([], [], [])
     for vm in vms:
-        queues[vm.workload_class].append(vm.vm_id)
+        queues[_CLASS_POSITION[vm.workload_class]].append(vm.vm_id)
+    cpu, mem, io = queues
+    c = m = i = 0  # ids of each class bound so far
     bound: list[tuple[str, ...]] = []
-    for block in blocks:
-        vm_ids: list[str] = []
-        for class_index, workload_class in enumerate(
-            (WorkloadClass.CPU, WorkloadClass.MEM, WorkloadClass.IO)
-        ):
-            take = block[class_index]
-            vm_ids.extend(queues[workload_class][:take])
-            del queues[workload_class][:take]
-        bound.append(tuple(vm_ids))
+    for bc, bm, bi in blocks:
+        bound.append(tuple(cpu[c : c + bc] + mem[m : m + bm] + io[i : i + bi]))
+        c += bc
+        m += bm
+        i += bi
     return bound
 
 
@@ -1583,13 +1599,14 @@ class ClassHeads(list):
     returns it), ``limit`` the per-class cap the reduction used, and
     ``offered`` the size of the list it was reduced from.  The
     allocator searches such a list as is, instead of reducing again.
+    A head is any record with ``server_id``, ``allocated`` and
+    ``max_vms``: a :class:`ServerState`, or the simulator's snapshot
+    (:class:`~repro.strategies.base.ServerView`) as it is.
     """
 
     __slots__ = ("stands_for", "limit", "offered")
 
-    def __init__(
-        self, heads: Iterable[ServerState], stands_for: list[int], limit: int
-    ):
+    def __init__(self, heads: Iterable, stands_for: list[int], limit: int):
         super().__init__(heads)
         self.stands_for = stands_for
         self.limit = limit

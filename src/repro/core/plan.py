@@ -8,10 +8,13 @@ what strategies hand to the datacenter simulator for enactment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.campaign.records import MixKey, total_vms
 from repro.core.model import EstimatedOutcome
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.estimatecache import CacheStats
 
 
 @dataclass(frozen=True)
@@ -89,16 +92,59 @@ class AllocationProvenance:
         return self.pruned_infeasible_subtrees + self.pruned_dominated_subtrees
 
     @classmethod
+    def from_stats(
+        cls,
+        stats: "CacheStats",
+        time_budget_s: float | None = None,
+        budget_consumed_s: float = 0.0,
+    ) -> "AllocationProvenance":
+        """Build from one search pass's
+        :class:`~repro.core.estimatecache.CacheStats`.
+
+        Equal to ``from_counts(stats.as_dict(), ...)``: the ``anytime_*``
+        counters are read only when the anytime search ran, as
+        :meth:`CacheStats.as_dict` includes them only then.  The
+        wall-clock budget figures never flow through a numeric counter
+        registry, so they come as arguments.
+        """
+        ran = stats.anytime
+        # A frozen dataclass's __init__ pays one object.__setattr__ per
+        # field, twenty here, on every allocator call.  The record has
+        # no validation to run, so fill its fields in directly.
+        provenance = object.__new__(cls)
+        provenance.__dict__.update(
+            grid_hits=stats.grid_hits,
+            grid_misses=stats.grid_misses,
+            energy_fallbacks=stats.energy_fallbacks,
+            partitions_enumerated=stats.partitions_enumerated,
+            candidates_feasible=stats.candidates_feasible,
+            candidates_compliant=stats.candidates_compliant,
+            frontier_retained=stats.frontier_retained,
+            frontier_peak=stats.frontier_peak,
+            pruned_infeasible_subtrees=stats.pruned_infeasible_subtrees,
+            pruned_dominated_subtrees=stats.pruned_dominated_subtrees,
+            aborted_assignments=stats.aborted_assignments,
+            bnb_active=stats.bnb_active,
+            anytime=ran,
+            anytime_beam_width=stats.anytime_beam_width if ran else 0,
+            anytime_rounds=stats.anytime_rounds if ran else 0,
+            anytime_evaluated=stats.anytime_evaluated if ran else 0,
+            anytime_budget_exhausted=ran and stats.anytime_budget_exhausted,
+            anytime_exact_fallback=ran and stats.anytime_exact_fallback,
+            time_budget_s=time_budget_s,
+            budget_consumed_s=budget_consumed_s,
+        )
+        return provenance
+
+    @classmethod
     def from_counts(
         cls, counts: Mapping[str, int | bool], **extra
     ) -> "AllocationProvenance":
-        """Build from a plain counter mapping (a registry view or a
-        :class:`~repro.core.estimatecache.CacheStats` dict).
+        """Build from a plain counter mapping (the wire document's
+        ``search_provenance`` object, see :mod:`repro.service.schema`).
 
-        ``extra`` overrides individual fields -- used by the allocator
-        for values that must never flow through a numeric counter
-        registry (the wall-clock budget figures).  Fields absent from
-        both ``counts`` and ``extra`` keep their dataclass defaults.
+        ``extra`` overrides individual fields.  Fields absent from both
+        ``counts`` and ``extra`` keep their dataclass defaults.
         """
         values = {}
         for name in _PROVENANCE_FIELDS:

@@ -47,7 +47,8 @@ class SimVM:
             raise ConfigurationError("vm_id must be non-empty")
         if self.submit_time_s < 0:
             raise ConfigurationError(f"submit_time_s must be >= 0, got {self.submit_time_s}")
-        self.workload_class = WorkloadClass(self.workload_class)
+        if type(self.workload_class) is not WorkloadClass:
+            self.workload_class = WorkloadClass(self.workload_class)
         if self.benchmark is None:
             self.benchmark = canonical_benchmark(self.workload_class)
         self.remaining = [self.benchmark.serial_time_s, self.benchmark.work_time_s]

@@ -39,6 +39,12 @@ class ServerView:
     powered_on: bool
 
     @property
+    def allocated(self) -> MixKey:
+        """The mix under the allocator's name for it, so a view serves
+        wherever a :class:`~repro.core.allocator.ServerState` is read."""
+        return self.mix
+
+    @property
     def n_vms(self) -> int:
         return total_vms(self.mix)
 

@@ -26,13 +26,7 @@ from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
 from repro.common.errors import AllocationError, QoSViolationError
-from repro.core.allocator import (
-    ClassHeads,
-    ProactiveAllocator,
-    ServerState,
-    VMRequest,
-    class_heads,
-)
+from repro.core.allocator import ClassHeads, ProactiveAllocator, VMRequest, class_heads
 from repro.core.model import ModelDatabase
 from repro.core.plan import AllocationPlan
 from repro.core.scoring import CarbonContext
@@ -152,28 +146,19 @@ class ProactiveStrategy(AllocationStrategy):
         servers: Sequence[ServerView],
     ) -> Optional[Mapping[str, str]]:
         # The allocator only ever picks one of the first len(vms)
-        # servers of a (mix, max_vms) class, so only those become states.
-        # The simulator's views keep the classes bucketed; any other
-        # caller's plain list is reduced here, in one pass.  Per-server
-        # databases also split a class by database, which those do not.
+        # servers of a (mix, max_vms) class, and reads a view as it
+        # reads a ServerState (server_id, allocated, max_vms), so the
+        # heads go over as they are.  The simulator's views keep the
+        # classes bucketed; any other caller's plain list is reduced
+        # here, in one pass.  Per-server databases also split a class by
+        # database, which the buckets do not.
         heads_of = getattr(servers, "class_heads", None)
         if heads_of is not None and not self._per_server:
             heads, stands_for = heads_of(len(vms))
         else:
             key = self._slab_view_class if self._per_server else _VIEW_CLASS
             heads, stands_for = class_heads(servers, key, len(vms))
-        states = ClassHeads(
-            (
-                ServerState(
-                    server_id=server.server_id,
-                    allocated=server.mix,
-                    max_vms=server.max_vms,
-                )
-                for server in heads
-            ),
-            stands_for,
-            len(vms),
-        )
+        offered = ClassHeads(heads, stands_for, len(vms))
         requests = [
             VMRequest(
                 vm_id=vm.vm_id,
@@ -187,7 +172,7 @@ class ProactiveStrategy(AllocationStrategy):
             for vm in vms
         ]
         try:
-            return self._record(self._allocator.allocate(requests, states)).placements()
+            return self._record(self._allocator.allocate(requests, offered)).placements()
         except QoSViolationError:
             if not self._hopeless(vms):
                 return None  # wait for capacity that can honor the deadline
@@ -201,7 +186,7 @@ class ProactiveStrategy(AllocationStrategy):
             ]
             try:
                 return self._record(
-                    self._allocator.allocate(relaxed_requests, states)
+                    self._allocator.allocate(relaxed_requests, offered)
                 ).placements()
             except AllocationError:
                 return None

@@ -202,4 +202,6 @@ def get_benchmark(name: str) -> BenchmarkSpec:
 
 def canonical_benchmark(workload_class: WorkloadClass) -> BenchmarkSpec:
     """The representative benchmark used for a class in base/combined tests."""
-    return BENCHMARKS[_CANONICAL[WorkloadClass(workload_class)]]
+    if type(workload_class) is not WorkloadClass:
+        workload_class = WorkloadClass(workload_class)
+    return BENCHMARKS[_CANONICAL[workload_class]]

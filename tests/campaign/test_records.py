@@ -34,6 +34,11 @@ class TestKeys:
     def test_key_for_classes(self):
         classes = [WorkloadClass.CPU, WorkloadClass.CPU, WorkloadClass.IO]
         assert key_for_classes(classes) == (2, 0, 1)
+        assert key_for_classes([WorkloadClass.MEM, WorkloadClass.IO]) == (0, 1, 1)
+
+    def test_key_for_classes_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one VM"):
+            key_for_classes([])
 
 
 class TestBenchmarkRecord:

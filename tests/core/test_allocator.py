@@ -1,5 +1,7 @@
 """Unit tests for the proactive allocation algorithm."""
 
+import json
+from dataclasses import fields
 from operator import attrgetter
 
 import pytest
@@ -16,10 +18,13 @@ from repro.core.allocator import (
     ProactiveAllocator,
     ServerState,
     VMRequest,
+    bind_vm_ids,
     class_heads,
 )
+from repro.core.estimatecache import CacheStats
 from repro.core.model import ModelDatabase
 from repro.core.partitions import partition_family
+from repro.core.plan import AllocationProvenance
 from repro.core.scoring import CarbonContext
 from repro.testbed.benchmarks import WorkloadClass
 from tests.oracles.allocator import greedy_assign_streamed, reference_allocate
@@ -43,6 +48,11 @@ class TestValidation:
             VMRequest("", WorkloadClass.CPU)
         with pytest.raises(ConfigurationError):
             VMRequest("a", WorkloadClass.CPU, max_exec_time_s=0.0)
+
+    def test_vm_request_coerces_class_names(self):
+        assert VMRequest("a", "io").workload_class is WorkloadClass.IO
+        with pytest.raises(ValueError):
+            VMRequest("a", "gpu")
 
     def test_server_state_fields(self):
         with pytest.raises(ConfigurationError):
@@ -345,6 +355,95 @@ class TestProvenance:
         full = [ServerState("s0", allocated=(osc, 0, 0), max_vms=osc)]
         with pytest.raises(InfeasibleAllocationError):
             ProactiveAllocator(database).allocate(cpu_requests(1), full)
+
+
+class TestProvenanceFromStats:
+    """The allocator builds each plan's provenance straight from its
+    pass's CacheStats; the record must equal the one the counter-mapping
+    decoder (``from_counts``, the wire path) builds from the same pass."""
+
+    #: Allocator options per search pass, and what marks that pass.
+    PASSES = {
+        "exact": ({"anytime": False}, "bnb_active", False),
+        "branch-and-bound": ({"anytime": False, "bnb_min_vms": 2}, "bnb_active", True),
+        "anytime": ({"anytime": True}, "anytime", True),
+        # A budget this small expires before the first evaluation.
+        "anytime-exact-fallback": ({"time_budget_s": 1e-9}, "anytime_exact_fallback", True),
+        "time-budget": ({"time_budget_s": 30.0}, "time_budget_s", 30.0),
+    }
+
+    @staticmethod
+    def assert_same_record(built, expected):
+        for field in fields(AllocationProvenance):
+            value = getattr(built, field.name)
+            assert value == getattr(expected, field.name), field.name
+            assert type(value) is type(getattr(expected, field.name)), field.name
+        assert built == expected
+        assert json.dumps(built.as_dict()) == json.dumps(expected.as_dict())
+
+    @pytest.mark.parametrize("mode", sorted(PASSES))
+    def test_equals_the_counter_mapping_path(self, database, mode, monkeypatch):
+        options, marker, marked = self.PASSES[mode]
+        passes = []
+        from_stats = AllocationProvenance.from_stats.__func__
+
+        def spy(cls, stats, **extra):
+            provenance = from_stats(cls, stats, **extra)
+            passes.append((stats, extra, provenance))
+            return provenance
+
+        monkeypatch.setattr(AllocationProvenance, "from_stats", classmethod(spy))
+        plan = ProactiveAllocator(database, **options).allocate(
+            mixed_requests(3, 2, 1), servers(4)
+        )
+        [(stats, extra, provenance)] = passes
+        assert plan.search_provenance is provenance
+        assert getattr(provenance, marker) == marked
+        self.assert_same_record(
+            provenance, AllocationProvenance.from_counts(stats.as_dict(), **extra)
+        )
+
+    @pytest.mark.parametrize("anytime", [False, True])
+    def test_anytime_counters_only_when_the_anytime_search_ran(self, anytime):
+        stats = CacheStats(
+            grid_hits=4,
+            frontier_peak=2,
+            bnb_active=True,
+            anytime=anytime,
+            anytime_beam_width=8,
+            anytime_rounds=3,
+            anytime_evaluated=11,
+            anytime_budget_exhausted=True,
+            anytime_exact_fallback=True,
+        )
+        built = AllocationProvenance.from_stats(
+            stats, time_budget_s=2.0, budget_consumed_s=0.5
+        )
+        self.assert_same_record(
+            built,
+            AllocationProvenance.from_counts(
+                stats.as_dict(), time_budget_s=2.0, budget_consumed_s=0.5
+            ),
+        )
+        assert built.anytime_rounds == (3 if anytime else 0)
+
+
+class TestBindVmIds:
+    def test_blocks_take_the_next_ids_cpu_then_mem_then_io(self):
+        requests = [
+            VMRequest("i0", WorkloadClass.IO),
+            VMRequest("c0", WorkloadClass.CPU),
+            VMRequest("m0", WorkloadClass.MEM),
+            VMRequest("c1", WorkloadClass.CPU),
+            VMRequest("i1", WorkloadClass.IO),
+            VMRequest("c2", WorkloadClass.CPU),
+        ]
+        blocks = [(1, 1, 1), (0, 0, 1), (2, 0, 0)]
+        assert bind_vm_ids(blocks, requests) == [
+            ("c0", "m0", "i0"),
+            ("i1",),
+            ("c1", "c2"),
+        ]
 
 
 def mixed_requests(n_cpu, n_mem, n_io):

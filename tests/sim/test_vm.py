@@ -39,6 +39,15 @@ class TestConstruction:
         vm = make_vm(workload_class=WorkloadClass.MEM)
         assert vm.stage == 0  # sysbench has a small but nonzero init
 
+    def test_class_name_coerced_to_member(self):
+        vm = make_vm(workload_class="cpu")
+        assert vm.workload_class is WorkloadClass.CPU
+        assert vm.benchmark.name == "fftw"
+
+    def test_unknown_class_rejected(self):
+        with pytest.raises(ValueError):
+            make_vm(workload_class="gpu")
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             make_vm(vm_id="")

@@ -285,3 +285,97 @@ class TestClassHeads:
         assert ProactiveStrategy(database).place(vms(1), servers) is None
         assert errors == [str(direct.value)]
         assert "across 130 servers" in errors[0]
+
+
+class TestHeadsAsSnapshots:
+    """The strategy hands the allocator its views as they are; a plan
+    equals the one a search over validated ServerStates returns."""
+
+    def test_simulation_builds_no_server_states(self, database, monkeypatch):
+        built = []
+        post_init = ServerState.__post_init__
+
+        def counting(self):
+            built.append(self.server_id)
+            post_init(self)
+
+        monkeypatch.setattr(ServerState, "__post_init__", counting)
+        classes = list(WorkloadClass)
+        jobs = [
+            PreparedJob(
+                job_id=i + 1,
+                submit_time_s=20.0 * i,
+                workload_class=classes[i % len(classes)],
+                n_vms=1 + i % 3,
+                burst_id=i,
+            )
+            for i in range(9)
+        ]
+        qos = QoSPolicy(
+            {c: 4.0 * database.reference_time(c) for c in WorkloadClass}
+        )
+        strategy = ProactiveStrategy(database, alpha=0.5)
+        DatacenterSimulator(DatacenterConfig(n_servers=6)).run(jobs, strategy, qos)
+        plans = strategy.metrics.counter("strategy.plans", strategy=strategy.name)
+        assert plans.value >= len(jobs)
+        assert built == []
+
+    BATCHES = {
+        "cpu4": vms(4),
+        "mixed-deadlines": [
+            VMDescriptor("c0", WorkloadClass.CPU, 5000.0),
+            VMDescriptor("c1", WorkloadClass.CPU, 5000.0),
+            VMDescriptor("m0", WorkloadClass.MEM, 8000.0),
+            VMDescriptor("i0", WorkloadClass.IO, None),
+        ],
+    }
+
+    @staticmethod
+    def cluster():
+        # Idle servers and three busy classes, each class with more
+        # members than a batch has VMs.
+        mixes = [(0, 0, 0), (1, 0, 0), (0, 1, 1), (0, 0, 0), (2, 0, 0)]
+        return [view(f"s{i}", mix=mixes[i % len(mixes)]) for i in range(30)]
+
+    @staticmethod
+    def assert_same_plan(strategy, placement, database, alpha, batch, servers):
+        requests = [
+            VMRequest(vm.vm_id, vm.workload_class, vm.remaining_deadline_s)
+            for vm in batch
+        ]
+        states = [ServerState(v.server_id, v.mix, v.max_vms) for v in servers]
+        expected = ProactiveAllocator(database, alpha=alpha).allocate(requests, states)
+        assert placement == expected.placements()
+        assert strategy.last_plan == expected
+        assert (
+            strategy.last_plan.search_provenance.as_dict()
+            == expected.search_provenance.as_dict()
+        )
+
+    @pytest.mark.parametrize("batch_name", sorted(BATCHES))
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_plain_list(self, database, alpha, batch_name):
+        batch = self.BATCHES[batch_name]
+        servers = self.cluster()
+        strategy = ProactiveStrategy(database, alpha=alpha)
+        placement = strategy.place(batch, servers)
+        self.assert_same_plan(strategy, placement, database, alpha, batch, servers)
+
+    @pytest.mark.parametrize("as_views", [False, True])
+    @pytest.mark.parametrize("batch_name", sorted(BATCHES))
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_per_server_databases(self, database, alpha, batch_name, as_views):
+        # Alternate servers score on a thermally capped copy: each
+        # (mix, max_vms) class splits in two by database.
+        powers = sorted(record.avg_power_w for record in database.records)
+        capped = PowerCappedDatabase(database, powers[len(powers) // 2])
+        offered = self.cluster()
+        databases = {
+            v.server_id: capped if i % 2 else database for i, v in enumerate(offered)
+        }
+        servers = ServerViews() if as_views else []
+        servers.extend(offered)
+        batch = self.BATCHES[batch_name]
+        strategy = ProactiveStrategy(databases, alpha=alpha)
+        placement = strategy.place(batch, servers)
+        self.assert_same_plan(strategy, placement, databases, alpha, batch, offered)

@@ -24,6 +24,11 @@ class TestRegistry:
         assert canonical_benchmark(WorkloadClass.MEM).name == "sysbench"
         assert canonical_benchmark(WorkloadClass.IO).name == "b_eff_io"
 
+    def test_canonical_accepts_class_names(self):
+        assert canonical_benchmark("mem") is canonical_benchmark(WorkloadClass.MEM)
+        with pytest.raises(ValueError):
+            canonical_benchmark("gpu")
+
     def test_unknown_name_lists_known(self):
         with pytest.raises(KeyError, match="fftw"):
             get_benchmark("linpackzz")
