@@ -33,7 +33,7 @@ Subpackages
 ``repro.obs``
     Observability: metrics registry + JSONL span tracer (off by default).
 ``repro.ext``
-    Future-work extensions: thermal, heterogeneous, learned, migration.
+    Future-work extensions: carbon, learned, migration.
 
 :mod:`repro.api` is the stable public facade; everything not exported
 there is internal (see DESIGN.md, "Public API and stability").
@@ -42,7 +42,7 @@ there is internal (see DESIGN.md, "Public API and stability").
 from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
 from repro.core.model import ModelDatabase
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",

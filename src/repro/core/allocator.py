@@ -38,8 +38,8 @@ naive brute force (the oracle ``reference_allocate`` in
 * model estimates come from the dense :class:`EstimateGrid` (one O(1)
   indexed read per probe);
 * the greedy scores each distinct block once per call against each
-  *pristine* server class -- heads sharing (residual mix, VM cap,
-  database) -- and keeps the classes sorted by compliance and score.
+  *pristine* server class -- heads sharing (residual mix, VM cap) --
+  and keeps the classes sorted by compliance and score.
   Assigning a partition then reads that table for the servers it has
   not touched and re-scores only the few it has, instead of probing
   every server class for every block of every partition.  The
@@ -70,6 +70,7 @@ bit-identical output.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
@@ -82,7 +83,7 @@ from repro.common.errors import (
     QoSViolationError,
 )
 from repro.core.anytime import AnytimeConfig, AnytimeResult, run_anytime_search
-from repro.core.estimatecache import CacheStats, EstimateGrid, StackedGrid, grid_for
+from repro.core.estimatecache import CacheStats, EstimateGrid, grid_for
 from repro.core.model import EstimatedOutcome, ModelDatabase
 from repro.core.partitions import (
     count_type_partitions_capped,
@@ -328,7 +329,6 @@ class _SearchState:
         "bounds",
         "stride_c",
         "stride_m",
-        "offsets",
         "norm_time",
         "norm_energy",
         "residual0",
@@ -352,14 +352,14 @@ class _SearchState:
 
 
 class ProactiveAllocator:
-    """The paper's allocation algorithm over one model database, or one per server.
+    """The paper's allocation algorithm over one model database.
 
     Parameters
     ----------
     database:
-        The empirical model (records + Table I bounds), or a mapping
-        ``{server_id: database}`` covering every offered server (see
-        DESIGN.md, "Per-server databases").
+        The empirical model (records + Table I bounds), or any stand-in
+        exposing ``estimate``, ``within_bounds``, ``grid_bounds`` and
+        the time/energy ranges.
     alpha:
         Optimization goal: 1 = minimize energy (PA-1), 0 = minimize
         execution time (PA-0), 0.5 = balanced (PA-0.5).
@@ -416,7 +416,7 @@ class ProactiveAllocator:
 
     def __init__(
         self,
-        database: "ModelDatabase | Mapping[str, ModelDatabase]",
+        database: ModelDatabase,
         alpha: float = 0.5,
         strict_qos: bool = True,
         max_candidates: int = 2_000_000,
@@ -426,18 +426,14 @@ class ProactiveAllocator:
         time_budget_s: float | None = None,
         carbon: CarbonContext | None = None,
     ):
-        self._slab_of: dict[str, int] | None = None
-        distinct = [database]
         if isinstance(database, Mapping):
-            # One slab of the stacked grid per distinct database.
-            distinct = list({id(db): db for db in database.values()}.values())
-            slab_of = {id(db): slab for slab, db in enumerate(distinct)}
-            self._slab_of = {name: slab_of[id(db)] for name, db in database.items()}
+            raise ConfigurationError(
+                "per-server databases were removed in 3.0: pass one model database"
+            )
         self._db = database
-        self._databases = tuple(distinct)
-        self._stack = StackedGrid(distinct)
-        self._norm_time = max(db.time_range_s[1] for db in distinct)
-        self._norm_energy = max(db.energy_range_j[1] for db in distinct)
+        self._grid = grid_for(database)
+        self._norm_time = database.time_range_s[1]
+        self._norm_energy = database.energy_range_j[1]
         self._carbon = (
             carbon if carbon is not None and carbon.alpha_carbon > 0.0 else None
         )
@@ -486,28 +482,25 @@ class ProactiveAllocator:
         self._mode_memo: dict[MixKey, bool] = {}
         self._count_memo: dict = {}
 
+    def __deepcopy__(self, memo: dict) -> "ProactiveAllocator":
+        """A copy that shares the read-only database and estimate grid.
+
+        The settings and the mode-selection memos are copied as usual.
+        A sharded run copies its strategy once per shard, and the
+        database and grid are the bulk of it (milliseconds a copy).
+        """
+        memo[id(self._db)] = self._db
+        memo[id(self._grid)] = self._grid
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        for name, value in vars(self).items():
+            setattr(clone, name, copy.deepcopy(value, memo))
+        return clone
+
     @property
-    def database(self) -> "ModelDatabase | Mapping[str, ModelDatabase]":
-        """The model database, or the per-server mapping, as passed."""
+    def database(self) -> ModelDatabase:
+        """The model database, as passed."""
         return self._db
-
-    @property
-    def databases(self) -> tuple:
-        """The distinct model databases, in slab order."""
-        return self._databases
-
-    def database_for(self, server_id: str) -> ModelDatabase:
-        """The model database that scores ``server_id``."""
-        return self._databases[self._slab(server_id)]
-
-    def _slab(self, server_id: str) -> int:
-        try:
-            return 0 if self._slab_of is None else self._slab_of[server_id]
-        except KeyError:
-            raise ConfigurationError(f"no database for server {server_id!r}") from None
-
-    def _slab_class(self, server: ServerState) -> tuple:
-        return (server.allocated, server.max_vms, self._slab(server.server_id))
 
     @property
     def alpha(self) -> float:
@@ -529,8 +522,8 @@ class ProactiveAllocator:
 
     @property
     def estimate_grid(self) -> EstimateGrid:
-        """The dense estimate cache backing the optimized search (the first slab's)."""
-        return self._stack.grids[0]
+        """The dense estimate cache backing the optimized search."""
+        return self._grid
 
     def allocate(
         self,
@@ -550,7 +543,7 @@ class ProactiveAllocator:
         serves (the simulator hands over its snapshots as they are).
         It runs on the class heads of ``servers`` (see
         :func:`class_heads`): the first ``len(requests)`` servers, in
-        list order, of each ``(allocated, max_vms[, database])`` class -- no other
+        list order, of each ``(allocated, max_vms)`` class -- no other
         server can win the paper's first-in-list tie rule.  A call
         costs O(classes x batch) past that one pass, not O(servers);
         a :class:`ClassHeads` list, already reduced by the caller for
@@ -625,8 +618,7 @@ class ProactiveAllocator:
                 )
             heads, stands_for, offered = servers, servers.stands_for, servers.offered
         else:
-            key = _SERVER_CLASS if self._slab_of is None else self._slab_class
-            heads, stands_for = class_heads(servers, key, len(requests))
+            heads, stands_for = class_heads(servers, _SERVER_CLASS, len(requests))
             offered = len(servers)
         state = self._prepare_state(counts, heads, stands_for, deadlines)
 
@@ -757,7 +749,7 @@ class ProactiveAllocator:
         if cached is None:
             reached = count_type_partitions_capped(
                 counts,
-                self._stack.bounds,
+                self._grid.bounds,
                 cap=config.exact_partition_limit,
                 memo=self._count_memo,
             )
@@ -781,8 +773,8 @@ class ProactiveAllocator:
         if state.tables is None:
             # Guidance needs the min-containing tables even when the
             # batch is below the branch-and-bound arming size.
-            state.tables = self._stack.bound_tables()
-        bounds = self._stack.bounds
+            state.tables = self._grid.bound_tables()
+        bounds = self._grid.bounds
         norm_time = state.norm_time
         norm_energy = state.norm_energy
         energy_weight = self._weights.energy_weight
@@ -842,17 +834,17 @@ class ProactiveAllocator:
         """Search scratch over ``servers``, the class heads of the
         offered list; ``stands_for[i]`` is how many offered servers
         head ``i`` represents (see :func:`class_heads`)."""
-        stack = self._stack
+        grid = self._grid
         state = _SearchState()
         state.servers = servers
         state.server_ids = [s.server_id for s in servers]
         state.caps = [s.max_vms for s in servers]
         state.deadlines = deadlines
         state.stats = CacheStats()
-        state.cells = stack.cells
-        state.bounds = stack.bounds
-        state.stride_c = stack.stride_c
-        state.stride_m = stack.stride_m
+        state.cells = grid.cells
+        state.bounds = bounds = grid.bounds
+        state.stride_c = stride_c = grid.stride_c
+        state.stride_m = stride_m = grid.stride_m
         state.norm_time = self._norm_time
         state.norm_energy = self._norm_energy
         state.compliant = _Frontier()
@@ -875,18 +867,13 @@ class ProactiveAllocator:
         state.ub_energy = -_INF
         state.block_memo = {}
 
-        slabs = [0] * len(servers)
-        if self._slab_of is not None:
-            slabs = [self._slab(server.server_id) for server in servers]
-        state.offsets = [stack.offsets[slab] for slab in slabs]
         residual0: list[MixKey] = []
         base0: list[float] = []
         inbox: list[bool] = []
-        for server, represented, slab in zip(servers, stands_for, slabs):
+        for server, represented in zip(servers, stands_for):
             mix = server.allocated
             residual0.append(mix)
-            box = stack.boxes[slab]
-            if mix[0] > box[0] or mix[1] > box[1] or mix[2] > box[2]:
+            if mix[0] > bounds[0] or mix[1] > bounds[1] or mix[2] > bounds[2]:
                 # Off-grid residual: every combined mix is off-grid
                 # too, so the server can never host a block and its
                 # base energy is never consulted.
@@ -897,8 +884,7 @@ class ProactiveAllocator:
             if total_vms(mix) == 0:
                 base0.append(0.0)
                 continue
-            row = stack.offsets[slab] + mix[0] * stack.stride_c + mix[1] * stack.stride_m
-            cell = state.cells[row + mix[2]]
+            cell = state.cells[mix[0] * stride_c + mix[1] * stride_m + mix[2]]
             if cell is None:
                 # The naive brute force silently treats an unestimable
                 # existing mix as zero committed energy; keep the value
@@ -911,13 +897,13 @@ class ProactiveAllocator:
         state.residual0 = residual0
         state.base0 = base0
         state.inbox = inbox
-        # Pristine server classes: heads sharing (residual, cap, slab
-        # offset) score every block alike.  Classes are numbered in
-        # order of their first member; members stay in index order.
-        class_index: dict[tuple[MixKey, int | None, int], int] = {}
+        # Pristine server classes: heads sharing (residual, cap) score
+        # every block alike.  Classes are numbered in order of their
+        # first member; members stay in index order.
+        class_index: dict[tuple[MixKey, int | None], int] = {}
         class_of: list[int] = []
         class_members: list[list[int]] = []
-        for index, equivalence in enumerate(zip(residual0, state.caps, state.offsets)):
+        for index, equivalence in enumerate(zip(residual0, state.caps)):
             cls = class_index.get(equivalence)
             if cls is None:
                 cls = class_index[equivalence] = len(class_members)
@@ -934,7 +920,7 @@ class ProactiveAllocator:
             # which would drop carbon-preferable candidates; the carbon
             # path enumerates the full feasible pool instead.
             state.stats.bnb_active = True
-            state.tables = stack.bound_tables()
+            state.tables = grid.bound_tables()
             state.ub_time, state.ub_energy = self._upper_bounds(counts, state)
             state.dominance = True
         return state
@@ -997,13 +983,12 @@ class ProactiveAllocator:
         stride_m = state.stride_m
         ub_time = -_INF
         best = [0.0] + [-_INF] * n
-        # Identical (residual, cap, slab) servers share scan results.
-        scan_memo: dict[tuple[MixKey, int | None, int], tuple[float, list[float]]] = {}
+        # Identical (residual, cap) servers share scan results.
+        scan_memo: dict[tuple[MixKey, int | None], tuple[float, list[float]]] = {}
         for index, server in enumerate(state.servers):
             if not state.inbox[index]:
                 continue
-            offset = state.offsets[index]
-            key = (state.residual0[index], server.max_vms, offset)
+            key = (state.residual0[index], server.max_vms)
             cached = scan_memo.get(key)
             if cached is None:
                 rc, rm, ri = state.residual0[index]
@@ -1022,7 +1007,7 @@ class ProactiveAllocator:
                 gains[0] = 0.0
                 for c in range(rc, hi_c + 1):
                     for m in range(rm, hi_m + 1):
-                        row = offset + c * stride_c + m * stride_m
+                        row = c * stride_c + m * stride_m
                         for i in range(ri, hi_i + 1):
                             placed = (c - rc) + (m - rm) + (i - ri)
                             if placed == 0 or placed > cap:
@@ -1095,7 +1080,7 @@ class ProactiveAllocator:
             ki = ri + bi
             if kc > osc or km > osm or ki > osi:
                 continue
-            grid_index = state.offsets[index] + kc * stride_c + km * stride_m + ki
+            grid_index = kc * stride_c + km * stride_m + ki
             needed = min_vms[grid_index]
             if needed == _INF:
                 continue
@@ -1150,7 +1135,7 @@ class ProactiveAllocator:
 
     def _stream_candidates(self, counts: MixKey, state: _SearchState) -> None:
         """Enumerate partitions, assign greedily, stream into frontiers."""
-        bounds = self._stack.bounds
+        bounds = self._grid.bounds
         stats = state.stats
 
         prune = None
@@ -1248,7 +1233,7 @@ class ProactiveAllocator:
         hits = 0
         misses = 0
         ranked: list[tuple[bool, float, list[int], EstimatedOutcome]] = []
-        for (mix, cap, offset), members in zip(state.class_index, state.class_members):
+        for (mix, cap), members in zip(state.class_index, state.class_members):
             kc = mix[0] + bc
             km = mix[1] + bm
             ki = mix[2] + bi
@@ -1256,7 +1241,7 @@ class ProactiveAllocator:
                 continue
             if cap is not None and kc + km + ki > cap:
                 continue
-            estimate = cells[offset + kc * stride_c + km * stride_m + ki]
+            estimate = cells[kc * stride_c + km * stride_m + ki]
             if estimate is None:
                 misses += 1
                 continue
@@ -1316,7 +1301,6 @@ class ProactiveAllocator:
         time_weight = self._weights.time_weight
         server_ids = state.server_ids
         caps = state.caps
-        offsets = state.offsets
         base0 = state.base0
         residual0 = state.residual0
         class_index = state.class_index
@@ -1329,10 +1313,10 @@ class ProactiveAllocator:
         # index -> (pristine base energy, current estimate)
         touched: dict[int, tuple[float, EstimatedOutcome]] = {}
         # Untouched members left, for the classes this partition touched,
-        # and the (mix, cap, offset) of the classes with none left: the
-        # table counted their probes, which no longer happen.
+        # and the (mix, cap) of the classes with none left: the table
+        # counted their probes, which no longer happen.
         untouched: dict[int, int] = {}
-        dead: list[tuple[MixKey, int | None, int]] = []
+        dead: list[tuple[MixKey, int | None]] = []
         # Touched servers whose probe counts apart from the table: one
         # per distinct current class that is not a live pristine class.
         counted: set[int] = set()
@@ -1355,7 +1339,7 @@ class ProactiveAllocator:
                 lb_e = 0.0
                 for index, (energy0, estimate) in touched.items():
                     kc, km, ki = estimate.key
-                    grid_index = offsets[index] + kc * stride_c + km * stride_m + ki
+                    grid_index = kc * stride_c + km * stride_m + ki
                     t = min_time_tab[grid_index]
                     if t > lb_t:
                         lb_t = t
@@ -1375,7 +1359,7 @@ class ProactiveAllocator:
             hits += block_hits
             misses += block_misses
             bc, bm, bi = block
-            for mix, cap, offset in dead:
+            for mix, cap in dead:
                 kc = mix[0] + bc
                 km = mix[1] + bm
                 ki = mix[2] + bi
@@ -1383,7 +1367,7 @@ class ProactiveAllocator:
                     continue
                 if cap is not None and kc + km + ki > cap:
                     continue
-                if cells[offset + kc * stride_c + km * stride_m + ki] is None:
+                if cells[kc * stride_c + km * stride_m + ki] is None:
                     misses -= 1
                 else:
                     hits -= 1
@@ -1420,7 +1404,7 @@ class ProactiveAllocator:
                     cap = caps[index]
                     if cap is not None and kc + km + ki > cap:
                         continue
-                    estimate = cells[offsets[index] + kc * stride_c + km * stride_m + ki]
+                    estimate = cells[kc * stride_c + km * stride_m + ki]
                     if estimate is None:
                         if index in counted:
                             misses += 1
@@ -1463,17 +1447,15 @@ class ProactiveAllocator:
                     left = len(class_members[cls])
                 untouched[cls] = left - 1
                 if left == 1:
-                    dead.append(
-                        (residual0[best_index], caps[best_index], offsets[best_index])
-                    )
+                    dead.append((residual0[best_index], caps[best_index]))
             else:
                 touched[best_index] = (previous[0], best_estimate)
             picks.append((server_ids[best_index], block, best_estimate.key, best_estimate))
             qos_ok = qos_ok and not best_noncompliant
             if position < last:
-                representatives: dict[tuple[MixKey, int | None, int], int] = {}
+                representatives: dict[tuple[MixKey, int | None], int] = {}
                 for index, (_, current) in touched.items():
-                    equivalence = (current.key, caps[index], offsets[index])
+                    equivalence = (current.key, caps[index])
                     cls = class_index.get(equivalence)
                     if cls is None or untouched.get(cls) == 0:
                         representatives.setdefault(equivalence, index)

@@ -16,22 +16,19 @@ possible answer can be materialized once:
   time, energy, and VM total over every estimable in-grid superset
   mix), the admissible bounds behind the allocator's branch-and-bound
   pruning;
-* :class:`StackedGrid` -- several databases' grids (one per hardware
-  class) over their union box, concatenated into one flat array;
 * :class:`CacheStats` -- counters (hits, fallbacks, prunes, frontier
   sizes) that the allocator snapshots into each plan's provenance.
 
 The grid is built from *any* object that exposes ``estimate(key)``
-(the ModelDatabase itself, the thermal PowerCappedDatabase proxy, the
-learned surrogate...), so every consumer of the duck-typed database
+(the ModelDatabase itself, a power-capped proxy, the learned
+surrogate...), so every consumer of the duck-typed database
 interface gets the same O(1) fast path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from itertools import chain
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 from repro.campaign.records import MixKey, total_vms
 from repro.common.errors import ConfigurationError, ModelLookupError
@@ -49,7 +46,7 @@ class CacheStats:
 
     ``grid_hits``/``grid_misses`` count dense-grid reads (a miss is a
     cell the underlying database could not estimate, e.g. a partial
-    campaign or a thermally capped mix).  ``energy_fallbacks`` counts
+    campaign or a power-capped mix).  ``energy_fallbacks`` counts
     the formerly *silent* ``_existing_energy`` lookup failures.  The
     prune counters record branch-and-bound activity; the frontier
     counters record the Pareto-streaming candidate retention.
@@ -244,45 +241,11 @@ class EstimateGrid:
         )
 
 
-class StackedGrid:
-    """Databases' grids over the union of their boxes, in one flat array.
-
-    Database ``k``'s cell for ``(c, m, i)`` is ``cells[offsets[k] + c *
-    stride_c + m * stride_m + i]``, ``None`` outside its own box
-    ``boxes[k]``; :meth:`bound_tables` concatenates alike.  One
-    database's stack is its own grid's cells and tables.
-    """
-
-    def __init__(self, databases: Sequence):
-        if not databases:
-            raise ConfigurationError("at least one model database is required")
-        self.boxes = tuple(tuple(database.grid_bounds) for database in databases)
-        self.bounds = tuple(map(max, zip(*self.boxes)))
-        self.grids = tuple(grid_for(database, self.bounds) for database in databases)
-        self.stride_c, self.stride_m = self.grids[0].stride_c, self.grids[0].stride_m
-        self.offsets = tuple(k * len(self.grids[0]) for k in range(len(self.grids)))
-        cells = [grid.cells for grid in self.grids]
-        self.cells = cells[0] if len(cells) == 1 else tuple(chain.from_iterable(cells))
-        self._bound_tables: BoundTables | None = None
-
-    def bound_tables(self) -> BoundTables:
-        if self._bound_tables is None:
-            tables = [grid.bound_tables() for grid in self.grids]
-            self._bound_tables = tables[0] if len(tables) == 1 else BoundTables(
-                *(
-                    tuple(chain.from_iterable(getattr(t, field.name) for t in tables))
-                    for field in fields(BoundTables)
-                )
-            )
-        return self._bound_tables
-
-
-def grid_for(database, bounds: tuple[int, int, int] | None = None) -> EstimateGrid:
-    """The database's own dense grid, or a freshly built one (over
-    ``bounds`` when given: a box wider than the database's own).
+def grid_for(database) -> EstimateGrid:
+    """The database's own dense grid, or a freshly built one.
 
     :class:`~repro.core.model.ModelDatabase` materializes its grid at
-    construction; duck-typed stand-ins (thermal caps, learned
+    construction; duck-typed stand-ins (power caps, learned
     surrogates) are wrapped here by replaying their ``estimate`` over
     the grid once.  A cell is populated only when the database both
     reports the key ``within_bounds`` *and* estimates it -- the same
@@ -291,7 +254,7 @@ def grid_for(database, bounds: tuple[int, int, int] | None = None) -> EstimateGr
     (e.g. power caps) keep their semantics.
     """
     grid = getattr(database, "estimate_grid", None)
-    if isinstance(grid, EstimateGrid) and bounds in (None, grid.bounds):
+    if isinstance(grid, EstimateGrid):
         return grid
 
     def estimate_cell(key: MixKey):
@@ -299,4 +262,4 @@ def grid_for(database, bounds: tuple[int, int, int] | None = None) -> EstimateGr
             raise ModelLookupError(key, f"mix {key!r} outside database bounds")
         return database.estimate(key)
 
-    return EstimateGrid(bounds or database.grid_bounds, estimate_cell)
+    return EstimateGrid(database.grid_bounds, estimate_cell)

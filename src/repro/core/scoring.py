@@ -72,7 +72,13 @@ class CarbonContext:
 
 @dataclass(frozen=True)
 class ScoreWeights:
-    """The optimization goal: the alpha knob (and the carbon knob)."""
+    """The optimization goal: the alpha knob (and the carbon knob).
+
+    ``energy_weight``, ``time_weight`` and ``carbon_weight`` are
+    resolved once, at construction: the search reads them on every
+    block it scores.  They are plain attributes, not fields, so
+    equality, hashing and ``repr`` see only the two knobs.
+    """
 
     alpha: float = 0.5
     alpha_carbon: float = 0.0
@@ -80,20 +86,13 @@ class ScoreWeights:
     def __post_init__(self) -> None:
         check_fraction("alpha", self.alpha)
         check_fraction("alpha_carbon", self.alpha_carbon)
-
-    @property
-    def energy_weight(self) -> float:
         # alpha * 1.0 is exact, so the default carbon-free weights are
         # bit-identical to the historical 2-way scorer.
-        return self.alpha * (1.0 - self.alpha_carbon)
-
-    @property
-    def time_weight(self) -> float:
-        return (1.0 - self.alpha) * (1.0 - self.alpha_carbon)
-
-    @property
-    def carbon_weight(self) -> float:
-        return self.alpha_carbon
+        object.__setattr__(self, "energy_weight", self.alpha * (1.0 - self.alpha_carbon))
+        object.__setattr__(
+            self, "time_weight", (1.0 - self.alpha) * (1.0 - self.alpha_carbon)
+        )
+        object.__setattr__(self, "carbon_weight", self.alpha_carbon)
 
     def describe(self) -> str:
         """Strategy label in the paper's naming (PA-0, PA-0.5, PA-1...)."""
@@ -138,11 +137,13 @@ def score_candidates(
         max_time, max_energy = maxima
         if max_time < 0 or max_energy < 0:
             raise ValueError(f"negative maxima: {maxima}")
+    energy_weight = weights.energy_weight
+    time_weight = weights.time_weight
     scores: list[float] = []
     for time_s, energy_j in candidates:
         t_hat = time_s / max_time if max_time > 0 else 0.0
         e_hat = energy_j / max_energy if max_energy > 0 else 0.0
-        scores.append(weights.energy_weight * e_hat + weights.time_weight * t_hat)
+        scores.append(energy_weight * e_hat + time_weight * t_hat)
     return scores
 
 
@@ -201,14 +202,15 @@ def score_candidates_carbon(
         max_time, max_energy = maxima
         if max_time < 0 or max_energy < 0:
             raise ValueError(f"negative maxima: {maxima}")
+    energy_weight = weights.energy_weight
+    time_weight = weights.time_weight
+    carbon_weight = weights.carbon_weight
     scores: list[float] = []
     for time_s, energy_j, carbon_hat in candidates:
         t_hat = time_s / max_time if max_time > 0 else 0.0
         e_hat = energy_j / max_energy if max_energy > 0 else 0.0
         scores.append(
-            weights.energy_weight * e_hat
-            + weights.time_weight * t_hat
-            + weights.carbon_weight * carbon_hat
+            energy_weight * e_hat + time_weight * t_hat + carbon_weight * carbon_hat
         )
     return scores
 

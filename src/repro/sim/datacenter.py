@@ -54,22 +54,15 @@ _Event = tuple[Literal["arrival", "boundary", "fault"], int, int]
 
 @dataclass(frozen=True)
 class DatacenterConfig:
-    """Cluster configuration for one simulation run.
-
-    ``server_specs`` optionally gives each server its own hardware
-    specification (heterogeneous clusters, paper Sect. V future work);
-    when set its length must equal ``n_servers`` and it overrides
-    ``server_spec``.
-    """
+    """Cluster configuration for one simulation run."""
 
     n_servers: int
     server_spec: ServerSpec = field(default_factory=default_server)
     params: ContentionParams | None = None
     power_off_when_empty: bool = True
-    server_specs: tuple[ServerSpec, ...] | None = None
     #: Record per-server interval chronicles (power/mix audit trails;
     #: costs memory proportional to event count).  Consumed by the
-    #: thermal replay and the accounting consistency checks.
+    #: accounting consistency checks.
     record_chronicles: bool = False
     #: Queue discipline: 0 = strict FCFS (a blocked head blocks
     #: everyone, as in the paper's implicit batch model); N > 0 = EASY
@@ -100,11 +93,6 @@ class DatacenterConfig:
     def __post_init__(self) -> None:
         if self.n_servers < 1:
             raise ConfigurationError(f"n_servers must be >= 1, got {self.n_servers}")
-        if self.server_specs is not None and len(self.server_specs) != self.n_servers:
-            raise ConfigurationError(
-                f"server_specs has {len(self.server_specs)} entries but "
-                f"n_servers={self.n_servers}"
-            )
         if self.backfill_window < 0:
             raise ConfigurationError(
                 f"backfill_window must be >= 0, got {self.backfill_window}"
@@ -127,11 +115,6 @@ class DatacenterConfig:
             raise ConfigurationError(
                 f"server_id_offset must be >= 0, got {self.server_id_offset}"
             )
-
-    def spec_of(self, index: int) -> ServerSpec:
-        if self.server_specs is not None:
-            return self.server_specs[index]
-        return self.server_spec
 
 
 @dataclass(frozen=True)
@@ -282,22 +265,22 @@ class DatacenterSimulator:
             )
 
         config = self._config
-        # Every server with the same spec shares one mix-physics memo
-        # (the params are cluster-wide), multiplying the hit rate by
-        # the cluster size, and the kind registry its keys are coded in.
-        mix_caches: dict[int, dict] = {}
-        kind_registries: dict[int, KindRegistry] = {}
+        # Every server shares one mix-physics memo (the spec and params
+        # are cluster-wide), multiplying the hit rate by the cluster
+        # size, and the kind registry its keys are coded in.
+        mix_cache: dict = {}
+        kinds = KindRegistry()
         servers = [
             self._server_type(
                 server_id=f"s{config.server_id_offset + i:04d}",
-                spec=config.spec_of(i),
+                spec=config.server_spec,
                 params=config.params,
                 power_off_when_empty=config.power_off_when_empty,
                 record_chronicle=config.record_chronicles,
                 chronicle_capacity=config.chronicle_capacity,
                 chronicle_spill=spill,
-                mix_cache=mix_caches.setdefault(id(config.spec_of(i)), {}),
-                kinds=kind_registries.setdefault(id(config.spec_of(i)), KindRegistry()),
+                mix_cache=mix_cache,
+                kinds=kinds,
                 signals=config.signals,
             )
             for i in range(config.n_servers)

@@ -184,11 +184,6 @@ def shard_config(
     return replace(
         config,
         n_servers=size,
-        server_specs=(
-            config.server_specs[offset : offset + size]
-            if config.server_specs is not None
-            else None
-        ),
         server_id_offset=config.server_id_offset + offset,
         chronicle_spill_path=(
             spill_path if spill_path is not None else config.chronicle_spill_path

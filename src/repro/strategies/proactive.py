@@ -55,8 +55,7 @@ class ProactiveStrategy(AllocationStrategy):
     Parameters
     ----------
     database:
-        The empirical model database, or a per-server mapping
-        ``{server_id: database}`` (see :class:`ProactiveAllocator`).
+        The empirical model database (see :class:`ProactiveAllocator`).
     alpha:
         Optimization goal (1 = energy, 0 = time, 0.5 = balanced).
     time_budget_s:
@@ -76,12 +75,9 @@ class ProactiveStrategy(AllocationStrategy):
     instances never share counters through the null bundle).
     """
 
-    #: Appended to the paper name (``PA-<alpha>``) by subclasses.
-    name_suffix = ""
-
     def __init__(
         self,
-        database: "ModelDatabase | Mapping[str, ModelDatabase]",
+        database: ModelDatabase,
         alpha: float = 0.5,
         time_budget_s: float | None = None,
         carbon: CarbonContext | None = None,
@@ -92,8 +88,7 @@ class ProactiveStrategy(AllocationStrategy):
             time_budget_s=time_budget_s,
             carbon=carbon,
         )
-        self.name = self._allocator.weights.describe() + self.name_suffix
-        self._per_server = isinstance(database, Mapping)
+        self.name = self._allocator.weights.describe()
         self._last_plan: AllocationPlan | None = None
         obs = get_observability()
         self._registry = obs.registry if obs.enabled else MetricsRegistry()
@@ -107,15 +102,8 @@ class ProactiveStrategy(AllocationStrategy):
         return self._allocator.alpha
 
     @property
-    def database(self) -> "ModelDatabase | Mapping[str, ModelDatabase]":
+    def database(self) -> ModelDatabase:
         return self._allocator.database
-
-    def database_for(self, server_id: str) -> ModelDatabase:
-        """The model database that scores ``server_id``."""
-        return self._allocator.database_for(server_id)
-
-    def _slab_view_class(self, view: ServerView) -> tuple:
-        return (view.mix, view.max_vms, id(self.database_for(view.server_id)))
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -150,14 +138,12 @@ class ProactiveStrategy(AllocationStrategy):
         # reads a ServerState (server_id, allocated, max_vms), so the
         # heads go over as they are.  The simulator's views keep the
         # classes bucketed; any other caller's plain list is reduced
-        # here, in one pass.  Per-server databases also split a class by
-        # database, which the buckets do not.
+        # here, in one pass.
         heads_of = getattr(servers, "class_heads", None)
-        if heads_of is not None and not self._per_server:
+        if heads_of is not None:
             heads, stands_for = heads_of(len(vms))
         else:
-            key = self._slab_view_class if self._per_server else _VIEW_CLASS
-            heads, stands_for = class_heads(servers, key, len(vms))
+            heads, stands_for = class_heads(servers, _VIEW_CLASS, len(vms))
         offered = ClassHeads(heads, stands_for, len(vms))
         requests = [
             VMRequest(
@@ -197,14 +183,12 @@ class ProactiveStrategy(AllocationStrategy):
         """True when no future placement can meet some VM's deadline.
 
         Any placement runs a VM for at least its class's solo runtime
-        Tx on the fastest hardware; a remaining budget below that can
-        never be honored.
+        Tx; a remaining budget below that can never be honored.
         """
-        databases = self._allocator.databases
+        database = self._allocator.database
         for vm in vms:
             if vm.remaining_deadline_s is None:
                 continue
-            fastest = min(db.reference_time(vm.workload_class) for db in databases)
-            if vm.remaining_deadline_s < fastest:
+            if vm.remaining_deadline_s < database.reference_time(vm.workload_class):
                 return True
         return False

@@ -76,6 +76,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ProactiveAllocator(database, max_candidates=0)
 
+    def test_per_server_mapping_is_a_typed_error(self, database):
+        with pytest.raises(ConfigurationError, match="removed in 3.0"):
+            ProactiveAllocator({"s0": database, "s1": database})
+
 
 class TestBasicAllocation:
     def test_empty_batch_is_empty_plan(self, database):

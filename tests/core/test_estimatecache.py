@@ -9,7 +9,6 @@ from repro.core.estimatecache import (
     BoundTables,
     CacheStats,
     EstimateGrid,
-    StackedGrid,
     grid_for,
 )
 from repro.core.model import ModelDatabase
@@ -163,43 +162,6 @@ class TestGridFor:
         assert partial_db.estimate_grid.get((2, 1, 0)) is not None
         assert grid.get((2, 1, 0)) is None
         assert grid.get((1, 1, 0)) == partial_db.estimate((1, 1, 0))
-
-
-class TestStackedGrid:
-    def test_one_database_is_its_own_grid(self, partial_db):
-        stack = StackedGrid([partial_db])
-        grid = partial_db.estimate_grid
-        assert stack.cells is grid.cells
-        assert stack.bound_tables() is grid.bound_tables()
-        assert stack.offsets == (0,)
-        assert stack.bounds == stack.boxes[0] == grid.bounds
-
-    def test_slabs_span_the_union_box(self, database, partial_db):
-        stack = StackedGrid([partial_db, database])
-        assert stack.boxes == (partial_db.grid_bounds, database.grid_bounds)
-        assert stack.bounds == tuple(
-            max(a, b) for a, b in zip(partial_db.grid_bounds, database.grid_bounds)
-        )
-        tables = stack.bound_tables()
-        for slab, db in enumerate((partial_db, database)):
-            own = db.estimate_grid
-            slab_tables = stack.grids[slab].bound_tables()
-            for key in all_keys(stack.bounds):
-                local = key[0] * stack.stride_c + key[1] * stack.stride_m + key[2]
-                flat = stack.offsets[slab] + local
-                # Outside a database's own box a cell is not estimable.
-                expected = own.get(key) if own.covers(key) else None
-                assert stack.cells[flat] is expected
-                assert tables.min_time_containing[flat] == (
-                    slab_tables.min_time_containing[local]
-                )
-                assert tables.min_vms_containing[flat] == (
-                    slab_tables.min_vms_containing[local]
-                )
-
-    def test_no_database_rejected(self):
-        with pytest.raises(ConfigurationError):
-            StackedGrid([])
 
 
 class TestCacheStats:

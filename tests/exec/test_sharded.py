@@ -11,6 +11,7 @@ from repro.faults import random_crash_spec
 from repro.sim.chronicle import iter_spilled
 from repro.sim.datacenter import DatacenterConfig
 from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.proactive import ProactiveStrategy
 from repro.strategies.random_fit import RandomFitStrategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.workloads.assignment import PreparedJob
@@ -135,6 +136,53 @@ class TestShardedIdentity:
             )
 
         assert run_rand(1) == run_rand(2)
+
+
+class TestShardStrategyCopy:
+    """Each shard copies the strategy's search state but shares its
+    read-only model database and estimate grid."""
+
+    def test_shards_share_the_database_and_start_at_zero(self, database, monkeypatch):
+        from repro.sim.datacenter import DatacenterSimulator
+
+        seen = []
+        simulate = DatacenterSimulator.run
+
+        def spy(self, jobs, strategy, qos, faults=None):
+            seen.append((strategy, strategy.metrics.counter_values("strategy.")))
+            return simulate(self, jobs, strategy, qos, faults=faults)
+
+        monkeypatch.setattr(DatacenterSimulator, "run", spy)
+        strategy = ProactiveStrategy(database, alpha=0.5)
+        run_sharded(
+            make_jobs(14),
+            strategy,
+            QoSPolicy.unlimited(),
+            DatacenterConfig(n_servers=6),
+            shards=2,
+        )
+        assert len(seen) == 2
+        for copy, counts in seen:
+            assert copy is not strategy
+            assert copy.database is strategy.database
+            assert copy._allocator.estimate_grid is database.estimate_grid
+            assert counts and set(counts.values()) == {0}
+            assert copy.metrics.counter("strategy.plans", strategy=copy.name).value > 0
+        # The shards counted into their own copies, not the payload's.
+        assert set(strategy.metrics.counter_values("strategy.").values()) == {0}
+
+    def test_proactive_worker_count_is_invisible(self, database):
+        def run_pa(workers):
+            return run_sharded(
+                make_jobs(14),
+                ProactiveStrategy(database, alpha=0.5),
+                QoSPolicy.unlimited(),
+                DatacenterConfig(n_servers=6),
+                shards=2,
+                workers=workers,
+            )
+
+        assert run_pa(2) == run_pa(1)
 
 
 class TestShardedChronicles:

@@ -10,11 +10,9 @@ database per probe and applies no pruning.
 numbers.
 
 The oracle scores on (time, energy) only -- it predates the carbon axis
--- and reads nothing from the allocator but its public ``databases``,
-``database_for``, ``weights`` and ``strict_qos``.  Every probe queries
-its server's own database (one database for a plain allocator, one per
-hardware class for a per-server mapping).  Its plans carry no search
-provenance.
+-- and reads nothing from the allocator but its public ``database``,
+``weights`` and ``strict_qos``.  Every probe queries the database.  Its
+plans carry no search provenance.
 
 :func:`greedy_assign_streamed` is a narrower oracle: the greedy
 block-assignment pass of the optimized allocator as it was before that
@@ -69,16 +67,10 @@ def reference_allocate(
     if len(set(ids)) != len(ids):
         raise ConfigurationError(f"duplicate vm_id in batch: {ids}")
 
-    # Partitions span the union of the databases' boxes; each server
-    # rejects the blocks its own box cannot hold.
-    bounds = tuple(
-        max(database.grid_bounds[axis] for database in allocator.databases)
-        for axis in range(3)
-    )
     counts = key_for_classes([r.workload_class for r in requests])
     deadlines = _tightest_deadlines(requests)
     candidates: list[_Candidate] = []
-    for partition in type_partitions(counts, bounds):
+    for partition in type_partitions(counts, allocator.database.grid_bounds):
         candidate = _assign_partition(allocator, partition, servers, deadlines)
         if candidate is not None:
             candidates.append(candidate)
@@ -140,18 +132,18 @@ def _assign_partition(
     existing mix was already going to consume -- waking an empty
     server pays its idle draw, joining a busy one amortizes it)
     and the combined mix's completion time, both estimated by the
-    server's own database and normalized by the largest ranges over
-    all databases.  The block goes to the best-scoring server, ties
-    resolving to the first in list order (the paper's rule).  Servers
-    whose (current mix, VM cap, database) are identical are
-    interchangeable, so only the first of each equivalence class is
+    database and normalized by its ranges.  The block goes to the
+    best-scoring server, ties resolving to the first in list order (the
+    paper's rule).  Servers whose (current mix, VM cap) are identical
+    are interchangeable, so only the first of each equivalence class is
     evaluated.
 
     Returns None when some block cannot be placed anywhere.
     """
     weights = allocator.weights
-    max_time = max(database.time_range_s[1] for database in allocator.databases)
-    max_energy = max(database.energy_range_j[1] for database in allocator.databases)
+    database = allocator.database
+    max_time = database.time_range_s[1]
+    max_energy = database.energy_range_j[1]
     residual: list[MixKey] = [s.allocated for s in servers]
     base_energy: list[float | None] = [None] * len(servers)  # lazy
     picks: list[tuple[str, MixKey, MixKey, EstimatedOutcome]] = []
@@ -163,10 +155,9 @@ def _assign_partition(
         best_score = float("inf")
         best_estimate: EstimatedOutcome | None = None
         best_compliant = False
-        seen_classes: set[tuple[MixKey, int | None, int]] = set()
+        seen_classes: set[tuple[MixKey, int | None]] = set()
         for index, server in enumerate(servers):
-            database = allocator.database_for(server.server_id)
-            equivalence = (residual[index], server.max_vms, id(database))
+            equivalence = (residual[index], server.max_vms)
             if equivalence in seen_classes:
                 continue
             seen_classes.add(equivalence)
@@ -277,7 +268,7 @@ def greedy_assign_streamed(
     before it read per-call tables of pristine-class scores.
 
     For every block it walks every server index, deduplicates servers by
-    their *current* ``(mix, cap, slab offset)`` class and probes the grid
+    their *current* ``(mix, cap)`` class and probes the grid
     once per class, keeping the first server of the best class (deadline
     compliance first, then the alpha score, then list order).  So
     ``grid_hits``/``grid_misses`` count the live classes of each block.
@@ -299,7 +290,6 @@ def greedy_assign_streamed(
     time_weight = self._weights.time_weight
     server_ids = state.server_ids
     caps = state.caps
-    offsets = state.offsets
     n_servers = len(server_ids)
     check_abort = abortable and state.dominance
 
@@ -326,7 +316,7 @@ def greedy_assign_streamed(
             lb_e = 0.0
             for index, (energy0, estimate) in touched.items():
                 kc, km, ki = estimate.key
-                grid_index = offsets[index] + kc * stride_c + km * stride_m + ki
+                grid_index = kc * stride_c + km * stride_m + ki
                 t = min_time_tab[grid_index]
                 if t > lb_t:
                     lb_t = t
@@ -345,13 +335,12 @@ def greedy_assign_streamed(
         best_score = _INF
         best_estimate: EstimatedOutcome | None = None
         best_compliant = False
-        seen_classes: set[tuple[MixKey, int | None, int]] = set()
+        seen_classes: set[tuple[MixKey, int | None]] = set()
         seen_add = seen_classes.add
         for index in range(n_servers):
             mix = residual[index]
             cap = caps[index]
-            offset = offsets[index]
-            equivalence = (mix, cap, offset)
+            equivalence = (mix, cap)
             if equivalence in seen_classes:
                 continue
             seen_add(equivalence)
@@ -362,7 +351,7 @@ def greedy_assign_streamed(
                 continue
             if cap is not None and kc + km + ki > cap:
                 continue
-            estimate = cells[offset + kc * stride_c + km * stride_m + ki]
+            estimate = cells[kc * stride_c + km * stride_m + ki]
             if estimate is None:
                 misses += 1
                 continue

@@ -8,15 +8,12 @@ aborts) claims exactness.  These tests hammer that claim with seeded
 random worlds: partial model databases, busy servers with VM caps,
 deadlines, all three paper alphas plus random ones, strict and relaxed
 QoS, a forced branch-and-bound regime (``bnb_min_vms=0``), and the
-thermal :class:`PowerCappedDatabase` duck-type whose ``within_bounds``
-veto is stricter than the grid box.  Each seed ends with *crowded*
-worlds (10-80 servers from a few (mix, max_vms) classes, batches up to
-14 VMs) where classes outnumber the batch, so the allocator's
-class-head truncation is compared against the oracle on the full list.
-Two-class worlds hand the allocator a per-server mapping over two
-databases with different grid bounds (a heterogeneous cloud), and one
-database registered under two names must plan exactly as the
-single-database allocator does.
+power-capped :class:`PowerCappedDatabase` duck-type whose
+``within_bounds`` veto is stricter than the grid box.  Each seed ends
+with *crowded* worlds (10-80 servers from a few (mix, max_vms)
+classes, batches up to 14 VMs) where classes outnumber the batch, so
+the allocator's class-head truncation is compared against the oracle
+on the full list.
 
 :class:`TestGreedyOracle` pins the greedy pass alone: the shipped
 allocator against itself with the pre-table greedy scan
@@ -35,7 +32,7 @@ from collections import Counter
 import pytest
 
 from repro.campaign.optimal import ClassOptima, OptimalScenarios
-from repro.campaign.records import BenchmarkRecord, key_for_classes, total_vms
+from repro.campaign.records import BenchmarkRecord, total_vms
 from repro.common.errors import AllocationError, ConfigurationError
 from repro.core.allocator import (
     ProactiveAllocator,
@@ -44,14 +41,9 @@ from repro.core.allocator import (
     class_heads,
 )
 from repro.core.model import ModelDatabase
-from repro.core.partitions import type_partitions
-from repro.ext.thermal import PowerCappedDatabase
 from repro.testbed.benchmarks import WorkloadClass
-from tests.oracles.allocator import (
-    _assign_partition,
-    greedy_assign_streamed,
-    reference_allocate,
-)
+from tests.oracles.allocator import greedy_assign_streamed, reference_allocate
+from tests.oracles.capped import PowerCappedDatabase
 
 CASES_PER_SEED = 24
 SEEDS = range(10)  # 10 x 24 = 240 cases
@@ -162,7 +154,7 @@ def random_requests(
 
 
 def random_capped_database(rng: random.Random):
-    """A random database and its thermally capped proxy."""
+    """A random database and its power-capped proxy."""
     database = random_database(rng)
     powers = [record.avg_power_w for record in database.records]
     cap = rng.uniform(min(powers), max(powers) * 1.2)
@@ -178,20 +170,6 @@ def random_allocator(rng: random.Random, database) -> ProactiveAllocator:
     return ProactiveAllocator(
         database, alpha=alpha, strict_qos=strict, bnb_min_vms=bnb_min_vms
     )
-
-
-def random_two_class_world(rng: random.Random, crowded=False):
-    """Two databases with different grid bounds and servers tagged with
-    one of them at random; residuals range over the union box, so some
-    lie outside their own database's box."""
-    first = random_database(rng)
-    second = random_database(rng)
-    while second.grid_bounds == first.grid_bounds:
-        second = random_database(rng)
-    union = tuple(max(a, b) for a, b in zip(first.grid_bounds, second.grid_bounds))
-    servers = random_servers(rng, union, crowded)
-    mapping = {s.server_id: rng.choice([first, second]) for s in servers}
-    return first, mapping, servers
 
 
 def outcome(run):
@@ -248,94 +226,6 @@ class TestRandomWorlds:
                 requests,
                 servers,
             )
-
-
-class TestPerServerDatabases:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_two_class_streamed_equals_reference(self, seed):
-        rng = random.Random(0x2C1A55 + seed)
-        for case_index in range(16 + CROWDED_CASES_PER_SEED):
-            crowded = case_index >= 16
-            first, mapping, servers = random_two_class_world(rng, crowded)
-            allocator = random_allocator(rng, mapping)
-            requests = random_requests(rng, first, crowded)
-            assert_equivalent(
-                f"two-class seed={seed} case={case_index} crowded={crowded}",
-                allocator,
-                requests,
-                servers,
-            )
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_one_database_under_two_names_plans_as_one(self, seed):
-        # A second ModelDatabase over the same records is a distinct
-        # slab with identical cells: the class keys split, the plans,
-        # strict-QoS errors and infeasible batches must not.
-        rng = random.Random(0x7317 + seed)
-        for case_index in range(24):
-            database = random_database(rng)
-            twin = ModelDatabase(database.records, database.optima)
-            servers = random_servers(rng, database.grid_bounds, crowded=case_index >= 16)
-            mapping = {s.server_id: rng.choice([database, twin]) for s in servers}
-            alpha = rng.choice([0.0, 0.5, 1.0, round(rng.random(), 3)])
-            knobs = dict(
-                alpha=alpha,
-                strict_qos=rng.random() < 0.5,
-                bnb_min_vms=rng.choice([0, 9]),
-            )
-            # 1-10 VMs: batches of 9 or 10 arm branch-and-bound.
-            requests = random_requests(rng, database, crowded=True)[:10]
-            assert_equivalent(
-                f"twin seed={seed} case={case_index}",
-                ProactiveAllocator(mapping, **knobs),
-                requests,
-                servers,
-                other=ProactiveAllocator(database, **knobs),
-            )
-
-    def test_abort_bound_reads_each_servers_slab(self):
-        # A seeded two-class world (6 servers, 4 VMs, branch-and-bound
-        # forced) where the mid-assignment abort bound decides the plan:
-        # read at the first slab's offset instead of each touched
-        # server's own, it aborts the winning partial assignment.
-        rng = random.Random(253)
-        first, mapping, servers = random_two_class_world(rng)
-        requests = random_requests(rng, first, crowded=True)
-        allocator = ProactiveAllocator(mapping, alpha=0.0, bnb_min_vms=0)
-        assert len(set(mapping.values())) == 2
-        assert_equivalent("slab abort bound", allocator, requests, servers)
-        plan = allocator.allocate(requests, servers)
-        assert plan.search_provenance.aborted_assignments > 0
-
-    def test_upper_bounds_cover_every_two_class_candidate(self):
-        # The dominance latch waits until the pool maxima reach these
-        # bounds, so they must cover every candidate of every slab.
-        rng = random.Random(0xB0D5)
-        checked = 0
-        for _ in range(40):
-            first, mapping, servers = random_two_class_world(rng)
-            allocator = ProactiveAllocator(mapping, bnb_min_vms=0)
-            counts = key_for_classes([r.workload_class for r in random_requests(rng, first)])
-            state = allocator._prepare_state(counts, servers, [1] * len(servers), {})
-            for partition in type_partitions(counts, state.bounds):
-                candidate = _assign_partition(allocator, partition, servers, {})
-                if candidate is not None:
-                    checked += 1
-                    assert candidate.rank_time_s <= state.ub_time
-                    assert candidate.energy_j <= state.ub_energy * (1 + 1e-12)
-        assert checked > 100
-
-    def test_unmapped_server_is_named(self):
-        rng = random.Random(0x5E7)
-        database = random_database(rng)
-        allocator = ProactiveAllocator({"s0": database})
-        servers = [ServerState("s0"), ServerState("s9")]
-        with pytest.raises(ConfigurationError, match="'s9'"):
-            allocator.allocate([VMRequest("v0", WorkloadClass.CPU)], servers)
-
-    def test_empty_mapping_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ProactiveAllocator({})
 
 
 class TestPowerCappedDuckType:
@@ -426,19 +316,14 @@ class TestGreedyOracle:
         rng = random.Random(0x6EED)
         covered = Counter()
         for case_index in range(GREEDY_ORACLE_CASES):
-            world = ("plain", "power-capped", "two-slab")[case_index % 3]
-            if world == "two-slab":
-                database, target, servers = random_two_class_world(
-                    rng, crowded=rng.random() < 0.5
-                )
-            else:
-                database, target = random_capped_database(rng)
-                if world == "plain":
-                    target = database
-                # Half the worlds are crowded: classes outnumber the batch.
-                servers = random_servers(
-                    rng, database.grid_bounds, crowded=rng.random() < 0.5
-                )
+            world = ("plain", "power-capped")[case_index % 2]
+            database, target = random_capped_database(rng)
+            if world == "plain":
+                target = database
+            # Half the worlds are crowded: classes outnumber the batch.
+            servers = random_servers(
+                rng, database.grid_bounds, crowded=rng.random() < 0.5
+            )
             # 1-14 VMs: a third of the batches arm branch-and-bound.
             requests = random_requests(rng, database, crowded=True)
             allocator = ProactiveAllocator(
@@ -471,7 +356,6 @@ class TestGreedyOracle:
         for feature in (
             "plain",
             "power-capped",
-            "two-slab",
             "deadlines",
             "capped servers",
             "aborts",

@@ -152,7 +152,7 @@ class TestShardConfig:
         sliced = shard_config(config, plan, 1)
         assert sliced.n_servers == 3
         assert sliced.server_id_offset == 4
-        assert sliced.server_specs is None
+        assert sliced.server_spec is config.server_spec
 
     def test_spill_override(self):
         plan = ShardPlan(n_servers=4, n_shards=1)

@@ -4,9 +4,8 @@ import pytest
 
 import repro.core.allocator as allocator_module
 import repro.strategies.proactive as proactive_module
-from repro.common.errors import AllocationError
+from repro.common.errors import AllocationError, ConfigurationError
 from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
-from repro.ext.thermal import PowerCappedDatabase
 from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
 from repro.sim.index import ServerViews
 from repro.strategies.base import ServerView, VMDescriptor
@@ -14,6 +13,7 @@ from repro.strategies.proactive import ProactiveStrategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy
+from tests.oracles.capped import PowerCappedDatabase
 
 
 def view(server_id="s0", mix=(0, 0, 0), max_vms=24):
@@ -29,6 +29,10 @@ class TestNaming:
         assert ProactiveStrategy(database, alpha=1.0).name == "PA-1"
         assert ProactiveStrategy(database, alpha=0.0).name == "PA-0"
         assert ProactiveStrategy(database, alpha=0.5).name == "PA-0.5"
+
+    def test_per_server_mapping_is_a_typed_error(self, database):
+        with pytest.raises(ConfigurationError, match="removed in 3.0"):
+            ProactiveStrategy({"s0": database})
 
 
 class TestPlacement:
@@ -235,7 +239,7 @@ class TestClassHeads:
 
     @pytest.mark.parametrize("as_views", [False, True])
     def test_energy_fallbacks_count_offered_servers(self, database, as_views):
-        # A thermal cap leaves mixes like (0, 6, 5) unestimable; all 20
+        # A power cap leaves mixes like (0, 6, 5) unestimable; all 20
         # such servers count, not just the heads the search keeps.
         powers = sorted(record.avg_power_w for record in database.records)
         capped = PowerCappedDatabase(database, powers[len(powers) // 2])
@@ -360,22 +364,3 @@ class TestHeadsAsSnapshots:
         strategy = ProactiveStrategy(database, alpha=alpha)
         placement = strategy.place(batch, servers)
         self.assert_same_plan(strategy, placement, database, alpha, batch, servers)
-
-    @pytest.mark.parametrize("as_views", [False, True])
-    @pytest.mark.parametrize("batch_name", sorted(BATCHES))
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-    def test_per_server_databases(self, database, alpha, batch_name, as_views):
-        # Alternate servers score on a thermally capped copy: each
-        # (mix, max_vms) class splits in two by database.
-        powers = sorted(record.avg_power_w for record in database.records)
-        capped = PowerCappedDatabase(database, powers[len(powers) // 2])
-        offered = self.cluster()
-        databases = {
-            v.server_id: capped if i % 2 else database for i, v in enumerate(offered)
-        }
-        servers = ServerViews() if as_views else []
-        servers.extend(offered)
-        batch = self.BATCHES[batch_name]
-        strategy = ProactiveStrategy(databases, alpha=alpha)
-        placement = strategy.place(batch, servers)
-        self.assert_same_plan(strategy, placement, databases, alpha, batch, offered)

@@ -11,7 +11,7 @@ from repro import ModelDatabase, ProactiveAllocator, ServerState, VMRequest, bui
 
 class TestTopLevelAPI:
     def test_version(self):
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
 
     def test_build_model_one_liner(self):
         database = build_model()
@@ -115,8 +115,6 @@ class TestSubpackageImports:
             "repro.strategies",
             "repro.experiments",
             "repro.service",
-            "repro.ext.thermal",
-            "repro.ext.hetero",
             "repro.ext.learning",
             "repro.ext.migration",
         ],
