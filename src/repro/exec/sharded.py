@@ -35,6 +35,7 @@ from repro.obs.runtime import Observability, get_observability
 from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator, SimulationResult
 from repro.sim.shard import (
     ShardPlan,
+    assign_shards,
     merge_results,
     partition_jobs,
     partition_schedule,
@@ -86,10 +87,10 @@ def _spool_partition(
 ) -> tuple[str, ...]:
     """Stream jobs straight into per-shard spool files.
 
-    The greedy balance is byte-for-byte the one :func:`partition_jobs`
-    runs, but applied one job at a time with only a small pickle
-    buffer per shard resident -- so a lazy job iterable is partitioned
-    in O(shards) memory instead of O(jobs).  That only reproduces
+    Jobs go through :func:`assign_shards`, the balance
+    :func:`partition_jobs` runs, with only a small pickle buffer per
+    shard resident -- so a lazy job iterable is partitioned in
+    O(shards) memory instead of O(jobs).  That only reproduces
     ``partition_jobs`` if jobs arrive in its canonical
     ``(submit_time_s, job_id)`` order, so the first out-of-order pair
     raises rather than silently producing a different (still valid,
@@ -98,8 +99,6 @@ def _spool_partition(
     so callers without faults skip it -- duplicate job-id detection
     rides on the map and is skipped with it).
     """
-    capacities = [plan.size(shard) for shard in range(plan.n_shards)]
-    loads = [0] * plan.n_shards
     paths = tuple(
         os.path.join(spool_dir, f"jobs_shard{shard:03d}.pkl")
         for shard in range(plan.n_shards)
@@ -108,7 +107,7 @@ def _spool_partition(
     buffers: list[list[PreparedJob]] = [[] for _ in range(plan.n_shards)]
     last_key: tuple[float, int] | None = None
     try:
-        for job in jobs:
+        for job, shard in assign_shards(jobs, plan):
             key = (job.submit_time_s, job.job_id)
             if last_key is not None and key < last_key:
                 raise ConfigurationError(
@@ -117,21 +116,14 @@ def _spool_partition(
                     f"arrived after {last_key}"
                 )
             last_key = key
-            best = 0
-            best_ratio = loads[0] / capacities[0]
-            for shard in range(1, plan.n_shards):
-                ratio = loads[shard] / capacities[shard]
-                if ratio < best_ratio:
-                    best, best_ratio = shard, ratio
-            buffers[best].append(job)
-            loads[best] += job.n_vms
+            buffers[shard].append(job)
             if job_to_shard is not None:
                 if job.job_id in job_to_shard:
                     raise SimulationError(f"duplicate job id {job.job_id} in trace")
-                job_to_shard[job.job_id] = best
-            if len(buffers[best]) >= _SPOOL_CHUNK:
-                pickle.dump(buffers[best], handles[best])
-                buffers[best].clear()
+                job_to_shard[job.job_id] = shard
+            if len(buffers[shard]) >= _SPOOL_CHUNK:
+                pickle.dump(buffers[shard], handles[shard])
+                buffers[shard].clear()
         for shard, buffer in enumerate(buffers):
             if buffer:
                 pickle.dump(buffer, handles[shard])

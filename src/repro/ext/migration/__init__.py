@@ -11,7 +11,6 @@ the live-migration overhead, and re-attach VMs elsewhere.
 from repro.ext.migration.controller import (
     MigrationDecision,
     MigrationPolicy,
-    attach_migrated,
     plan_migrations,
     apply_migrations,
     apply_migrations_collecting,
@@ -21,7 +20,6 @@ from repro.ext.migration.rebalancer import ReactiveRebalancer
 __all__ = [
     "MigrationDecision",
     "MigrationPolicy",
-    "attach_migrated",
     "plan_migrations",
     "apply_migrations",
     "apply_migrations_collecting",

@@ -169,20 +169,6 @@ def plan_migrations(
     return decisions
 
 
-def attach_migrated(target: ServerRuntime, vm: SimVM, now_s: float, penalty_s: float) -> None:
-    """Re-attach a detached VM to its destination with the penalty.
-
-    The stop-and-copy penalty lands on the VM's *current stage* as
-    extra remaining work (the guest is frozen during the copy, which
-    is wall time lost at rate 1).
-    """
-    if penalty_s < 0:
-        raise ConfigurationError(f"penalty must be >= 0, got {penalty_s}")
-    vm.remaining[min(vm.stage, 1)] += penalty_s
-    target.sync(now_s)
-    target.attach_vm(vm, now_s)
-
-
 def apply_migrations(
     decisions: Sequence[MigrationDecision],
     servers: Sequence[ServerRuntime],

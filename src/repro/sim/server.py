@@ -44,8 +44,8 @@ class KindRegistry:
     are handed out in order of first sight, and ``records[code]`` is
     the kind's :class:`~repro.testbed.contention.KindRecord`, which
     pins the benchmark, so no ``id`` in the table can be recycled
-    onto another spec while the registry lives.  Servers of one spec
-    share a registry beside their mix memo (see
+    onto another benchmark while the registry lives.  The servers of
+    a run share one registry beside their mix memo (see
     :meth:`ServerRuntime._mix_physics`).
     """
 
@@ -86,9 +86,7 @@ class ServerRuntime:
       progress and energy are integrated up to ``now`` under the
       pre-change mix;
     * after mutations, ``next_boundary(now)`` tells the driver when the
-      server next needs attention (stage transition or VM completion);
-    * ``epoch`` increments on every mix change, letting the driver
-      lazily invalidate stale scheduled events.
+      server next needs attention (stage transition or VM completion).
 
     Every state mutation that a placement snapshot can see -- hosting
     or unhosting a VM, a power transition, a crash or recovery -- runs
@@ -133,7 +131,6 @@ class ServerRuntime:
         self._cost = 0.0
         self._power_off_when_empty = power_off_when_empty
         self._powered_since_s: float | None = None  # None = off
-        self.epoch = 0
         #: Crashed servers host nothing and draw nothing until recovery
         #: (see repro.faults); all mutations except recover() reject.
         self.failed = False
@@ -280,11 +277,11 @@ class ServerRuntime:
         ``_unhost`` (every placement, finish, eviction, migration and
         crash) and by :meth:`sync` when a VM changes stage.
 
-        The second level is the per-run memo, shared by servers of one
-        spec and keyed by the *sequence* of kind codes (``_codes``, one
-        per hosted VM in VM order, interned by the shared
-        :class:`KindRegistry`), not the multiset: the model sums
-        demands in VM-list order, and float addition is
+        The second level is the per-run memo, shared by every server of
+        the run (a run has one spec) and keyed by the *sequence* of kind
+        codes (``_codes``, one per hosted VM in VM order, interned by
+        the shared :class:`KindRegistry`), not the multiset: the model
+        sums demands in VM-list order, and float addition is
         order-sensitive, so only an order-exact key preserves the
         bit-identity contract with the naive oracle.  The codes are
         interned on the first consultation and then kept current by
@@ -390,9 +387,6 @@ class ServerRuntime:
                         finished.append(vm)
                         self._unhost(vm)
             t += step
-        if finished:
-            # The mix changed: outstanding boundary predictions are stale.
-            self.epoch += 1
         if not self._vms and self._power_off_when_empty and self.powered_on:
             self._set_power(None)
         self._last_sync_s = now_s
@@ -417,7 +411,6 @@ class ServerRuntime:
             self._set_power(now_s)
         vm.place(self.server_id, now_s)
         self._host(vm)
-        self.epoch += 1
 
     def attach_vm(self, vm: SimVM, now_s: float) -> None:
         """Attach an already-running VM (migration arrival).
@@ -440,14 +433,13 @@ class ServerRuntime:
             self._set_power(now_s)
         vm.server_id = self.server_id
         self._host(vm)
-        self.epoch += 1
 
     def detach_vm(self, vm: SimVM, now_s: float) -> SimVM:
         """Remove a running VM without completing it (for migration).
 
         Caller must have synced to ``now_s`` first; the VM keeps its
         remaining-work state and can be re-attached to another server
-        via :func:`repro.ext.migration.controller.attach_migrated`.
+        with :meth:`attach_vm`.
         """
         if abs(now_s - self._last_sync_s) > 1e-6:
             raise SimulationError(
@@ -459,7 +451,6 @@ class ServerRuntime:
             raise SimulationError(
                 f"server {self.server_id}: VM {vm.vm_id!r} is not hosted here"
             ) from None
-        self.epoch += 1
         if not self._vms and self._power_off_when_empty:
             self._set_power(None)
         return vm
@@ -482,23 +473,6 @@ class ServerRuntime:
         assert earliest is not None
         return now_s + max(earliest, _EPSILON_S)
 
-    # -- power management -------------------------------------------------
-
-    def power_on(self, now_s: float) -> None:
-        """Explicitly power the server on (for always-on policies)."""
-        self.sync(now_s)
-        if not self.powered_on:
-            self._set_power(now_s)
-
-    def force_power_off(self, now_s: float) -> None:
-        """Power off an idle server (error if VMs are running)."""
-        self.sync(now_s)
-        if self._vms:
-            raise SimulationError(
-                f"server {self.server_id}: cannot power off with {len(self._vms)} VMs"
-            )
-        self._set_power(None)
-
     # -- fault injection --------------------------------------------------
 
     def fail(self, now_s: float) -> list[SimVM]:
@@ -519,7 +493,6 @@ class ServerRuntime:
         evicted = [vm for vm in self._vms if not vm.done]
         for vm in list(self._vms):
             self._unhost(vm)
-        self.epoch += 1
         self._set_power(None)
         self._slowdown_factor = 1.0
         self._slowed = False
@@ -529,12 +502,16 @@ class ServerRuntime:
         return evicted
 
     def recover(self, now_s: float) -> None:
-        """Return a crashed server to service (still powered off)."""
+        """Return a crashed server to service (still powered off);
+        caller must have synced first."""
         if not self.failed:
             raise SimulationError(
                 f"server {self.server_id}: recover without a prior crash"
             )
-        self.sync(now_s)
+        if abs(now_s - self._last_sync_s) > 1e-6:
+            raise SimulationError(
+                f"server {self.server_id}: recover at {now_s} without sync"
+            )
         self.failed = False
         if self._cluster is not None:
             self._cluster.on_failure(self._slot, False)
@@ -551,7 +528,6 @@ class ServerRuntime:
             )
         self._slowdown_factor = factor
         self._slowed = True
-        self.epoch += 1
 
     def clear_slowdown(self, now_s: float) -> None:
         """End a transient slowdown; caller must have synced first."""
@@ -561,4 +537,3 @@ class ServerRuntime:
             )
         self._slowdown_factor = 1.0
         self._slowed = False
-        self.epoch += 1

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.faults import FaultSchedule, ScheduledFault
@@ -89,34 +89,46 @@ class ShardPlan:
         return bisect_right(self.offsets, server) - 1
 
 
-def partition_jobs(
-    jobs: Sequence[PreparedJob], plan: ShardPlan
-) -> tuple[list[list[PreparedJob]], dict[int, int]]:
-    """Deterministically route each job to one shard.
+def assign_shards(
+    jobs: Iterable[PreparedJob], plan: ShardPlan
+) -> Iterator[tuple[PreparedJob, int]]:
+    """The greedy balance, one job at a time in the order given.
 
-    Greedy balance over the canonical job order: each job lands on the
-    shard with the lowest assigned-VMs-to-capacity ratio (ties to the
-    lowest shard id), so heterogeneous shard sizes fill evenly.
-    Returns the per-shard job lists plus the ``job_id -> shard`` map
-    used to route VM-abort faults.
+    Each job goes to the shard with the lowest assigned-VMs-to-capacity
+    ratio (ties to the lowest shard id), so heterogeneous shard sizes
+    fill evenly.  Yields ``(job, shard)``; the only state is one load
+    per shard, so a lazy iterable streams through.
     """
-    ordered = sorted(jobs, key=lambda j: (j.submit_time_s, j.job_id))
-    groups: list[list[PreparedJob]] = [[] for _ in range(plan.n_shards)]
     capacities = [plan.size(shard) for shard in range(plan.n_shards)]
     loads = [0] * plan.n_shards
-    job_to_shard: dict[int, int] = {}
-    for job in ordered:
+    for job in jobs:
         best = 0
         best_ratio = loads[0] / capacities[0]
         for shard in range(1, plan.n_shards):
             ratio = loads[shard] / capacities[shard]
             if ratio < best_ratio:
                 best, best_ratio = shard, ratio
-        groups[best].append(job)
         loads[best] += job.n_vms
+        yield job, best
+
+
+def partition_jobs(
+    jobs: Sequence[PreparedJob], plan: ShardPlan
+) -> tuple[list[list[PreparedJob]], dict[int, int]]:
+    """Deterministically route each job to one shard.
+
+    :func:`assign_shards` over the canonical job order.  Returns the
+    per-shard job lists plus the ``job_id -> shard`` map used to route
+    VM-abort faults.
+    """
+    ordered = sorted(jobs, key=lambda j: (j.submit_time_s, j.job_id))
+    groups: list[list[PreparedJob]] = [[] for _ in range(plan.n_shards)]
+    job_to_shard: dict[int, int] = {}
+    for job, shard in assign_shards(ordered, plan):
+        groups[shard].append(job)
         if job.job_id in job_to_shard:
             raise SimulationError(f"duplicate job id {job.job_id} in trace")
-        job_to_shard[job.job_id] = best
+        job_to_shard[job.job_id] = shard
     return groups, job_to_shard
 
 

@@ -22,6 +22,7 @@ constraints"):
 
 from __future__ import annotations
 
+import copy
 from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
@@ -72,7 +73,11 @@ class ProactiveStrategy(AllocationStrategy):
     ``strategy.<key>{strategy="PA-x"}`` in the process-local
     observability registry when it is enabled at construction, and in a
     private registry otherwise (so :attr:`metrics` always works and
-    instances never share counters through the null bundle).
+    instances never share counters through the null bundle).  A deep
+    copy of a strategy bound to the process registry binds the same way
+    where it is made: a sharded run copies its strategy inside each
+    shard task, whose registry capture merges back into the caller's.
+    A private registry is copied with the strategy.
     """
 
     def __init__(
@@ -90,12 +95,28 @@ class ProactiveStrategy(AllocationStrategy):
         )
         self.name = self._allocator.weights.describe()
         self._last_plan: AllocationPlan | None = None
+        self._bind_registry()
+
+    def _bind_registry(self) -> None:
         obs = get_observability()
+        self._ambient = obs.enabled
         self._registry = obs.registry if obs.enabled else MetricsRegistry()
         self._counters = {
             key: self._registry.counter(f"strategy.{key}", strategy=self.name)
             for key in _TOTAL_KEYS
         }
+
+    def __deepcopy__(self, memo: dict) -> "ProactiveStrategy":
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        rebind = self._ambient
+        for name, value in vars(self).items():
+            if rebind and name in ("_ambient", "_registry", "_counters"):
+                continue
+            setattr(clone, name, copy.deepcopy(value, memo))
+        if rebind:
+            clone._bind_registry()
+        return clone
 
     @property
     def alpha(self) -> float:

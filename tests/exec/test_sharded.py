@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.obs.runtime import Observability
+from repro.obs.runtime import Observability, observed
 from repro.exec.sharded import run_sharded, shard_spill_paths
 from repro.faults import random_crash_spec
 from repro.sim.chronicle import iter_spilled
@@ -183,6 +183,41 @@ class TestShardStrategyCopy:
             )
 
         assert run_pa(2) == run_pa(1)
+
+
+class TestShardStrategyCounters:
+    """A strategy built under observability counts its sharded plans
+    into the caller's registry, as an unsharded run does."""
+
+    def plans(self, database, run_fn):
+        with observed() as obs:
+            run_fn(ProactiveStrategy(database, alpha=0.5))
+            return obs.registry.counter_values("strategy.plans")
+
+    def test_sharded_counts_match_the_plain_run(self, database):
+        from repro.sim.datacenter import DatacenterSimulator
+
+        config = DatacenterConfig(n_servers=6)
+        plain = self.plans(
+            database,
+            lambda strategy: DatacenterSimulator(config).run(
+                make_jobs(14), strategy, QoSPolicy.unlimited()
+            ),
+        )
+        assert plain == {'strategy.plans{strategy="PA-0.5"}': 14}
+        for shards, workers in ((1, 1), (2, 1), (2, 2)):
+            sharded = self.plans(
+                database,
+                lambda strategy: run_sharded(
+                    make_jobs(14),
+                    strategy,
+                    QoSPolicy.unlimited(),
+                    config,
+                    shards=shards,
+                    workers=workers,
+                ),
+            )
+            assert sharded == plain, (shards, workers)
 
 
 class TestShardedChronicles:

@@ -310,8 +310,11 @@ class TestIndexDriftStorm:
     @settings(max_examples=30, deadline=None)
     def test_audit_clean_after_random_event_storm(self, data):
         n = data.draw(st.integers(min_value=1, max_value=5))
+        # Odd servers stay powered on when emptied, so the storm also
+        # visits powered idle servers.
         servers = [
-            ServerRuntime(f"s{i:04d}", default_server()) for i in range(n)
+            ServerRuntime(f"s{i:04d}", default_server(), power_off_when_empty=i % 2 == 0)
+            for i in range(n)
         ]
         cluster = ClusterIndex(n)
         for slot, server in enumerate(servers):
@@ -322,7 +325,7 @@ class TestIndexDriftStorm:
             now += data.draw(st.floats(min_value=0.1, max_value=50.0))
             slot = data.draw(st.integers(min_value=0, max_value=n - 1))
             server = servers[slot]
-            op = data.draw(st.sampled_from(["add", "sync", "fail", "recover", "power"]))
+            op = data.draw(st.sampled_from(["add", "sync", "fail", "recover", "detach"]))
             server.sync(now)  # the driver's pre-mutation contract
             if op == "add" and not server.failed and server.n_vms < 8:
                 counter += 1
@@ -337,8 +340,8 @@ class TestIndexDriftStorm:
                 server.fail(now)
             elif op == "recover" and server.failed:
                 server.recover(now)
-            elif op == "power" and not server.failed and server.n_vms == 0:
-                server.power_on(now)
+            elif op == "detach" and server.n_vms > 0:
+                server.detach_vm(server.vms[0], now)
             assert cluster.audit(servers) == []
         assert cluster.active_vms == sum(s.n_vms for s in servers)
 

@@ -83,15 +83,20 @@ class TestAttach:
 
 
 class TestPowerOn:
-    def test_power_on_idempotent(self, server):
-        server.power_on(0.0)
-        server.power_on(0.0)
-        assert server.powered_on
-
     def test_power_on_accrues_idle_until_off(self):
+        # add_vm powers the server on; with power_off_when_empty=False
+        # it stays on, idle, once the VM has finished.
         runtime = ServerRuntime("s0", default_server(), power_off_when_empty=False)
-        runtime.power_on(0.0)
-        runtime.sync(100.0)
+        vm = make_vm()
+        runtime.sync(0.0)
+        runtime.add_vm(vm, 0.0)
+        init_done_s = runtime.next_boundary(0.0)
+        assert runtime.sync(init_done_s) == []
+        done_s = runtime.next_boundary(init_done_s)
+        assert runtime.sync(done_s) == [vm]
+        assert runtime.energy().idle_j == 0.0
+        runtime.sync(done_s + 100.0)
+        assert runtime.powered_on
         assert runtime.energy().idle_j == pytest.approx(
             100.0 * default_server().power.idle_w
         )
