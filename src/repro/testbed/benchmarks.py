@@ -109,6 +109,15 @@ class BenchmarkSpec:
             raise ConfigurationError("benchmark must demand at least one subsystem")
         object.__setattr__(self, "demands", MappingProxyType(demands))
 
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled or deep-copied; rebuild from
+        # a plain dict, which __post_init__ wraps again.
+        return (
+            type(self),
+            (self.name, self.workload_class, self.t_ref_s, self.serial_fraction,
+             dict(self.demands), self.ram_gb, self.init_demand_scale),
+        )
+
     def demand(self, subsystem: Subsystem) -> float:
         return self.demands[subsystem]
 

@@ -1,5 +1,8 @@
 """Unit tests for repro.testbed.benchmarks."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -93,3 +96,14 @@ class TestBenchmarkSpec:
     def test_ram_positive(self):
         with pytest.raises(ConfigurationError):
             self._spec(ram_gb=0.0)
+
+
+class TestCopy:
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_pickle_and_deepcopy_round_trip(self, name):
+        spec = get_benchmark(name)
+        for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert copied == spec
+            assert copied is not spec
+            assert type(copied.demands) is type(spec.demands)
+            assert dict(copied.demands) == dict(spec.demands)
