@@ -309,6 +309,8 @@ def load_signal(path: str) -> TemporalSignal:
             document = json.load(handle)
     except OSError as error:
         raise ValueError(f"cannot read signal file {path}: {error}") from None
+    except UnicodeDecodeError as error:
+        raise ValueError(f"signal file {path} is not UTF-8 text: {error.reason}") from None
     except json.JSONDecodeError as error:
         raise ValueError(f"signal file {path} is not valid JSON: {error}") from None
     return signal_from_document(document, source=path)

@@ -309,6 +309,10 @@ class FaultSpec:
                 text = handle.read()
         except OSError as error:
             raise FaultSpecError(f"cannot read fault spec {path!r}: {error}") from None
+        except UnicodeDecodeError as error:
+            raise FaultSpecError(
+                f"fault spec {path!r} is not UTF-8 text: {error.reason}"
+            ) from None
         return cls.from_json(text)
 
     def to_dict(self) -> dict:

@@ -34,7 +34,8 @@ from collections import deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from typing import IO, Iterator, Sequence
+from itertools import starmap
+from typing import IO, Iterator, NamedTuple, Sequence
 
 from repro.campaign.records import MixKey
 from repro.common.errors import SimulationError
@@ -70,12 +71,25 @@ class Interval:
         return self.power_w * self.duration_s
 
 
+class IntervalRow(NamedTuple):
+    """A chronicle's resident form of an :class:`Interval`: the same
+    fields, in the same order, as a plain tuple (``Interval(*row)``
+    rebuilds the interval).  Rows are what the ring keeps and the spill
+    encodes; intervals are built only where they are read."""
+
+    t0_s: float
+    t1_s: float
+    mix: MixKey
+    power_w: float
+    vm_ids: tuple[str, ...]
+
+
 #: Spill lines buffered per file write.  Small on purpose: 256 lines
 #: raised `campaign-ff` peak RSS by 0.1 MB for no measurable speed.
 SPILL_BATCH_LINES = 64
 
 
-def encode_interval(server_id: str, interval: Interval) -> str:
+def encode_interval(server_id: str, interval: Interval | IntervalRow) -> str:
     """One spill line, byte-for-byte ``json.dumps(record, separators=(",",
     ":")) + "\\n"`` -- with the encoders ``json.dumps`` itself applies to
     strings, ints and finite floats, minus its generic dispatch.
@@ -115,7 +129,7 @@ class ChronicleSpill:
         self._pending: list[str] = []
         self.n_written = 0
 
-    def write(self, server_id: str, interval: Interval) -> None:
+    def write(self, server_id: str, interval: Interval | IntervalRow) -> None:
         if self._handle is None:
             raise SimulationError(f"chronicle spill {self.path} is closed")
         pending = self._pending
@@ -191,7 +205,7 @@ class Chronicle:
         self.capacity = capacity
         self._spill = spill
         self._spill_path = spill.path if spill is not None else None
-        self._intervals: deque[Interval] = deque()
+        self._rows: deque[IntervalRow] = deque()
         self._notes: list[ChronicleNote] = []
         self._end_s = float("-inf")
         self.n_recorded = 0
@@ -222,19 +236,17 @@ class Chronicle:
             raise SimulationError(f"interval ends before it starts: ({t0_s}, {t1_s})")
         if t1_s == t0_s:
             return  # zero-length syncs carry no information
-        if self._intervals and t0_s < self._end_s - 1e-9:
+        rows = self._rows
+        if rows and t0_s < self._end_s - 1e-9:
             raise SimulationError(
                 f"interval at {t0_s} overlaps previous ending {self._end_s}"
             )
-        interval = Interval(
-            t0_s=t0_s, t1_s=t1_s, mix=mix, power_w=power_w, vm_ids=tuple(vm_ids)
-        )
-        if self.capacity is not None and len(self._intervals) >= self.capacity:
-            oldest = self._intervals.popleft()
+        if self.capacity is not None and len(rows) >= self.capacity:
+            oldest = rows.popleft()
             if self._spill is not None:
                 self._spill.write(self.server_id, oldest)
             self.n_evicted += 1
-        self._intervals.append(interval)
+        rows.append(IntervalRow(t0_s, t1_s, mix, power_w, tuple(vm_ids)))
         self._end_s = t1_s
         self.n_recorded += 1
 
@@ -250,10 +262,10 @@ class Chronicle:
     def __len__(self) -> int:
         """Resident interval count (equals ``n_recorded`` unless the
         ring evicted)."""
-        return len(self._intervals)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self._intervals)
+        return starmap(Interval, self._rows)
 
     def iter_all(self) -> Iterator[Interval]:
         """Every recorded interval in original order: spilled first
@@ -271,7 +283,7 @@ class Chronicle:
                 )
             for _, interval in iter_spilled(self._spill_path, self.server_id):
                 yield interval
-        yield from self._intervals
+        yield from starmap(Interval, self._rows)
 
     # -- the paper's weighted-interval arithmetic ----------------------
 

@@ -8,8 +8,8 @@ deterministic.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Generic, TypeVar
+from heapq import heappop, heappush
+from typing import Generic, TypeVar
 
 from repro.common.errors import SimulationError
 
@@ -37,32 +37,22 @@ class EventQueue(Generic[T]):
 
     def schedule(self, time: float, payload: T) -> None:
         """Add an event; scheduling in the past is an engine bug."""
-        if time < self._now - 1e-9:
-            raise SimulationError(
-                f"cannot schedule event at {time} before current time {self._now}"
-            )
-        heapq.heappush(self._heap, (max(time, self._now), self._sequence, payload))
-        self._sequence += 1
+        now = self._now
+        if time < now:
+            if time < now - 1e-9:
+                raise SimulationError(
+                    f"cannot schedule event at {time} before current time {now}"
+                )
+            time = now
+        sequence = self._sequence
+        heappush(self._heap, (time, sequence, payload))
+        self._sequence = sequence + 1
 
     def pop(self) -> tuple[float, T]:
         """Remove and return the earliest (time, payload); advances the clock."""
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             raise SimulationError("pop from an empty event queue")
-        time, _, payload = heapq.heappop(self._heap)
+        time, _, payload = heappop(heap)
         self._now = time
         return time, payload
-
-    def peek_time(self) -> float | None:
-        """Timestamp of the earliest event, or None when empty."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def drain(self, handler: Callable[[float, T], Any]) -> int:
-        """Pop-and-handle until empty; returns the number of events."""
-        count = 0
-        while self._heap:
-            time, payload = self.pop()
-            handler(time, payload)
-            count += 1
-        return count

@@ -333,8 +333,9 @@ class ServerRuntime:
             )
         finished: list[SimVM] = []
         t = self._last_sync_s
+        vms = self._vms
         while now_s - t > _EPSILON_S:
-            if not self._vms:
+            if not vms:
                 if self.powered_on:
                     if self._power_off_when_empty:
                         self._set_power(None)
@@ -354,9 +355,16 @@ class ServerRuntime:
             if self._slowed:
                 slowdowns = [s * self._slowdown_factor for s in slowdowns]
             power = physics[2]
-            next_boundary = min(
-                vm.remaining[vm.stage] * s for vm, s in zip(self._vms, slowdowns)
-            )
+            n = len(vms)
+            # The step's earliest boundary; the first minimum wins, as
+            # with min().
+            vm = vms[0]
+            next_boundary = vm.remaining[vm.stage] * slowdowns[0]
+            for i in range(1, n):
+                vm = vms[i]
+                eta = vm.remaining[vm.stage] * slowdowns[i]
+                if eta < next_boundary:
+                    next_boundary = eta
             step = min(now_s - t, max(next_boundary, _EPSILON_S))
             self._busy_energy_j += power * step
             if self._signals is not None:
@@ -365,24 +373,38 @@ class ServerRuntime:
                 self._cost += cost
             if self.chronicle is not None:
                 self.chronicle.record(
-                    t, t + step, self.mix_key(), power, [vm.vm_id for vm in self._vms]
+                    t,
+                    t + step,
+                    (self._ncpu, self._nmem, self._nio),
+                    power,
+                    tuple([vm.vm_id for vm in vms]),
                 )
             any_done = False
-            for i, (vm, slowdown) in enumerate(zip(self._vms, slowdowns)):
+            for i in range(n):
+                vm = vms[i]
+                slowdown = slowdowns[i]
+                # SimVM.advance inline while the stage goes on: the same
+                # subtraction, kept only when it stays above epsilon.
+                remaining = vm.remaining
                 stage = vm.stage
+                left = remaining[stage] - step / slowdown
+                if left > _EPSILON_S:
+                    remaining[stage] = left
+                    continue
                 vm.advance(step, slowdown, _EPSILON_S)
-                if vm.stage != stage:
-                    # A stage change is a mix change (SimVM.advance is
-                    # the only place a hosted VM's stage moves).
-                    self._physics = None
-                    if vm.stage == 1:
-                        if self._codes is not None:
-                            self._codes[i] = self._kinds.code_of(vm)
-                    else:
-                        # Done: unhosted below, so its code goes too.
-                        any_done = True
+                if vm.stage == stage:
+                    continue  # a NaN remainder moves no stage
+                # A stage change is a mix change (SimVM.advance is the
+                # only place a hosted VM's stage moves).
+                self._physics = None
+                if vm.stage == 1:
+                    if self._codes is not None:
+                        self._codes[i] = self._kinds.code_of(vm)
+                else:
+                    # Done: unhosted below, so its code goes too.
+                    any_done = True
             if any_done:
-                for vm in list(self._vms):
+                for vm in list(vms):
                     if vm.done:
                         finished.append(vm)
                         self._unhost(vm)

@@ -116,6 +116,20 @@ class TestCliValidation:
             "start at 0.0",
         )
 
+    def test_non_utf8_signal_file_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "signal.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--carbon-signal", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [
+            f"repro simulate: error: argument --carbon-signal: signal file {path} "
+            "is not UTF-8 text: invalid start byte"
+        ]
+
     def test_bad_synthetic_seed(self, capsys):
         self.parse_fails(
             ["simulate", "--carbon-signal", "synthetic:banana"],

@@ -86,6 +86,22 @@ class TestParseTimeValidation:
         )
 
 
+class TestUndecodableSpec:
+    def test_simulate_non_utf8_spec_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "faults.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--faults", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [
+            f"repro simulate: error: argument --faults: fault spec {str(path)!r} "
+            "is not UTF-8 text: invalid start byte"
+        ]
+
+
 class TestEvaluateWithFaults:
     def test_out_of_range_server_exits_2_at_runtime(self, tmp_path, capsys):
         # Parse-time validation cannot know the cloud sizes; the

@@ -203,6 +203,13 @@ class TestFromDict:
         with pytest.raises(FaultSpecError, match="cannot read fault spec"):
             FaultSpec.from_path("/nonexistent/faults.json")
 
+    def test_non_utf8_file_rejected_naming_the_path(self, tmp_path):
+        path = tmp_path / "faults.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(FaultSpecError, match="is not UTF-8 text") as excinfo:
+            FaultSpec.from_path(str(path))
+        assert repr(str(path)) in str(excinfo.value)
+
     def test_from_path_reads_file(self, tmp_path):
         path = tmp_path / "faults.json"
         path.write_text(json.dumps({"events": [crash().to_dict()]}))

@@ -245,6 +245,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="not valid JSON"):
             load_signal(signal_file(None, raw="{not json"))
 
+    def test_load_signal_non_utf8_names_the_path(self, tmp_path):
+        path = tmp_path / "signal.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ValueError) as excinfo:
+            load_signal(str(path))
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == (
+            f"signal file {path} is not UTF-8 text: invalid start byte"
+        )
+
     def test_signal_file_round_trip(self, signal_file):
         path = signal_file(STEP.document())
         assert load_signal(path) == STEP

@@ -37,18 +37,3 @@ class TestEventQueueProperties:
         for i in range(len(batch)):
             q.schedule(t, i)
         assert [q.pop()[1] for _ in batch] == list(range(len(batch)))
-
-    @given(times)
-    @settings(max_examples=40)
-    def test_drain_equals_manual_pops(self, schedule_times):
-        q1: EventQueue[int] = EventQueue()
-        q2: EventQueue[int] = EventQueue()
-        for i, t in enumerate(schedule_times):
-            q1.schedule(t, i)
-            q2.schedule(t, i)
-        manual = []
-        while q1:
-            manual.append(q1.pop())
-        drained = []
-        q2.drain(lambda t, p: drained.append((t, p)))
-        assert manual == drained

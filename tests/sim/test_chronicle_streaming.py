@@ -133,6 +133,77 @@ class TestChronicleSpill:
         assert list(clone.iter_all()) == list(chronicle.iter_all())
 
 
+#: (t0, t1, mix, power, vm ids) per record: busy and idle spans, a
+#: non-round power, and ids given as a list and as a tuple.
+RECORDS = [
+    (0.0, 1.5, (1, 0, 0), 120.25, ["j1-0"]),
+    (1.5, 2.0, (1, 1, 0), 180.0, ("j1-0", "j2-0")),
+    (2.0, 3.0, (0, 0, 0), 125.0, []),
+    (3.0, 7.25, (0, 1, 1), 1 / 3, ["j2-0", "j3-0"]),
+    (7.25, 9.0, (0, 0, 1), 150.5, ("j3-0",)),
+]
+
+
+def expected_intervals():
+    return [
+        Interval(t0_s=t0, t1_s=t1, mix=mix, power_w=power, vm_ids=tuple(ids))
+        for t0, t1, mix, power, ids in RECORDS
+    ]
+
+
+class TestRecordedRows:
+    """Whatever the ring keeps, every reader sees the recorded
+    arguments as :class:`Interval`s."""
+
+    @pytest.fixture(params=["unbounded", "roomy-ring", "ring-with-spill"])
+    def recorded(self, request, tmp_path):
+        if request.param == "ring-with-spill":
+            with ChronicleSpill(str(tmp_path / "spill.jsonl")) as spill:
+                chronicle = Chronicle("s0", capacity=2, spill=spill)
+                for record in RECORDS:
+                    chronicle.record(*record)
+            return chronicle, 2
+        capacity = None if request.param == "unbounded" else len(RECORDS)
+        chronicle = Chronicle("s0", capacity=capacity)
+        for record in RECORDS:
+            chronicle.record(*record)
+        return chronicle, len(RECORDS)
+
+    @staticmethod
+    def assert_intervals(got, expected):
+        assert all(type(interval) is Interval for interval in got)
+        assert got == expected
+
+    def test_iter_and_len_are_the_resident_intervals(self, recorded):
+        chronicle, resident = recorded
+        assert len(chronicle) == resident
+        self.assert_intervals(list(chronicle), expected_intervals()[-resident:])
+
+    def test_iter_all_is_every_interval(self, recorded):
+        chronicle, _ = recorded
+        self.assert_intervals(list(chronicle.iter_all()), expected_intervals())
+        assert chronicle.n_recorded == len(RECORDS)
+
+    def test_vm_intervals(self, recorded):
+        chronicle, _ = recorded
+        for vm_id in ("j1-0", "j2-0", "j3-0"):
+            self.assert_intervals(
+                chronicle.vm_intervals(vm_id),
+                [i for i in expected_intervals() if vm_id in i.vm_ids],
+            )
+        assert chronicle.vm_execution_time_s("j2-0") == 0.5 + 4.25
+
+    def test_pickled_chronicle_reads_the_same(self, recorded):
+        chronicle, resident = recorded
+        clone = pickle.loads(pickle.dumps(chronicle))
+        assert len(clone) == resident
+        self.assert_intervals(list(clone), expected_intervals()[-resident:])
+        self.assert_intervals(list(clone.iter_all()), expected_intervals())
+        self.assert_intervals(
+            clone.vm_intervals("j3-0"), expected_intervals()[-2:]
+        )
+
+
 def reference_line(server_id, interval):
     """The spill line as the generic JSON encoder spells it."""
     record = {

@@ -46,38 +46,9 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             EventQueue().pop()
 
-    def test_peek_time(self):
-        q: EventQueue[str] = EventQueue()
-        assert q.peek_time() is None
-        q.schedule(2.0, "x")
-        assert q.peek_time() == 2.0
-        assert len(q) == 1  # peek does not consume
-
     def test_bool_and_len(self):
         q: EventQueue[str] = EventQueue()
         assert not q
         q.schedule(1.0, "x")
         assert q
         assert len(q) == 1
-
-    def test_drain(self):
-        q: EventQueue[str] = EventQueue()
-        seen = []
-        for t in (3.0, 1.0, 2.0):
-            q.schedule(t, f"e{t}")
-        count = q.drain(lambda t, p: seen.append((t, p)))
-        assert count == 3
-        assert seen == [(1.0, "e1.0"), (2.0, "e2.0"), (3.0, "e3.0")]
-
-    def test_drain_handles_reentrancy(self):
-        q: EventQueue[str] = EventQueue()
-        seen = []
-
-        def handler(t, payload):
-            seen.append(payload)
-            if payload == "a":
-                q.schedule(t + 1.0, "b")
-
-        q.schedule(1.0, "a")
-        q.drain(handler)
-        assert seen == ["a", "b"]
