@@ -9,7 +9,10 @@ event loop with none of its incremental structures:
 * the powered-on gauge and the idle-cluster check scan every server;
 * every physics query recomputes the mix from fresh per-VM views with
   ``MixModel.slowdowns`` + ``MixModel.subsystem_loads`` (no per-server
-  entry, no shared memo).
+  entry, no shared memo);
+* every integration step takes ``min()`` over the VMs' boundaries and
+  calls :meth:`~repro.sim.vm.SimVM.advance` once per VM (the production
+  step advances a stage inline and calls it only when the stage ends).
 
 It reaches the loop through the simulator's ``_server_type`` /
 ``_cluster_type`` seam and nothing else.
@@ -21,13 +24,17 @@ baseline of its speedup gate.
 
 from __future__ import annotations
 
+from repro.common.errors import SimulationError
 from repro.sim.datacenter import DatacenterSimulator
 from repro.sim.server import ServerRuntime
 from repro.testbed.power import instantaneous_power
 
+_EPSILON_S = 1e-9
+
 
 class NaiveServerRuntime(ServerRuntime):
-    """A server whose mix physics is recomputed at every query."""
+    """A server whose mix physics is recomputed at every query and
+    whose VMs advance through :meth:`SimVM.advance` at every step."""
 
     def _mix_physics(self) -> tuple:
         views = [vm.active_view() for vm in self._vms]
@@ -35,6 +42,56 @@ class NaiveServerRuntime(ServerRuntime):
         loads = self._model.subsystem_loads(views)
         power = instantaneous_power(loads, len(views), self.spec.power)
         return slowdowns, loads, power
+
+    def sync(self, now_s: float) -> list:
+        if now_s < self._last_sync_s - 1e-9:
+            raise SimulationError(
+                f"server {self.server_id}: sync to {now_s} before {self._last_sync_s}"
+            )
+        finished = []
+        t = self._last_sync_s
+        while now_s - t > _EPSILON_S:
+            if not self._vms:
+                if self.powered_on:
+                    if self._power_off_when_empty:
+                        self._set_power(None)
+                    else:
+                        idle_power = self._idle_power_w()
+                        self._idle_energy_j += idle_power * (now_s - t)
+                        if self._signals is not None:
+                            carbon, cost = self._signals.accrue(idle_power, t, now_s)
+                            self._carbon_g += carbon
+                            self._cost += cost
+                        if self.chronicle is not None:
+                            self.chronicle.record(t, now_s, (0, 0, 0), idle_power, ())
+                t = now_s
+                break
+            slowdowns, _, power = self._mix_physics()
+            if self._slowed:
+                slowdowns = [s * self._slowdown_factor for s in slowdowns]
+            next_boundary = min(
+                vm.remaining[vm.stage] * s for vm, s in zip(self._vms, slowdowns)
+            )
+            step = min(now_s - t, max(next_boundary, _EPSILON_S))
+            self._busy_energy_j += power * step
+            if self._signals is not None:
+                carbon, cost = self._signals.accrue(power, t, t + step)
+                self._carbon_g += carbon
+                self._cost += cost
+            if self.chronicle is not None:
+                self.chronicle.record(
+                    t, t + step, self.mix_key(), power, [vm.vm_id for vm in self._vms]
+                )
+            for vm, slowdown in zip(self._vms, slowdowns):
+                vm.advance(step, slowdown, _EPSILON_S)
+            for vm in [vm for vm in self._vms if vm.done]:
+                finished.append(vm)
+                self._unhost(vm)
+            t += step
+        if not self._vms and self._power_off_when_empty and self.powered_on:
+            self._set_power(None)
+        self._last_sync_s = now_s
+        return finished
 
 
 class NaiveClusterState:
