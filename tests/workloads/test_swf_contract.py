@@ -191,15 +191,15 @@ class TestCleaningContract:
 
     def test_sort_is_stable_rebased_and_renumbered(self):
         records = [
-            record(job=40, submit=300, user=0),
-            record(job=41, submit=120, user=1),
-            record(job=42, submit=300, user=2),
-            record(job=43, submit=120, user=3),
+            record(job=40, submit=300, user=2),
+            record(job=41, submit=120, user=5),
+            record(job=42, submit=300, user=0),
+            record(job=43, submit=120, user=1),
             record(job=44, submit=500, user=4, status=JobStatus.FAILED),
-            record(job=45, submit=120, user=5),
+            record(job=45, submit=120, user=3),
         ]
         kept, report = clean_trace(records)
-        assert [r.user_id for r in kept] == [1, 3, 5, 0, 2]
+        assert [r.user_id for r in kept] == [5, 1, 3, 2, 0]
         assert [r.submit_time for r in kept] == [0, 0, 0, 180, 180]
         assert [r.job_number for r in kept] == [1, 2, 3, 4, 5]
         assert report.kept == 5 and report.failed == 1
@@ -221,10 +221,10 @@ class TestCleaningContract:
 
 class TestMergeContract:
     def test_ties_keep_input_order(self):
-        a = [record(job=1, submit=10, user=0), record(job=2, submit=20, user=1)]
-        b = [record(job=1, submit=10, user=2), record(job=2, submit=15, user=3)]
-        c = [record(job=1, submit=10, user=4)]
+        a = [record(job=1, submit=10, user=4), record(job=2, submit=20, user=1)]
+        b = [record(job=1, submit=10, user=0), record(job=2, submit=15, user=3)]
+        c = [record(job=1, submit=10, user=2)]
         merged = merge_swf([a, b, c])
-        assert [r.user_id for r in merged] == [0, 2, 4, 3, 1]
+        assert [r.user_id for r in merged] == [4, 0, 2, 3, 1]
         assert [r.job_number for r in merged] == [1, 2, 3, 4, 5]
         assert all(type(r) is SWFRecord for r in merged)
