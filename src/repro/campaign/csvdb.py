@@ -47,7 +47,7 @@ def write_records_csv(records: Iterable[BenchmarkRecord], path: str | os.PathLik
     if len(set(keys)) != len(keys):
         dupes = sorted({k for k in keys if keys.count(k) > 1})
         raise ValueError(f"duplicate record keys: {dupes}")
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_HEADER)
         for record in ordered:
@@ -75,7 +75,7 @@ def read_records_csv(path: str | os.PathLike) -> list[BenchmarkRecord]:
         (the binary-search invariant must hold for data read from
         disk, where an external editor may have scrambled it).
     """
-    with open(path, newline="") as handle:
+    with open(path, encoding="utf-8", newline="") as handle:
         return _parse_records(handle, str(path))
 
 
@@ -127,7 +127,7 @@ def _parse_records(handle, source: str) -> list[BenchmarkRecord]:
 
 def write_auxiliary_file(optima: OptimalScenarios, path: str | os.PathLike) -> None:
     """Write the auxiliary parameter file: OSPx, OSEx, OSx, Tx per class."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["Parameter", "Value"])
         for workload_class in WORKLOAD_CLASSES:
@@ -146,7 +146,7 @@ def read_auxiliary_file(path: str | os.PathLike) -> OptimalScenarios:
     inconsistency is a format error (the file was edited by hand).
     """
     values: dict[str, str] = {}
-    with open(path, newline="") as handle:
+    with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

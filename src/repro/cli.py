@@ -34,9 +34,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.analysis.cli import main as _analysis_main
 from repro.campaign.platformrunner import run_campaign
 from repro.common.errors import (
     AllocationError,
@@ -59,7 +58,6 @@ from repro.common.validation import (
 from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
 from repro.core.model import ModelDatabase
 from repro.exec.sharded import run_sharded
-from repro.experiments.ascii import bar_chart, line_curve
 from repro.experiments.config import LARGER, SMALLER, EvaluationConfig
 from repro.experiments.evaluation import prepare_workload, run_evaluation
 from repro.experiments.fig2_basecurve import fig2_basecurve
@@ -70,12 +68,9 @@ from repro.ext.carbon.signal import (
     parse_carbon_signal,
     parse_price_signal,
 )
-from repro.faults import FaultSpec
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runtime import Observability, get_observability, set_observability
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.profiling.profiler import ApplicationProfiler
-from repro.service import schema
 from repro.sim.datacenter import DatacenterConfig
 from repro.strategies.registry import make_strategy, proactive_alpha
 from repro.testbed.benchmarks import BENCHMARKS, WorkloadClass, get_benchmark
@@ -88,6 +83,14 @@ from repro.workloads.cleaning import clean_trace
 from repro.workloads.qos import QoSPolicy
 from repro.workloads.swf import read_swf
 
+if TYPE_CHECKING:
+    from repro.faults import FaultSpec
+
+# Layers only one command runs are imported inside its handler, so a
+# command's set-up loads what it runs (DESIGN.md "Set-up").  What the
+# commands run stays imported here: measurement hooks patch those names
+# on this module (``run_sharded`` marks perfbench's measured phase).
+
 
 def _parse_faults(text: str) -> FaultSpec:
     """--faults, a JSON fault-injection spec loaded and validated here.
@@ -97,6 +100,8 @@ def _parse_faults(text: str) -> FaultSpec:
     kind or a negative time all exit 2 through the shared typed-flag
     path -- same as a bad --jobs or --alpha.
     """
+    from repro.faults import FaultSpec
+
     return FaultSpec.from_path(text)
 
 
@@ -513,6 +518,8 @@ def _parse_batch(spec: str) -> list[VMRequest]:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.profiling.profiler import ApplicationProfiler
+
     names = args.benchmarks or list(BENCHMARKS)
     profiler = ApplicationProfiler()
     for name in names:
@@ -559,6 +566,8 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         print(f"repro allocate: error: {error}", file=sys.stderr)
         return 2
     if args.format == "json":
+        from repro.service import schema
+
         # The embedded plan is the canonical schema document -- the same
         # bytes a service session returns for these requests.
         document = {
@@ -617,6 +626,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"repro evaluate: error: {error}", file=sys.stderr)
         return 2
     if json_output:
+        from repro.service import schema
+
         result_document = schema.evaluation_document(result)
         document = {
             "command": "evaluate",
@@ -644,6 +655,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             document["carbon"] = _carbon_document(carbon)
         _print_json(schema.stamp(document))
         return 0
+    from repro.experiments.ascii import bar_chart
+
     print()
     print(bar_chart(result.series("makespan_s"), title="Fig. 5: makespan (s)"))
     print()
@@ -711,11 +724,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             proactive_alpha(args.strategy)  # before the trace and the campaign
         if args.swf is not None:
             _comments, records = read_swf(args.swf)
-            cleaned, _report = clean_trace(records)
-            jobs = truncate_to_vm_budget(
-                assign_profiles_and_vms(cleaned, rng=seeds.child("profiles")),
-                args.vm_budget,
-            )
+            cleaned, report = clean_trace(records)
+            if not cleaned:
+                raise ConfigurationError(
+                    f"{args.swf}: no jobs to simulate: {report.summary()}"
+                )
+            prepared = assign_profiles_and_vms(cleaned, rng=seeds.child("profiles"))
+            jobs = truncate_to_vm_budget(prepared, args.vm_budget)
+            if not jobs:
+                raise ConfigurationError(
+                    f"{args.swf}: no jobs to simulate: --vm-budget "
+                    f"{args.vm_budget} is below the first job's "
+                    f"{prepared[0].n_vms} VMs"
+                )
             n_vms = total_vms_requested(jobs)
             # Same server density as the paper's SMALLER cloud unless
             # the user pins the cluster size.
@@ -787,6 +808,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     applied = sum(1 for record in result.fault_log if record.applied)
     if json_output:
+        from repro.service import schema
+
         m = result.metrics
         result_payload = {
             "makespan_s": m.makespan_s,
@@ -842,6 +865,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
+    from repro.experiments.ascii import line_curve
+
     result = fig2_basecurve()
     print(
         line_curve(
@@ -857,6 +882,7 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service import schema
     from repro.service.server import ServiceConfig, serve
 
     config = ServiceConfig(
@@ -886,6 +912,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     # Delegate to the linter's own CLI so `repro lint` and `python -m
     # repro.analysis` cannot drift apart (exit codes: 0 clean, 1
     # findings, 2 usage).
+    from repro.analysis.cli import main as analysis_main
+
     argv = list(args.paths)
     argv += ["--format", args.format]
     if args.rules is not None:
@@ -896,10 +924,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         argv += ["--update-baseline", args.update_baseline]
     if args.list_rules:
         argv.append("--list-rules")
-    return _analysis_main(argv)
+    return analysis_main(argv)
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    # Fig. 1 runs the profiler, which fig1_profiles imports on first use:
+    # load it with the command, before the reproduction starts.
+    import repro.profiling.profiler  # noqa: F401
     from repro.experiments.paper_summary import reproduce_paper
 
     progress = None if args.quiet else print
@@ -947,6 +978,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         set_observability(previous)
         tracer.close()
         if metrics_path:
+            from repro.service import schema
+
             with open(metrics_path, "w", encoding="utf-8") as handle:
                 json.dump(
                     schema.stamp(registry.snapshot()), handle, indent=2, sort_keys=True

@@ -9,10 +9,13 @@ benchmarks solo and returns their sampled traces plus classifications.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.profiling.profiler import ApplicationProfiler, ProfileReport
 from repro.testbed.benchmarks import get_benchmark
 from repro.testbed.spec import ServerSpec
+
+if TYPE_CHECKING:
+    from repro.profiling.profiler import ProfileReport
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,10 @@ def fig1_profiles(
     tests check them): the left trace is CPU-intensive only, the right
     one is intensive on both CPU and network.
     """
+    # Imported here: the experiments package re-exports this module, and
+    # commands that never profile should not load the profiler.
+    from repro.profiling.profiler import ApplicationProfiler
+
     profiler = ApplicationProfiler(server=server, sample_period_s=sample_period_s)
     return Fig1Result(
         cpu_intensive=profiler.profile(get_benchmark("fftw")),

@@ -109,6 +109,22 @@ class BenchmarkSpec:
             raise ConfigurationError("benchmark must demand at least one subsystem")
         object.__setattr__(self, "demands", MappingProxyType(demands))
 
+    def __hash__(self) -> int:
+        # The generated __eq__ compares ``demands`` as a mapping, so
+        # hash its items as a set: equal specs hash equal whatever the
+        # insertion order of their demands.
+        return hash(
+            (
+                self.name,
+                self.workload_class,
+                self.t_ref_s,
+                self.serial_fraction,
+                frozenset(self.demands.items()),
+                self.ram_gb,
+                self.init_demand_scale,
+            )
+        )
+
     def __reduce__(self):
         # A mappingproxy cannot be pickled or deep-copied; rebuild from
         # a plain dict, which __post_init__ wraps again.

@@ -12,7 +12,8 @@ can rely on a dense, chronologically sorted trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from repro.workloads.swf import JobStatus, SWFRecord
@@ -57,28 +58,27 @@ def clean_trace(records: Sequence[SWFRecord]) -> tuple[list[SWFRecord], CleanRep
     cancelled states are counted first (they are deliberate removals),
     anomalies catch the remainder.  Survivors are sorted by submit
     time, rebased so the first submission is second 0, and renumbered
-    from 1.
+    from 1.  Statuses are compared as raw ints (``JobStatus`` is an
+    ``IntEnum``), so an unlisted status is an anomaly.
     """
     kept: list[SWFRecord] = []
     failed = cancelled = anomalies = 0
     for record in records:
-        status = record.job_status
+        status = record.status
         if status == JobStatus.FAILED:
             failed += 1
-            continue
-        if status == JobStatus.CANCELLED:
+        elif status == JobStatus.CANCELLED:
             cancelled += 1
-            continue
-        if status != JobStatus.COMPLETED or _is_anomalous(record):
+        elif status != JobStatus.COMPLETED or _is_anomalous(record):
             anomalies += 1
-            continue
-        kept.append(record)
+        else:
+            kept.append(record)
 
-    kept.sort(key=lambda r: r.submit_time)
+    kept.sort(key=attrgetter("submit_time"))
     if kept:
         base = kept[0].submit_time
         kept = [
-            replace(record, submit_time=record.submit_time - base, job_number=index)
+            SWFRecord(index, record.submit_time - base, *record[2:])
             for index, record in enumerate(kept, start=1)
         ]
     report = CleanReport(

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.common.errors import TraceFormatError
 
@@ -34,12 +33,13 @@ class JobStatus(enum.IntEnum):
     UNKNOWN = -1
 
 
-@dataclass(frozen=True, slots=True)
-class SWFRecord:
+class SWFRecord(NamedTuple):
     """One SWF job line.
 
     Field names follow the SWF standard; times are seconds relative to
-    the trace start, ``-1`` = unknown.
+    the trace start, ``-1`` = unknown.  A named tuple, so a trace of
+    100k jobs costs one tuple per job to read and to clean (DESIGN.md
+    "Set-up"); equality is tuple equality.
     """
 
     job_number: int
@@ -74,29 +74,10 @@ class SWFRecord:
 
     def shifted(self, delta_s: int) -> "SWFRecord":
         """A copy with the submit time shifted by ``delta_s`` seconds."""
-        return replace(self, submit_time=self.submit_time + delta_s)
+        return self._replace(submit_time=self.submit_time + delta_s)
 
     def as_fields(self) -> tuple[int, ...]:
-        return (
-            self.job_number,
-            self.submit_time,
-            self.wait_time,
-            self.run_time,
-            self.allocated_procs,
-            self.avg_cpu_time,
-            self.used_memory,
-            self.requested_procs,
-            self.requested_time,
-            self.requested_memory,
-            self.status,
-            self.user_id,
-            self.group_id,
-            self.executable,
-            self.queue,
-            self.partition,
-            self.preceding_job,
-            self.think_time,
-        )
+        return tuple(self)
 
     @classmethod
     def from_fields(cls, fields: Sequence[int]) -> "SWFRecord":
@@ -118,23 +99,21 @@ def read_swf(path: str | os.PathLike) -> tuple[list[str], list[SWFRecord]]:
     try:
         with open(path, encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped:
+                parts = line.split()
+                if not parts:
                     continue
-                if stripped.startswith(";"):
-                    comments.append(stripped)
+                if parts[0].startswith(";"):
+                    comments.append(line.strip())
                     continue
-                parts = stripped.split()
                 if len(parts) != N_FIELDS:
                     raise TraceFormatError(
                         f"expected {N_FIELDS} fields, got {len(parts)}",
                         line_number=line_number,
                     )
                 try:
-                    fields = [int(p) for p in parts]
+                    records.append(SWFRecord(*map(int, parts)))
                 except ValueError as exc:
                     raise TraceFormatError(str(exc), line_number=line_number) from exc
-                records.append(SWFRecord.from_fields(fields))
     except UnicodeDecodeError as exc:
         raise TraceFormatError(
             f"not UTF-8 text: {exc.reason}", line_number=_undecodable_line(path)
@@ -161,13 +140,13 @@ def write_swf(
     comments: Sequence[str] = (),
 ) -> None:
     """Write records to an SWF file (comments first, then data lines)."""
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         for comment in comments:
             if not comment.startswith(";"):
                 comment = f"; {comment}"
             handle.write(comment + "\n")
         for record in records:
-            handle.write(" ".join(str(f) for f in record.as_fields()) + "\n")
+            handle.write(" ".join(map(str, record)) + "\n")
 
 
 def merge_swf(traces: Sequence[Sequence[SWFRecord]]) -> list[SWFRecord]:
@@ -182,4 +161,4 @@ def merge_swf(traces: Sequence[Sequence[SWFRecord]]) -> list[SWFRecord]:
         (record for trace in traces for record in trace),
         key=lambda r: r.submit_time,
     )
-    return [replace(record, job_number=index) for index, record in enumerate(merged, start=1)]
+    return [record._replace(job_number=index) for index, record in enumerate(merged, start=1)]

@@ -6,6 +6,10 @@ import pytest
 
 import repro.cli as cli_module
 from repro.cli import _parse_batch, build_parser, main
+from repro.common.rng import SeedSequenceFactory
+from repro.workloads.assignment import assign_profiles_and_vms
+from repro.workloads.cleaning import clean_trace
+from repro.workloads.swf import read_swf
 
 
 class TestParser:
@@ -222,6 +226,66 @@ class TestTypedErrors:
         err = capsys.readouterr().err
         assert err.startswith("repro simulate: error: line 3: not UTF-8 text")
         assert "Traceback" not in err
+
+    @staticmethod
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("the campaign ran for a trace with nothing to simulate")
+
+    def test_simulate_comments_only_swf_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli_module, "run_campaign", self.no_campaign)
+        path = tmp_path / "empty.swf"
+        path.write_text("; Version: 2.2\n; no jobs\n\n", encoding="utf-8")
+        assert main(["simulate", "--swf", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro simulate: error: {path}: no jobs to simulate: "
+            "kept 0/0 jobs (failed 0, cancelled 0, anomalies 0)\n"
+        )
+
+    @pytest.mark.parametrize("strategy", ["FF-2", "PA-0.5"])
+    def test_simulate_all_jobs_cleaned_away_exits_2(
+        self, strategy, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli_module, "run_campaign", self.no_campaign)
+        path = tmp_path / "failed.swf"
+        # job 1, submitted at 0, ran 100 s on 2 processors, status 0 (failed)
+        fields = ["1", "0", "0", "100", "2"] + ["-1"] * 5 + ["0"] + ["-1"] * 7
+        text = "; one failed job\n" + " ".join(fields) + "\n"
+        path.write_text(text, encoding="utf-8")
+        argv = ["simulate", "--swf", str(path), "--strategy", strategy]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "trace:" not in captured.out
+        assert captured.err == (
+            f"repro simulate: error: {path}: no jobs to simulate: "
+            "kept 0/1 jobs (failed 1, cancelled 0, anomalies 0)\n"
+        )
+
+    def test_simulate_vm_budget_below_first_job_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "small.swf"
+        # jobs 1-3, 10 s apart, each ran 100 s on 2 processors, status 1
+        lines = [
+            [str(job), str(10 * job), "0", "100", "2"] + ["-1"] * 5 + ["1"] + ["-1"] * 7
+            for job in (1, 2, 3)
+        ]
+        path.write_text("".join(" ".join(f) + "\n" for f in lines), encoding="utf-8")
+        first = assign_profiles_and_vms(
+            clean_trace(read_swf(path)[1])[0],
+            rng=SeedSequenceFactory(20110516).child("profiles"),
+        )[0]
+        budget = first.n_vms - 1
+        assert budget >= 1  # the seeded draw gives the first job 2+ VMs
+        argv = ["simulate", "--swf", str(path), "--vm-budget", str(budget)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro simulate: error: {path}: no jobs to simulate: --vm-budget "
+            f"{budget} is below the first job's {first.n_vms} VMs\n"
+        )
+        assert main([*argv[:-1], str(first.n_vms)]) == 0
+        assert capsys.readouterr().out.startswith("trace: 1 jobs")
 
     @pytest.mark.parametrize("name", ["PA-2", "PA--1", "PA-abc"])
     def test_simulate_bad_proactive_name_before_campaign(self, name, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Unit tests for repro.testbed.benchmarks."""
 
 import copy
+import functools
 import pickle
 
 import pytest
@@ -107,3 +108,63 @@ class TestCopy:
             assert copied is not spec
             assert type(copied.demands) is type(spec.demands)
             assert dict(copied.demands) == dict(spec.demands)
+
+
+class TestHash:
+    @staticmethod
+    def _spec(demands, name="x"):
+        return BenchmarkSpec(
+            name=name,
+            workload_class=WorkloadClass.MEM,
+            t_ref_s=100.0,
+            serial_fraction=0.1,
+            demands=demands,
+            ram_gb=0.5,
+        )
+
+    def test_equal_specs_hash_equal_whatever_the_demand_order(self):
+        forward = self._spec({Subsystem.CPU: 0.5, Subsystem.MEMORY: 0.9})
+        backward = self._spec({Subsystem.MEMORY: 0.9, Subsystem.CPU: 0.5})
+        assert list(forward.demands) != list(backward.demands)
+        assert forward == backward
+        assert hash(forward) == hash(backward)
+
+    def test_explicit_zero_demand_equals_the_default(self):
+        implicit = self._spec({Subsystem.CPU: 1.0})
+        explicit = self._spec({Subsystem.DISK: 0.0, Subsystem.CPU: 1.0})
+        assert implicit == explicit
+        assert hash(implicit) == hash(explicit)
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_registered_specs_hash_like_their_copies(self, name):
+        spec = get_benchmark(name)
+        assert hash(spec) == hash(pickle.loads(pickle.dumps(spec)))
+        assert hash(spec) == hash(copy.deepcopy(spec))
+
+    def test_set_member(self):
+        specs = {get_benchmark(name) for name in BENCHMARKS}
+        specs |= {copy.deepcopy(get_benchmark(name)) for name in BENCHMARKS}
+        assert len(specs) == len(BENCHMARKS)
+        assert self._spec({Subsystem.CPU: 1.0}) not in specs
+
+    def test_dict_key(self):
+        by_spec = {get_benchmark(name): name for name in BENCHMARKS}
+        for name in BENCHMARKS:
+            assert by_spec[copy.deepcopy(get_benchmark(name))] == name
+
+    def test_lru_cache_argument(self):
+        calls = []
+
+        @functools.lru_cache(maxsize=None)
+        def demand_total(spec):
+            calls.append(spec.name)
+            return sum(spec.demands.values())
+
+        first = self._spec({Subsystem.CPU: 0.5, Subsystem.NETWORK: 0.25})
+        again = self._spec({Subsystem.NETWORK: 0.25, Subsystem.CPU: 0.5})
+        assert demand_total(first) == demand_total(again) == 0.75
+        assert calls == ["x"]
+        fftw = get_benchmark("fftw")
+        assert demand_total(copy.deepcopy(fftw)) == sum(fftw.demands.values())
+        assert demand_total(fftw) == sum(fftw.demands.values())
+        assert calls == ["x", "fftw"]

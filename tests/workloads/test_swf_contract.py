@@ -108,7 +108,7 @@ class TestRecordValue:
 
 
 class TestStatus:
-    @pytest.mark.parametrize("raw", [4, -7, 42])
+    @pytest.mark.parametrize("raw", [4, -7])
     def test_unlisted_status_maps_to_unknown(self, raw):
         assert record(status=raw).job_status is JobStatus.UNKNOWN
 
