@@ -32,7 +32,6 @@ both surfaces.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING, Sequence
 
@@ -542,7 +541,9 @@ def _metrics_snapshot() -> dict:
 
 
 def _print_json(document: dict) -> None:
-    print(json.dumps(document, indent=2, sort_keys=True))
+    from repro.service.schema import encode_document
+
+    print(encode_document(document))
 
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
@@ -748,6 +749,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 label="SIM", n_servers=SMALLER.n_servers, seed=args.seed
             ).scaled(args.vm_budget)
             jobs, n_vms = prepare_workload(scenario)
+            if not jobs:
+                raise ConfigurationError(
+                    f"synthetic trace: no jobs to simulate: --vm-budget "
+                    f"{args.vm_budget} is below the first job's VMs"
+                )
             n_servers = scenario.n_servers if args.servers is None else args.servers
 
         say(f"trace: {len(jobs)} jobs, {n_vms} VMs on {n_servers} servers")
@@ -981,10 +987,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             from repro.service import schema
 
             with open(metrics_path, "w", encoding="utf-8") as handle:
-                json.dump(
-                    schema.stamp(registry.snapshot()), handle, indent=2, sort_keys=True
-                )
-                handle.write("\n")
+                document = schema.stamp(registry.snapshot())
+                handle.write(schema.encode_document(document) + "\n")
     return code
 
 

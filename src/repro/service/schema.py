@@ -11,9 +11,10 @@ stability policy (DESIGN.md, "Service architecture"):
   documents whose version they do not understand with a
   :class:`~repro.common.errors.SchemaError` naming both versions.
 
-Encoders (``*_document``) return plain ``json.dumps``-ready dicts with
-deterministic content: two equal objects encode to byte-identical
-documents under ``json.dumps(..., indent=2, sort_keys=True)``.
+Encoders (``*_document``) return plain JSON-ready dicts with
+deterministic content, and :func:`encode_document` writes any of them
+as wire text byte-for-byte equal to ``json.dumps(..., indent=2,
+sort_keys=True)``: two equal objects encode to byte-identical text.
 Decoders (``decode_*``) validate eagerly and raise
 :class:`~repro.common.errors.SchemaError` (a ``ValueError``) with
 messages naming the offending field, so the CLI and the HTTP service
@@ -22,6 +23,8 @@ reject the same malformed input with the same text.
 
 from __future__ import annotations
 
+import json
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 from repro.common.errors import SchemaError
@@ -110,6 +113,122 @@ def _object(value, field: str, kind: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise SchemaError(f"{kind} document: {field!r} must be an object, got {value!r}")
     return value
+
+
+# -- wire text ---------------------------------------------------------
+
+#: Total dict keys the layout table holds before it is wholesale
+#: cleared.  Clearing only costs re-sorting; output is unaffected.  A
+#: service run needs a few hundred (about twenty document shapes), and
+#: at well under 100 bytes per key the table stays within a few MB.
+_LAYOUT_KEYS_MAX = 1 << 14
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+#: (dict keys in insertion order, depth) -> (sorted keys, the pre-encoded
+#: ``"{\n<indent>\"key\": "`` / ``",\n<indent>\"key\": "`` prefix of each,
+#: the closing ``"\n<indent>}"``).
+_layouts: dict[tuple, tuple] = {}
+_layout_keys = 0
+
+
+class _Unencodable(Exception):
+    """A value outside the fast path: ``json.dumps`` encodes the document."""
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+#: The encoders ``json.dumps`` applies to each exact scalar type.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: _LITERALS.__getitem__,
+    type(None): _LITERALS.__getitem__,
+}
+
+
+def _layout(keys: tuple, depth: int) -> tuple:
+    global _layout_keys
+    if not all(type(key) is str for key in keys):
+        raise _Unencodable
+    order = sorted(keys)
+    indent = "\n" + "  " * (depth + 1)
+    prefixes = [f",{indent}{encode_basestring_ascii(key)}: " for key in order]
+    prefixes[0] = "{" + prefixes[0][1:]
+    if _layout_keys + len(keys) > _LAYOUT_KEYS_MAX:
+        _layouts.clear()
+        _layout_keys = 0
+    _layout_keys += len(keys)
+    layout = _layouts[keys, depth] = (order, prefixes, "\n" + "  " * depth + "}")
+    return layout
+
+
+def _emit(value, depth: int, append, scalar=_SCALARS.get) -> None:
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            append("{}")
+            return
+        keys = tuple(value)
+        # Layouts are built from exact-str keys only; a str-subclass key
+        # equal to one of them hits it, and json.dumps writes it the same.
+        order, prefixes, closing = _layouts.get((keys, depth)) or _layout(keys, depth)
+        depth += 1
+        for prefix, item in zip(prefixes, map(value.__getitem__, order)):
+            append(prefix)
+            encode = scalar(type(item))
+            if encode is None:
+                _emit(item, depth, append)
+            else:
+                append(encode(item))
+        append(closing)
+    elif kind is list or kind is tuple:
+        if not value:
+            append("[]")
+            return
+        depth += 1
+        separator = ",\n" + "  " * depth
+        prefix = "[" + separator[1:]
+        for item in value:
+            append(prefix)
+            prefix = separator
+            encode = scalar(type(item))
+            if encode is None:
+                _emit(item, depth, append)
+            else:
+                append(encode(item))
+        append(separator[1:-2] + "]")
+    else:
+        encode = scalar(kind)
+        if encode is None:
+            raise _Unencodable
+        append(encode(value))
+
+
+def encode_document(document) -> str:
+    """The wire text of ``document``: byte-for-byte ``json.dumps(document,
+    indent=2, sort_keys=True)``.
+
+    Exact ``dict``/``list``/``tuple``/``str``/``int``/``float``/``bool``/
+    ``None`` values take the fast path, with the scalar encoders
+    ``json.dumps`` itself applies and each dict shape's sorted key order
+    and key prefixes read from the layout table.  Any other value -- a
+    ``str``/``int``/``float`` subclass such as an ``Enum`` member, a
+    non-``str`` key, an unknown type, a cycle -- sends the whole
+    document through ``json.dumps``, which spells it or raises its own
+    error.
+    """
+    parts: list[str] = []
+    try:
+        _emit(document, 0, parts.append)
+    except (_Unencodable, RecursionError):
+        return json.dumps(document, indent=2, sort_keys=True)
+    return "".join(parts)
 
 
 # -- error envelope ----------------------------------------------------

@@ -125,7 +125,7 @@ _STATUS_TEXT = {
 
 def _response_bytes(status: int, document: dict) -> bytes:
     """One HTTP/1.1 response carrying ``document`` as JSON."""
-    payload = json.dumps(document, indent=2, sort_keys=True).encode("utf-8")
+    payload = schema.encode_document(document).encode("utf-8")
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
         f"Content-Type: application/json\r\n"

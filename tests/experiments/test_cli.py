@@ -191,6 +191,26 @@ class TestObservabilityFlags:
         assert document["time_budget_s"] is None
         assert document["plan"]["search_provenance"]["anytime"] is False
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["allocate", "--vms", "2cpu,1mem,1io", "--format", "json"],
+            ["simulate", "--vm-budget", "8", "--format", "json"],
+        ],
+        ids=["allocate", "simulate"],
+    )
+    def test_json_documents_are_canonical_wire_text(
+        self, argv, model_dir, tmp_path, capsys
+    ):
+        if argv[0] == "allocate":
+            argv = [*argv, "--model", str(model_dir)]
+        metrics = tmp_path / "metrics.json"
+        assert main([*argv, "--metrics", str(metrics)]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        text = metrics.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
     def test_text_format_unchanged_by_default(self, model_dir, capsys):
         assert main(["allocate", "--model", str(model_dir), "--vms", "2cpu"]) == 0
         out = capsys.readouterr().out
@@ -286,6 +306,19 @@ class TestTypedErrors:
         )
         assert main([*argv[:-1], str(first.n_vms)]) == 0
         assert capsys.readouterr().out.startswith("trace: 1 jobs")
+
+    @pytest.mark.parametrize("strategy", ["FF-2", "PA-0.5"])
+    def test_simulate_empty_synthetic_workload_exits_2(
+        self, strategy, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli_module, "run_campaign", self.no_campaign)
+        assert main(["simulate", "--vm-budget", "1", "--strategy", strategy]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro simulate: error: synthetic trace: no jobs to simulate: "
+            "--vm-budget 1 is below the first job's VMs\n"
+        )
 
     @pytest.mark.parametrize("name", ["PA-2", "PA--1", "PA-abc"])
     def test_simulate_bad_proactive_name_before_campaign(self, name, monkeypatch, capsys):

@@ -4,14 +4,19 @@ Satellite contract for the schema module: every document type
 round-trips losslessly (encode -> decode -> encode is the identity on
 the document), every document is stamped ``schema_version: "1"`` with
 the stamp as the first key, and decoders reject missing or future
-versions with messages naming both sides.
+versions with messages naming both sides.  The wire text of any
+document is byte-for-byte ``json.dumps(..., indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from enum import Enum, IntEnum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import SchemaError
 from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
@@ -191,3 +196,111 @@ class TestErrorEnvelope:
     def test_detail_keys_sorted(self):
         document = schema.error_envelope("backpressure", "full", zebra=1, apple=2)
         assert list(document["error"]["detail"]) == ["apple", "zebra"]
+
+
+def reference_text(document) -> str:
+    return json.dumps(document, indent=2, sort_keys=True)
+
+
+class Colour(str, Enum):
+    RED = "red"
+    CAFE = "caf\u00e9"
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+class Ratio(float, Enum):
+    HALF = 0.5
+    NONE = math.nan
+
+
+TEXT = st.one_of(
+    st.sampled_from(
+        ["", '"', "\\", 'a"b\\c', "\x00\x1f\x7f", "a\nb\tc", "caf\u00e9", "\u2603",
+         "\U0001f600", "\ud800", "x\udfffy"]
+    ),
+    st.text(max_size=6),
+)
+FLOATS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e16, 1 / 3, 1e-7, math.nan, math.inf, -math.inf]
+    ),
+    st.floats(),
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(2**100), 0, -1]),
+    FLOATS,
+    TEXT,
+    st.sampled_from([*Colour, *Level, *Ratio]),
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=5),
+    ),
+    max_leaves=24,
+)
+
+
+class TestEncodeDocument:
+    @settings(max_examples=400, derandomize=True)
+    @given(document=DOCUMENTS)
+    def test_text_is_the_json_dumps_text(self, document):
+        assert schema.encode_document(document) == reference_text(document)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {},
+            [],
+            (),
+            {"b": {}, "a": [], "c": ()},
+            [[[]], {"k": [{}]}],
+            {"z": 1, "a": {"y": [1.5, None, True], "b": False}},
+            -0.0,
+            math.nan,
+            "caf\u00e9",
+            {"vm": Colour.RED, "n": Level.HIGH, "share": Ratio.NONE},
+            {1: "int key", 2: "another"},
+            {0.5: "half", -1.5: "less"},
+            {True: 1, False: 0},
+            {None: "null key"},
+        ],
+    )
+    def test_edge_documents(self, document):
+        assert schema.encode_document(document) == reference_text(document)
+
+    @pytest.mark.parametrize(
+        "document",
+        [{"a": object()}, [1, {2, 3}], {"raw": b"bytes"}, {"a": 1, 2: "b"}],
+    )
+    def test_unserializable_raises_the_json_dumps_error(self, document):
+        with pytest.raises(TypeError) as expected:
+            reference_text(document)
+        with pytest.raises(TypeError) as raised:
+            schema.encode_document(document)
+        assert str(raised.value) == str(expected.value)
+
+    def test_cycle_raises_the_json_dumps_error(self):
+        document = {"a": []}
+        document["a"].append(document)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            schema.encode_document(document)
+
+    def test_layout_table_is_cleared_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(schema, "_layouts", {})
+        monkeypatch.setattr(schema, "_layout_keys", 0)
+        monkeypatch.setattr(schema, "_LAYOUT_KEYS_MAX", 10)
+        for i in range(40):
+            document = {f"k{i}": i, "shared": {"b": i, "a": [i]}}
+            assert schema.encode_document(document) == reference_text(document)
+            assert schema._layout_keys == sum(len(keys) for keys, _ in schema._layouts)
+            assert schema._layout_keys <= 10

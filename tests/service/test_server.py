@@ -509,3 +509,60 @@ class TestChaosEndpoint:
         assert status == 400
         assert body["error"]["code"] == "invalid_request"
         svc.request("DELETE", f"/v1/sessions/{sid}")
+
+
+class TestWireText:
+    """Every response body is the canonical ``json.dumps`` text."""
+
+    @staticmethod
+    def exchange(svc, method, path, payload=None, content_length=None):
+        """One request on its own connection; returns (status, raw body)."""
+        import socket
+
+        payload = b"" if payload is None else payload
+        length = len(payload) if content_length is None else content_length
+        head = (
+            f"{method} {path} HTTP/1.1\r\n"
+            "Host: localhost\r\n"
+            "Connection: close\r\n"
+            f"Content-Length: {length}\r\n"
+            "\r\n"
+        ).encode("ascii")
+        with socket.create_connection(
+            (svc.service.config.host, svc.port), timeout=30
+        ) as sock:
+            sock.sendall(head + payload)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        reply = b"".join(chunks)
+        status_line, _, rest = reply.partition(b"\r\n")
+        return int(status_line.split()[1]), rest.partition(b"\r\n\r\n")[2]
+
+    def test_every_route_and_error_envelope(self, svc):
+        from repro.service.server import MAX_BODY_BYTES
+
+        def send(method, path, document=None, **kwargs):
+            payload = None if document is None else json.dumps(document).encode()
+            status, body = self.exchange(svc, method, path, payload, **kwargs)
+            bodies.append((method, path, status, body))
+            return status, json.loads(body)
+
+        bodies = []
+        status, created = send("POST", "/v1/sessions", {"n_servers": 3, "coalesce": 4})
+        assert status == 201
+        sid = created["session_id"]
+        base = f"/v1/sessions/{sid}"
+        assert send("POST", f"{base}/requests", {"requests": request_docs(6)})[0] == 200
+        assert send("POST", f"{base}/flush")[0] == 200
+        assert send("GET", f"{base}/plans")[0] == 200
+        assert send("GET", f"{base}/state")[0] == 200
+        assert send("GET", "/v1/metrics")[0] == 200
+        assert send("DELETE", base)[0] == 200
+        assert send("POST", "/v1/sessions", {"alpha": 2})[0] == 400
+        assert send("GET", base)[0] == 404
+        assert send("DELETE", "/v1/healthz")[0] == 405
+        assert send("POST", "/v1/sessions", content_length=MAX_BODY_BYTES + 1)[0] == 413
+        for method, path, status, body in bodies:
+            canonical = json.dumps(json.loads(body), indent=2, sort_keys=True).encode()
+            assert body == canonical, (method, path, status)
