@@ -37,8 +37,6 @@ rule id                   guards
 determinism-taint         nondeterminism sources (wall clock, unseeded
                           RNG, ``os.environ``, set iteration) must not
                           reach protected layers through any call path
-wire-schema-drift         wire-serialized dataclass fields stay in sync
-                          with the encoders/decoders in service/schema
 api-dead-export           ``repro.api.__all__`` entries are referenced
                           by at least one test or example
 dead-internal-function    no internal function with zero call-graph

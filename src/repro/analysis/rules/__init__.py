@@ -13,7 +13,6 @@ from repro.analysis.rules import (  # noqa: F401
     errors,
     floats,
     layering,
-    schema_drift,
     suppression,
     taint,
 )

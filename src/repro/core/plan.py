@@ -7,7 +7,7 @@ what strategies hand to the datacenter simulator for enactment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Mapping
 
 from repro.campaign.records import MixKey, total_vms
@@ -140,8 +140,8 @@ class AllocationProvenance:
     def from_counts(
         cls, counts: Mapping[str, int | bool], **extra
     ) -> "AllocationProvenance":
-        """Build from a plain counter mapping (the wire document's
-        ``search_provenance`` object, see :mod:`repro.service.schema`).
+        """Build from a plain counter mapping (such as
+        :meth:`CacheStats.as_dict <repro.core.estimatecache.CacheStats.as_dict>`).
 
         ``extra`` overrides individual fields.  Fields absent from both
         ``counts`` and ``extra`` keep their dataclass defaults.
@@ -159,28 +159,7 @@ class AllocationProvenance:
         return {name: getattr(self, name) for name in _PROVENANCE_FIELDS}
 
 
-_PROVENANCE_FIELDS = (
-    "grid_hits",
-    "grid_misses",
-    "energy_fallbacks",
-    "partitions_enumerated",
-    "candidates_feasible",
-    "candidates_compliant",
-    "frontier_retained",
-    "frontier_peak",
-    "pruned_infeasible_subtrees",
-    "pruned_dominated_subtrees",
-    "aborted_assignments",
-    "bnb_active",
-    "anytime",
-    "anytime_beam_width",
-    "anytime_rounds",
-    "anytime_evaluated",
-    "anytime_budget_exhausted",
-    "anytime_exact_fallback",
-    "time_budget_s",
-    "budget_consumed_s",
-)
+_PROVENANCE_FIELDS = tuple(f.name for f in fields(AllocationProvenance))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 from repro.common.errors import FaultSpecError
@@ -226,7 +227,7 @@ class FaultSpec:
             raise FaultSpecError(
                 f"fault spec must be a JSON object, got {type(data).__name__}"
             )
-        unknown = set(data) - {"events", "random", "seed"}
+        unknown = set(data) - _SPEC_KEYS
         if unknown:
             raise FaultSpecError(f"unknown fault spec keys: {sorted(unknown)}")
         events = []
@@ -244,51 +245,25 @@ class FaultSpec:
                     f"events[{i}]: unknown fault kind {kind_name!r}; expected one "
                     f"of {sorted(k.value for k in FaultKind)}"
                 ) from None
-            known = {"kind", "time_s", "server", "vm", "duration_s", "factor", "task", "times"}
-            extra = set(raw) - known
+            extra = set(raw) - set(_EVENT_TYPES) - {"kind"}
             if extra:
                 raise FaultSpecError(f"events[{i}]: unknown keys {sorted(extra)}")
+            values = _typed(raw, _EVENT_TYPES, f"events[{i}]")
             try:
-                events.append(
-                    FaultEvent(
-                        kind=kind,
-                        time_s=float(raw.get("time_s", 0.0)),
-                        server=raw.get("server"),
-                        vm=raw.get("vm"),
-                        duration_s=float(raw.get("duration_s", 0.0)),
-                        factor=float(raw.get("factor", 1.0)),
-                        task=raw.get("task"),
-                        times=int(raw.get("times", 1)),
-                    )
-                )
-            except (TypeError, ValueError) as error:
-                if isinstance(error, FaultSpecError):
-                    raise FaultSpecError(f"events[{i}]: {error}") from None
-                raise FaultSpecError(
-                    f"events[{i}]: bad field value ({error})"
-                ) from None
+                events.append(FaultEvent(kind=kind, **values))
+            except FaultSpecError as error:
+                raise FaultSpecError(f"events[{i}]: {error}") from None
         random = None
         if data.get("random") is not None:
             raw_random = data["random"]
             if not isinstance(raw_random, Mapping):
                 raise FaultSpecError("'random' must be an object")
-            extra = set(raw_random) - {
-                "crash_rate_per_1000s", "window_t0_s", "window_t1_s", "recover_after_s",
-            }
+            extra = set(raw_random) - set(_RANDOM_TYPES)
             if extra:
                 raise FaultSpecError(f"random: unknown keys {sorted(extra)}")
             if "crash_rate_per_1000s" not in raw_random:
                 raise FaultSpecError("random: 'crash_rate_per_1000s' is required")
-            random = RandomFaults(
-                crash_rate_per_1000s=float(raw_random["crash_rate_per_1000s"]),
-                window_t0_s=float(raw_random.get("window_t0_s", 0.0)),
-                window_t1_s=float(raw_random.get("window_t1_s", 3600.0)),
-                recover_after_s=(
-                    None
-                    if raw_random.get("recover_after_s") is None
-                    else float(raw_random["recover_after_s"])
-                ),
-            )
+            random = RandomFaults(**_typed(raw_random, _RANDOM_TYPES, "random"))
         seed = data.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise FaultSpecError(f"seed must be an integer, got {seed!r}")
@@ -321,6 +296,58 @@ class FaultSpec:
             "random": self.random.to_dict() if self.random is not None else None,
             "seed": self.seed,
         }
+
+
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+#: Field checks by annotation: (accepts the value, what it must be).
+_CHECKS = {
+    "float": (_finite_number, "a finite number"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _field_types(cls) -> dict:
+    """{field: (annotation less ``| None``, nullable)}, ``kind`` aside."""
+    return {
+        f.name: (f.type.partition(" | ")[0], f.type.endswith(" | None"))
+        for f in fields(cls)
+        if f.name != "kind"
+    }
+
+
+def _typed(raw: Mapping, types: dict, where: str) -> dict:
+    """The fields of ``raw``, each checked against its annotation; absent
+    fields keep the dataclass defaults."""
+    values = {}
+    for name, (base, nullable) in types.items():
+        if name not in raw:
+            continue
+        value = raw[name]
+        accepts, what = _CHECKS[base]
+        if value is None and nullable:
+            values[name] = None
+        elif accepts(value):
+            values[name] = float(value) if base == "float" else value
+        else:
+            raise FaultSpecError(
+                f"{where}: bad field value: {where}.{name} must be "
+                f"{what}{' or null' if nullable else ''}, got {value!r}"
+            )
+    return values
+
+
+_SPEC_KEYS = frozenset(field.name for field in fields(FaultSpec))
+_EVENT_TYPES = _field_types(FaultEvent)
+_RANDOM_TYPES = _field_types(RandomFaults)
 
 
 @dataclass(frozen=True)

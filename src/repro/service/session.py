@@ -32,7 +32,8 @@ batching loop and all latency measurement live in
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from repro.common.errors import (
@@ -93,16 +94,6 @@ class SessionConfig:
                 f"({self.max_queue}); a window could never fill"
             )
 
-    _FIELDS = (
-        "n_servers",
-        "alpha",
-        "coalesce",
-        "max_queue",
-        "strict_qos",
-        "time_budget_s",
-        "max_vms_per_server",
-    )
-
     @classmethod
     def from_document(cls, document) -> "SessionConfig":
         """Build from a session-creation body (unknown keys rejected)."""
@@ -110,10 +101,10 @@ class SessionConfig:
             raise SchemaError(
                 f"session config must be a JSON object, got {type(document).__name__}"
             )
-        unknown = set(document) - set(cls._FIELDS) - {"schema_version"}
+        unknown = set(document) - set(_CONFIG_FIELDS) - {"schema_version"}
         if unknown:
             raise SchemaError(f"session config: unknown keys {sorted(unknown)}")
-        values = {name: document[name] for name in cls._FIELDS if name in document}
+        values = {name: document[name] for name in _CONFIG_FIELDS if name in document}
         for flag in ("strict_qos",):
             if flag in values and not isinstance(values[flag], bool):
                 raise SchemaError(
@@ -127,7 +118,10 @@ class SessionConfig:
             raise SchemaError(f"session config: {error}") from None
 
     def to_document(self) -> dict:
-        return schema.stamp({name: getattr(self, name) for name in self._FIELDS})
+        return schema.stamp({name: getattr(self, name) for name in _CONFIG_FIELDS})
+
+
+_CONFIG_FIELDS = tuple(field.name for field in fields(SessionConfig))
 
 
 @dataclass(frozen=True)
@@ -172,7 +166,60 @@ class _Placement:
     vm_id: str
     server_id: str
     workload_class: WorkloadClass
-    max_exec_time_s: float | None
+    max_exec_time_s: float | None = None
+
+
+@dataclass(frozen=True)
+class _ServerEntry:
+    """One server of a snapshot: its id, current mix and failure flag."""
+
+    server_id: str
+    allocated: "tuple[int, int, int]"
+    failed: bool = False
+
+
+@dataclass(frozen=True)
+class _Snapshot:
+    """A session's state, as snapshots carry it (the id travels apart)."""
+
+    config: SessionConfig
+    servers: "tuple[_ServerEntry, ...]"
+    pending: "tuple[VMRequest, ...]"
+    placements: "tuple[_Placement, ...]"
+    admitted_total: int
+    next_ordinal: int
+    batches_completed: int
+
+
+def _placement_class(value, path: str, kind: str) -> WorkloadClass:
+    try:
+        return WorkloadClass(value)
+    except ValueError:
+        raise SchemaError(
+            f"{kind} document: {path.rpartition('.')[0]} has unknown "
+            f"workload_class {value!r}"
+        ) from None
+
+
+_SERVER_ENTRY = schema.Wire(
+    _ServerEntry,
+    {"server_id": schema.STRING, "allocated": schema.MIX, "failed": schema.BOOLEAN},
+)
+_PLACEMENT = schema.Wire(
+    _Placement,
+    {"vm_id": schema.STRING, "server_id": schema.STRING,
+     # An absent class reads as null: an unknown one.
+     "workload_class": schema.Codec(_placement_class, attrgetter("value"), absent=None),
+     "max_exec_time_s": schema.DEADLINE},
+)
+_SNAPSHOT = schema.Wire(
+    _Snapshot,
+    {"config": schema.mapping(SessionConfig.from_document, SessionConfig.to_document),
+     "servers": schema.array(_SERVER_ENTRY), "pending": schema.REQUEST_DOCUMENTS,
+     "placements": schema.array(_PLACEMENT), "admitted_total": schema.INTEGER,
+     "next_ordinal": schema.INTEGER, "batches_completed": schema.INTEGER},
+    kind="session_state",
+)
 
 
 class Session:
@@ -483,37 +530,21 @@ class Session:
 
     def state_document(self) -> dict:
         """The session's full state as one wire document (``GET .../state``)."""
-        return schema.stamp(
-            {
-                "session_id": self.session_id,
-                "config": self.config.to_document(),
-                "servers": [
-                    {
-                        "server_id": server_id,
-                        "allocated": schema._mix_document(
-                            self._servers[server_id].allocated
-                        ),
-                        "failed": server_id in self._failed,
-                    }
-                    for server_id in self._server_order
-                ],
-                "pending": [
-                    schema.vm_request_document(request) for request in self._pending
-                ],
-                "placements": [
-                    {
-                        "vm_id": placement.vm_id,
-                        "server_id": placement.server_id,
-                        "workload_class": placement.workload_class.value,
-                        "max_exec_time_s": placement.max_exec_time_s,
-                    }
-                    for placement in self._placements.values()
-                ],
-                "admitted_total": self._admitted_total,
-                "next_ordinal": self._next_ordinal,
-                "batches_completed": self._batch_index_base + len(self.batches),
-            }
+        snapshot = _Snapshot(
+            config=self.config,
+            servers=tuple(
+                _ServerEntry(
+                    server_id, self._servers[server_id].allocated, server_id in self._failed
+                )
+                for server_id in self._server_order
+            ),
+            pending=tuple(self._pending),
+            placements=tuple(self._placements.values()),
+            admitted_total=self._admitted_total,
+            next_ordinal=self._next_ordinal,
+            batches_completed=self._batch_index_base + len(self.batches),
         )
+        return _SNAPSHOT.encode(snapshot, schema.stamp({"session_id": self.session_id}))
 
     def restore(self, document) -> None:
         """Replace this session's state from a snapshot (``PUT .../state``).
@@ -524,80 +555,28 @@ class Session:
         index so restored sessions keep monotonic ordinals.
         """
         kind = "session_state"
-        document = schema.check_version(document, kind)
-        config = SessionConfig.from_document(
-            schema._object(
-                schema._require(document, "config", kind), "config", kind
-            )
-        )
-        raw_servers = schema._array(
-            schema._require(document, "servers", kind), "servers", kind
-        )
-        if len(raw_servers) != config.n_servers:
+        snapshot = _SNAPSHOT.decode(document)
+        config = snapshot.config
+        if len(snapshot.servers) != config.n_servers:
             raise SchemaError(
-                f"{kind} document: {len(raw_servers)} servers listed but the "
+                f"{kind} document: {len(snapshot.servers)} servers listed but the "
                 f"config says n_servers={config.n_servers}"
             )
-        order: list[str] = []
         servers: dict[str, ServerState] = {}
-        failed: set[str] = set()
-        for i, raw in enumerate(raw_servers):
-            entry = schema._object(raw, f"servers[{i}]", kind)
-            server_id = schema._string(
-                schema._require(entry, "server_id", kind), f"servers[{i}].server_id", kind
-            )
-            if server_id in servers:
+        for entry in snapshot.servers:
+            if entry.server_id in servers:
                 raise SchemaError(
-                    f"{kind} document: duplicate server_id {server_id!r}"
+                    f"{kind} document: duplicate server_id {entry.server_id!r}"
                 )
-            allocated = schema._decode_mix(
-                schema._require(entry, "allocated", kind), f"servers[{i}].allocated", kind
+            servers[entry.server_id] = ServerState(
+                entry.server_id, allocated=entry.allocated, max_vms=config.max_vms_per_server
             )
-            order.append(server_id)
-            servers[server_id] = ServerState(
-                server_id, allocated=allocated, max_vms=config.max_vms_per_server
-            )
-            if entry.get("failed", False):
-                failed.add(server_id)
-        pending: deque[VMRequest] = deque()
-        for raw in schema._array(
-            schema._require(document, "pending", kind), "pending", kind
-        ):
-            pending.append(schema.decode_vm_request(raw))
-        placements: dict[str, _Placement] = {}
-        for i, raw in enumerate(
-            schema._array(
-                schema._require(document, "placements", kind), "placements", kind
-            )
-        ):
-            entry = schema._object(raw, f"placements[{i}]", kind)
-            vm_id = schema._string(
-                schema._require(entry, "vm_id", kind), f"placements[{i}].vm_id", kind
-            )
-            server_id = schema._string(
-                schema._require(entry, "server_id", kind),
-                f"placements[{i}].server_id",
-                kind,
-            )
-            if server_id not in servers:
+        for i, placement in enumerate(snapshot.placements):
+            if placement.server_id not in servers:
                 raise SchemaError(
                     f"{kind} document: placements[{i}] names unknown server "
-                    f"{server_id!r}"
+                    f"{placement.server_id!r}"
                 )
-            try:
-                workload_class = WorkloadClass(entry.get("workload_class"))
-            except ValueError:
-                raise SchemaError(
-                    f"{kind} document: placements[{i}] has unknown "
-                    f"workload_class {entry.get('workload_class')!r}"
-                ) from None
-            deadline = entry.get("max_exec_time_s")
-            placements[vm_id] = _Placement(
-                vm_id=vm_id,
-                server_id=server_id,
-                workload_class=workload_class,
-                max_exec_time_s=None if deadline is None else float(deadline),
-            )
         # All validated; commit atomically.
         self.config = config
         self._allocator = ProactiveAllocator(
@@ -606,26 +585,20 @@ class Session:
             strict_qos=config.strict_qos,
             time_budget_s=config.time_budget_s,
         )
-        self._server_order = order
+        self._server_order = list(servers)
         self._servers = servers
-        self._failed = failed
-        self._pending = pending
-        self._placements = placements
-        self._known_vms = set(placements) | {
-            request.vm_id for request in pending
+        self._failed = {entry.server_id for entry in snapshot.servers if entry.failed}
+        self._pending = deque(snapshot.pending)
+        self._placements = {
+            placement.vm_id: placement for placement in snapshot.placements
         }
-        self._admitted_total = schema._integer(
-            schema._require(document, "admitted_total", kind), "admitted_total", kind
-        )
-        self._next_ordinal = schema._integer(
-            schema._require(document, "next_ordinal", kind), "next_ordinal", kind
-        )
+        self._known_vms = set(self._placements) | {
+            request.vm_id for request in self._pending
+        }
+        self._admitted_total = snapshot.admitted_total
+        self._next_ordinal = snapshot.next_ordinal
         self.batches = []
-        self._batch_index_base = schema._integer(
-            schema._require(document, "batches_completed", kind),
-            "batches_completed",
-            kind,
-        )
+        self._batch_index_base = snapshot.batches_completed
 
     def info_document(self) -> dict:
         """The lightweight session summary (``GET /v1/sessions/{id}``)."""

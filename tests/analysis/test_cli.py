@@ -57,7 +57,6 @@ class TestAnalysisEntryPoint:
             "determinism-wallclock",
             "determinism-rng",
             "determinism-taint",
-            "wire-schema-drift",
             "api-dead-export",
             "dead-internal-function",
             "api-shim-expired",

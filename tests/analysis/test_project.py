@@ -31,7 +31,7 @@ def load(*names) -> ContextList:
 
 class TestProjectIndex:
     def test_modules_functions_classes_and_fields(self):
-        project = get_project(load("callgraph_lib.py", "bad_schema_drift.py"))
+        project = get_project(load("callgraph_lib.py", "dataclass_twin.py"))
         lib = project.table(LIB)
         assert set(lib.functions) == {"helper"}
         assert set(lib.classes) == {"Base", "Widget"}

@@ -327,47 +327,6 @@ class TestTaintRule:
         assert result.ok
 
 
-class TestSchemaDriftRule:
-    SCHEMA = (
-        Path(__file__).resolve().parents[2] / "src" / "repro" / "service" / "schema.py"
-    )
-
-    def test_added_field_without_schema_change_fails(self):
-        result = run_lint(
-            [FIXTURES / "bad_schema_drift.py", self.SCHEMA],
-            rules={"wire-schema-drift"},
-        )
-        # The grown field is missing from the encoder AND the decoder.
-        assert len(result.violations) == 2
-        assert all("priority_boost" in v.message for v in result.violations)
-        assert {"encoder", "decoder"} <= {
-            v.message.split(" in its ")[1].split(" ")[0] for v in result.violations
-        }
-
-    def test_real_tree_contracts_hold(self):
-        result = run_lint(
-            [Path(__file__).resolve().parents[2] / "src" / "repro"],
-            rules={"wire-schema-drift"},
-        )
-        assert result.ok, "\n".join(v.render() for v in result.violations)
-
-    def test_provenance_tuple_must_cover_every_field(self, tmp_path):
-        plan = tmp_path / "plan.py"
-        plan.write_text(
-            "# repro-fixture-module: repro.core.plan\n"
-            "from dataclasses import dataclass\n"
-            '_PROVENANCE_FIELDS = ("mode",)\n'
-            "@dataclass(frozen=True)\n"
-            "class AllocationProvenance:\n"
-            "    mode: str\n"
-            "    extra_field: int = 0\n",
-            encoding="utf-8",
-        )
-        result = run_lint([plan], rules={"wire-schema-drift"})
-        assert len(result.violations) == 1
-        assert "extra_field" in result.violations[0].message
-
-
 class TestDeadcodeRules:
     def test_dead_export_flagged_only_with_consumers(self, tmp_path):
         facade = tmp_path / "facade.py"

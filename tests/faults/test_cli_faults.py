@@ -86,6 +86,34 @@ class TestParseTimeValidation:
         )
 
 
+class TestUntypedSpecField:
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"events": [{"kind": "worker_failure", "task": 0, "times": 1.9}]},
+             "events[0]: bad field value: events[0].times must be an integer, got 1.9"),
+            ({"events": [{"kind": "server_crash", "server": 1.5}]},
+             "events[0]: bad field value: events[0].server must be an integer or "
+             "null, got 1.5"),
+            ('{"events": [{"kind": "server_crash", "server": 0, "time_s": NaN}]}',
+             "events[0]: bad field value: events[0].time_s must be a finite number, "
+             "got nan"),
+            ('{"random": {"crash_rate_per_1000s": NaN}}',
+             "random: bad field value: random.crash_rate_per_1000s must be a finite "
+             "number, got nan"),
+        ],
+    )
+    def test_simulate_exits_2_naming_the_field(self, tmp_path, capsys, document, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--faults", write_spec(tmp_path, document)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"repro simulate: error: argument --faults: {message}"
+        ]
+
+
 class TestUndecodableSpec:
     def test_simulate_non_utf8_spec_exits_2_naming_the_file(self, tmp_path, capsys):
         path = tmp_path / "faults.json"

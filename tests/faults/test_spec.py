@@ -175,6 +175,52 @@ class TestFromDict:
                 {"events": [{"kind": "server_crash", "server": 0, "time_s": "soon"}]}
             )
 
+    @pytest.mark.parametrize(
+        "event, where",
+        [
+            ({"kind": "worker_failure", "task": 0, "times": 1.9}, "times must be an integer"),
+            ({"kind": "worker_failure", "task": True}, "task must be an integer or null"),
+            ({"kind": "server_crash", "server": True}, "server must be an integer or null"),
+            ({"kind": "server_crash", "server": 1.5}, "server must be an integer or null"),
+            ({"kind": "server_crash", "server": 0, "time_s": float("nan")},
+             "time_s must be a finite number"),
+            ({"kind": "server_crash", "server": 0, "time_s": "7"},
+             "time_s must be a finite number"),
+            ({"kind": "server_crash", "server": 0, "time_s": 10**400},
+             "time_s must be a finite number"),
+            ({"kind": "slowdown", "server": 0, "duration_s": 5.0, "factor": float("inf")},
+             "factor must be a finite number"),
+            ({"kind": "vm_abort", "vm": 7}, "vm must be a string or null"),
+        ],
+    )
+    def test_untyped_event_field_names_it(self, event, where):
+        with pytest.raises(FaultSpecError) as raised:
+            FaultSpec.from_dict({"events": [{"kind": "server_crash", "server": 0}, event]})
+        assert str(raised.value).startswith(f"events[1]: bad field value: events[1].{where}")
+
+    @pytest.mark.parametrize(
+        "random, where",
+        [
+            ({"crash_rate_per_1000s": float("nan")}, "crash_rate_per_1000s must be a finite number,"),
+            ({"crash_rate_per_1000s": None}, "crash_rate_per_1000s must be a finite number,"),
+            ({"crash_rate_per_1000s": 1.0, "window_t1_s": False}, "window_t1_s must be a finite"),
+            ({"crash_rate_per_1000s": 1.0, "recover_after_s": "1"},
+             "recover_after_s must be a finite number or null"),
+        ],
+    )
+    def test_untyped_random_field_names_it(self, random, where):
+        with pytest.raises(FaultSpecError) as raised:
+            FaultSpec.from_dict({"random": random})
+        assert str(raised.value).startswith(f"random: bad field value: random.{where}")
+
+    def test_integral_floats_still_read_as_floats(self):
+        spec = FaultSpec.from_dict(
+            {"events": [{"kind": "server_crash", "server": 0, "time_s": 10}],
+             "random": {"crash_rate_per_1000s": 1, "recover_after_s": None}}
+        )
+        assert spec.events[0].time_s == 10.0 and type(spec.events[0].time_s) is float
+        assert type(spec.random.crash_rate_per_1000s) is float
+
     def test_random_must_be_an_object(self):
         with pytest.raises(FaultSpecError, match="'random' must be an object"):
             FaultSpec.from_dict({"random": "often"})
@@ -320,3 +366,60 @@ class TestMaterialize:
         ]
         assert crashes, "rate 20/1000s over 400 s across 2 servers should crash"
         assert all(100.0 < e.time_s < 500.0 for e in crashes)
+
+
+#: The fields each kind carries on the wire (besides ``kind``); every
+#: FaultEvent field must be applicable to some kind.
+APPLICABLE = {
+    FaultKind.SERVER_CRASH: {"time_s", "server"},
+    FaultKind.SERVER_RECOVER: {"time_s", "server"},
+    FaultKind.VM_ABORT: {"time_s", "vm"},
+    FaultKind.SLOWDOWN: {"time_s", "server", "duration_s", "factor"},
+    FaultKind.WORKER_FAILURE: {"time_s", "task", "times"},
+}
+
+
+def non_default(cls, names):
+    """A distinct, valid, non-default value for each named field of
+    ``cls``, chosen by its annotation."""
+    import dataclasses
+
+    values = {}
+    for position, field in enumerate(dataclasses.fields(cls)):
+        if field.name not in names:
+            continue
+        base = field.type.partition(" | ")[0]
+        values[field.name] = {
+            "float": 1.5 + position,
+            "int": 3 + position,
+            "str": f"vm-{position}",
+        }[base]
+        assert values[field.name] != field.default
+    return values
+
+
+class TestRoundTripEveryField:
+    """``from_dict(to_dict(x)) == x`` with every applicable field set
+    away from its default, driven by ``dataclasses.fields``: a field the
+    codec drops or misreads breaks the equality."""
+
+    def test_every_event_field_is_applicable_somewhere(self):
+        import dataclasses
+
+        names = {f.name for f in dataclasses.fields(FaultEvent)} - {"kind"}
+        assert set().union(*APPLICABLE.values()) == names
+        assert set(APPLICABLE) == set(FaultKind)
+
+    @pytest.mark.parametrize("kind", list(FaultKind), ids=lambda kind: kind.value)
+    def test_event_round_trips(self, kind):
+        event = FaultEvent(kind=kind, **non_default(FaultEvent, APPLICABLE[kind]))
+        spec = FaultSpec(events=(event,), seed=11)
+        assert FaultSpec.from_dict(spec.to_dict()) == spec
+        assert FaultSpec.from_json(json.dumps(spec.to_dict())) == spec
+
+    def test_random_clause_round_trips(self):
+        import dataclasses
+
+        names = {f.name for f in dataclasses.fields(RandomFaults)}
+        spec = FaultSpec(random=RandomFaults(**non_default(RandomFaults, names)), seed=5)
+        assert FaultSpec.from_dict(spec.to_dict()) == spec

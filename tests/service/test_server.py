@@ -459,6 +459,36 @@ class TestSnapshotRestore:
         assert "schema_version '99'" in body["error"]["message"]
         svc.request("DELETE", f"/v1/sessions/{sid}")
 
+    @pytest.mark.parametrize(
+        "entry, field, value, message",
+        [
+            ("servers", "failed", "no", "'servers[0].failed' must be a boolean, got 'no'"),
+            ("servers", "failed", 1, "'servers[0].failed' must be a boolean, got 1"),
+            ("placements", "max_exec_time_s", True,
+             "'placements[0].max_exec_time_s' must be a number, got True"),
+            ("placements", "max_exec_time_s", -5,
+             "'placements[0].max_exec_time_s' must be positive or null, got -5.0"),
+            ("placements", "max_exec_time_s", "abc",
+             "'placements[0].max_exec_time_s' must be a number, got 'abc'"),
+        ],
+    )
+    def test_put_state_rejects_untyped_entry_fields(self, svc, entry, field, value, message):
+        sid = make_session(svc, n_servers=2, coalesce=2)
+        svc.request(
+            "POST", f"/v1/sessions/{sid}/requests", {"requests": request_docs(2)}
+        )
+        svc.request("POST", f"/v1/sessions/{sid}/flush")
+        status, snapshot = svc.request("GET", f"/v1/sessions/{sid}/state")
+        assert status == 200 and snapshot["placements"]
+        snapshot[entry][0][field] = value
+        status, body = svc.request("PUT", f"/v1/sessions/{sid}/state", snapshot)
+        assert status == 400
+        assert body["error"] == {
+            "code": "invalid_request",
+            "message": f"session_state document: {message}",
+        }
+        svc.request("DELETE", f"/v1/sessions/{sid}")
+
 
 class TestChaosEndpoint:
     def test_crash_through_live_session(self, svc):
@@ -508,6 +538,26 @@ class TestChaosEndpoint:
         )
         assert status == 400
         assert body["error"]["code"] == "invalid_request"
+        svc.request("DELETE", f"/v1/sessions/{sid}")
+
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            ({"kind": "worker_failure", "task": 0, "times": 1.9},
+             "events[0].times must be an integer, got 1.9"),
+            ({"kind": "server_crash", "server": True},
+             "events[0].server must be an integer or null, got True"),
+            ({"kind": "server_crash", "server": 0, "time_s": "7"},
+             "events[0].time_s must be a finite number, got '7'"),
+        ],
+    )
+    def test_untyped_fault_field_400(self, svc, event, message):
+        sid = make_session(svc)
+        status, body = svc.request(
+            "POST", f"/v1/sessions/{sid}/faults", {"schema_version": "1", "events": [event]}
+        )
+        assert status == 400
+        assert body["error"]["message"] == f"events[0]: bad field value: {message}"
         svc.request("DELETE", f"/v1/sessions/{sid}")
 
 
@@ -566,3 +616,26 @@ class TestWireText:
         for method, path, status, body in bodies:
             canonical = json.dumps(json.loads(body), indent=2, sort_keys=True).encode()
             assert body == canonical, (method, path, status)
+
+
+class TestShutdown:
+    def test_open_keep_alive_connection_logs_nothing(self, database, caplog):
+        """Leaving the ``with`` block while a client holds a keep-alive
+        connection open cancels its handler without a logged traceback."""
+        import logging
+        import socket
+
+        with caplog.at_level(logging.WARNING):
+            with BackgroundService(database=database) as service:
+                sock = socket.create_connection(
+                    (service.service.config.host, service.port), timeout=30
+                )
+                sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: localhost\r\n\r\n")
+                reply = b""
+                while b"\r\n\r\n" not in reply:
+                    chunk = sock.recv(65536)
+                    assert chunk, "connection closed before the reply"
+                    reply += chunk
+                assert reply.startswith(b"HTTP/1.1 200 OK")
+            sock.close()
+        assert [record.getMessage() for record in caplog.records] == []

@@ -229,6 +229,22 @@ class TestSnapshotRestore:
             session.restore(broken)
         assert session.state_document() == before
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("admitted_total", "many"), ("next_ordinal", None), ("batches_completed", 1.5)],
+    )
+    def test_bad_counter_leaves_state_untouched(self, database, field, value):
+        session = new_session(database)
+        session.admit(requests(6))
+        session.run_ready_batches()
+        before = session.state_document()
+        other = new_session(database, n_servers=3, coalesce=2)
+        broken = other.state_document()
+        broken[field] = value
+        with pytest.raises(SchemaError, match=field):
+            session.restore(broken)
+        assert session.state_document() == before
+
     def test_restore_rejects_server_count_mismatch(self, database):
         session = new_session(database)
         snapshot = session.state_document()
