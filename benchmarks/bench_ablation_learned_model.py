@@ -9,9 +9,9 @@ with the stock PROACTIVE strategy running on each model.
 
 import numpy as np
 
+from benchmarks.learning import fit_learned_model
 from repro.experiments.config import SMALLER
 from repro.experiments.evaluation import prepare_workload
-from repro.ext.learning import fit_learned_model
 from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
 from repro.strategies.proactive import ProactiveStrategy
 from repro.workloads.qos import QoSPolicy

@@ -6,7 +6,7 @@ grid-wide error of the surrogate as a function of how many of the
 measured mixes it was trained on.
 """
 
-from repro.ext.learning.curve import learning_curve
+from benchmarks.learning import learning_curve
 
 
 def test_learning_curve(benchmark, database):

@@ -1,6 +1,6 @@
 """Lint benchmark: whole-repo full-catalog wall time.
 
-The project-scoped rules (taint, dead code) build a
+The project-scoped rules (taint, dead exports, dead functions) build a
 symbol table and call graph over every file in the repository; this
 benchmark keeps that affordable.  Records:
 

@@ -20,7 +20,6 @@ layering-import           the downward-only import matrix
 layering-cycle            no module-level import cycles
 api-all-resolves          every ``__all__`` name is actually bound
 api-facade-import         internals never import through ``repro.api``
-api-deprecation           shims warn ``DeprecationWarning`` + removal ver
 float-equality            no ``==``/``!=`` on floats in scoring paths
 except-bare               no bare ``except:`` in hot paths
 except-swallow            no silently swallowed ``except Exception:``
@@ -41,8 +40,6 @@ api-dead-export           ``repro.api.__all__`` entries are referenced
                           by at least one test or example
 dead-internal-function    no internal function with zero call-graph
                           in-edges and no other reference
-api-shim-expired          deprecation shims past their pledged removal
-                          version are actually removed
 suppression-stale         (engine-driven) directives shield a rule that
                           still fires there
 baseline-stale            (engine-driven) baseline entries match a live

@@ -1,7 +1,7 @@
 """API-surface rules: the facade stays coherent and one-directional.
 
 ``repro.api`` is the only stability contract (DESIGN.md "Public API
-and stability").  Three things keep it honest:
+and stability").  Two things keep it honest:
 
 * ``api-all-resolves`` -- every name in a module's ``__all__`` is
   actually bound at module level (applied to every module, which keeps
@@ -12,16 +12,11 @@ and stability").  Three things keep it honest:
   facade.  The facade depends on everything; an internal module
   reaching back up through it is a disguised cycle and makes the
   public surface load-bearing for internals.
-* ``api-deprecation`` -- a deprecation shim must (a) warn with
-  ``DeprecationWarning`` and (b) state the removal version in the
-  message ("removed in 2.0"), so every shim is greppable with its
-  expiry date.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
 from repro.analysis.astutils import iter_imports
@@ -29,9 +24,6 @@ from repro.analysis.registry import rule
 
 #: Modules allowed to import repro.api: the executables wrapping it.
 FACADE_CONSUMERS = frozenset({"repro.cli", "repro.__main__"})
-
-_REMOVAL_RE = re.compile(r"remov\w*\s+in\s+\d+(\.\d+)+", re.IGNORECASE)
-_DEPRECATED_WORD_RE = re.compile(r"deprecat", re.IGNORECASE)
 
 
 def _module_level_bindings(tree: ast.Module) -> set:
@@ -152,69 +144,3 @@ def check_facade_import(ctx) -> Iterator:
                 f"api'): internals must import the defining module directly",
             )
 
-
-def _literal_message(node: ast.expr) -> str | None:
-    """Best-effort constant extraction of a warning message."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.JoinedStr):
-        parts = [
-            value.value
-            for value in node.values
-            if isinstance(value, ast.Constant) and isinstance(value.value, str)
-        ]
-        return "".join(parts) if parts else None
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        left = _literal_message(node.left)
-        right = _literal_message(node.right)
-        if left is not None and right is not None:
-            return left + right
-    return None
-
-
-def _category_name(node: ast.expr | None) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-@rule(
-    "api-deprecation",
-    "deprecation shims must warn DeprecationWarning and state the removal version",
-)
-def check_deprecation(ctx) -> Iterator:
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        is_warn = (isinstance(func, ast.Attribute) and func.attr == "warn") or (
-            isinstance(func, ast.Name) and func.id == "warn"
-        )
-        if not is_warn or not node.args:
-            continue
-        category = node.args[1] if len(node.args) > 1 else None
-        for keyword in node.keywords:
-            if keyword.arg == "category":
-                category = keyword.value
-        category_name = _category_name(category)
-        message = _literal_message(node.args[0])
-        is_deprecation = category_name in ("DeprecationWarning", "PendingDeprecationWarning")
-        if is_deprecation:
-            if message is not None and not _REMOVAL_RE.search(message):
-                yield ctx.violation(
-                    "api-deprecation",
-                    node,
-                    "DeprecationWarning message must state the removal "
-                    "version (e.g. '... removed in 2.0') so shims carry "
-                    "their expiry date",
-                )
-        elif message is not None and _DEPRECATED_WORD_RE.search(message):
-            yield ctx.violation(
-                "api-deprecation",
-                node,
-                f"warning text says 'deprecated' but the category is "
-                f"{category_name or 'the default UserWarning'}; use "
-                f"DeprecationWarning so -W filters and test harnesses see it",
-            )

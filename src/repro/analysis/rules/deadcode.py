@@ -1,6 +1,6 @@
-"""Dead-export and API-drift audit.
+"""Dead-export and dead-function audit.
 
-Three decay modes the per-file rules cannot see:
+Two decay modes the per-file rules cannot see:
 
 * ``api-dead-export`` -- a name in ``repro.api.__all__`` that no test,
   example or script ever touches.  The facade is the stability
@@ -10,15 +10,11 @@ Three decay modes the per-file rules cannot see:
   references anywhere in the linted tree.  Dead weight accretes fastest
   right after refactors (PR 1's naive-reference allocator survived only
   because tests pin it; this rule finds the ones nothing pins).
-* ``api-shim-expired`` -- a deprecation shim whose pledged removal
-  version ("removed in 2.0") is at or behind the package's current
-  ``__version__``.  Shims carry their expiry date precisely so this
-  becomes mechanically checkable.
 
-The first two rules judge *absence of references*, which is only
-meaningful when the run actually includes the consumers: both
-deactivate unless the linted set contains modules outside the
-``repro`` package (tests/examples/scripts).  The whole-repo gate in
+Both rules judge *absence of references*, which is only meaningful
+when the run actually includes the consumers: they deactivate unless
+the linted set contains modules outside the ``repro`` package
+(tests/examples/scripts).  The whole-repo gate in
 ``tests/analysis/test_codebase_clean.py`` provides that; a
 ``src/repro``-only run stays quiet rather than crying wolf about
 helpers whose callers simply were not linted.
@@ -33,15 +29,11 @@ more trust than a missed one.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
 from repro.analysis.callgraph import get_call_graph
 from repro.analysis.project import FunctionSymbol, get_project
 from repro.analysis.registry import rule
-from repro.analysis.rules.api_surface import _literal_message
-
-_PLEDGE_RE = re.compile(r"remov\w*\s+in\s+(\d+(?:\.\d+)+)", re.IGNORECASE)
 
 #: Entry points invoked from outside the import graph (console scripts,
 #: ``python -m``) -- never dead even with zero static references.
@@ -171,59 +163,3 @@ def check_dead_internal(contexts) -> Iterator:
             f"wire it to a caller/test",
         )
 
-
-def _version_tuple(text: str) -> tuple:
-    return tuple(int(part) for part in text.split("."))
-
-
-def _current_version(project):
-    resolved = project.resolve("repro.__version__")
-    if (
-        isinstance(resolved, tuple)
-        and resolved[0] == "constant"
-        and isinstance(resolved[3], ast.Constant)
-        and isinstance(resolved[3].value, str)
-    ):
-        return resolved[3].value
-    return None
-
-
-@rule(
-    "api-shim-expired",
-    "deprecation shims past their pledged removal version must be deleted",
-    scope="project",
-)
-def check_expired_shims(contexts) -> Iterator:
-    project = get_project(contexts)
-    version_text = _current_version(project)
-    if version_text is None:
-        return  # repro/__init__.py outside this run's scope
-    current = _version_tuple(version_text)
-    for module in sorted(project.modules):
-        context = project.modules[module].context
-        if not module.startswith("repro"):
-            continue
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            func = node.func
-            is_warn = (isinstance(func, ast.Attribute) and func.attr == "warn") or (
-                isinstance(func, ast.Name) and func.id == "warn"
-            )
-            if not is_warn:
-                continue
-            message = _literal_message(node.args[0])
-            if message is None:
-                continue
-            match = _PLEDGE_RE.search(message)
-            if match is None:
-                continue
-            pledged = _version_tuple(match.group(1))
-            if current >= pledged:
-                yield context.violation(
-                    "api-shim-expired",
-                    node,
-                    f"deprecation shim pledged removal in {match.group(1)} "
-                    f"but the package is already at {version_text}: delete "
-                    f"the shim (and its export) or move the pledge forward",
-                )

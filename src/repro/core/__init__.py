@@ -26,7 +26,6 @@ from repro.core.partitions import (
 from repro.core.scoring import ScoreWeights, score_candidates
 from repro.core.plan import AllocationPlan, AllocationProvenance, BlockAssignment
 from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
-from repro.core.whatif import GoalComparison, GoalOutcome, compare_goals
 
 __all__ = [
     "BoundTables",
@@ -47,7 +46,4 @@ __all__ = [
     "ProactiveAllocator",
     "ServerState",
     "VMRequest",
-    "GoalComparison",
-    "GoalOutcome",
-    "compare_goals",
 ]

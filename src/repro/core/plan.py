@@ -8,7 +8,7 @@ what strategies hand to the datacenter simulator for enactment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from repro.campaign.records import MixKey, total_vms
 from repro.core.model import EstimatedOutcome
@@ -101,9 +101,9 @@ class AllocationProvenance:
         """Build from one search pass's
         :class:`~repro.core.estimatecache.CacheStats`.
 
-        Equal to ``from_counts(stats.as_dict(), ...)``: the ``anytime_*``
-        counters are read only when the anytime search ran, as
-        :meth:`CacheStats.as_dict` includes them only then.  The
+        Equal to ``AllocationProvenance(**stats.as_dict(), ...)``: the
+        ``anytime_*`` counters are read only when the anytime search ran,
+        as :meth:`CacheStats.as_dict` includes them only then.  The
         wall-clock budget figures never flow through a numeric counter
         registry, so they come as arguments.
         """
@@ -135,24 +135,6 @@ class AllocationProvenance:
             budget_consumed_s=budget_consumed_s,
         )
         return provenance
-
-    @classmethod
-    def from_counts(
-        cls, counts: Mapping[str, int | bool], **extra
-    ) -> "AllocationProvenance":
-        """Build from a plain counter mapping (such as
-        :meth:`CacheStats.as_dict <repro.core.estimatecache.CacheStats.as_dict>`).
-
-        ``extra`` overrides individual fields.  Fields absent from both
-        ``counts`` and ``extra`` keep their dataclass defaults.
-        """
-        values = {}
-        for name in _PROVENANCE_FIELDS:
-            if name in extra:
-                values[name] = extra[name]
-            elif name in counts:
-                values[name] = counts[name]
-        return cls(**values)
 
     def as_dict(self) -> dict:
         """The counters as a flat mapping (registry/JSON friendly)."""

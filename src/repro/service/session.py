@@ -39,6 +39,7 @@ from typing import Mapping, Sequence
 from repro.common.errors import (
     AllocationError,
     BackpressureError,
+    ConfigurationError,
     ModelLookupError,
     SchemaError,
 )
@@ -110,6 +111,11 @@ class SessionConfig:
                 raise SchemaError(
                     f"session config: {flag!r} must be a boolean, got {values[flag]!r}"
                 )
+        # The CLI parsers below accept strings (they read argv); a JSON
+        # body must carry real numbers, so bool and str stop here.
+        for name in ("alpha", "time_budget_s"):
+            if values.get(name) is not None:
+                values[name] = schema.NUMBER.decode(values[name], name, "session config")
         try:
             return cls(**values)
         except ValueError as error:
@@ -568,9 +574,13 @@ class Session:
                 raise SchemaError(
                     f"{kind} document: duplicate server_id {entry.server_id!r}"
                 )
-            servers[entry.server_id] = ServerState(
-                entry.server_id, allocated=entry.allocated, max_vms=config.max_vms_per_server
-            )
+            try:
+                servers[entry.server_id] = ServerState(
+                    entry.server_id, allocated=entry.allocated, max_vms=config.max_vms_per_server
+                )
+            except ConfigurationError as error:
+                # A bad server entry is the client's input, not a fault.
+                raise SchemaError(str(error)) from None
         for i, placement in enumerate(snapshot.placements):
             if placement.server_id not in servers:
                 raise SchemaError(

@@ -40,8 +40,6 @@ from repro.workloads.assignment import (
     assign_profiles_and_vms,
 )
 from repro.workloads.qos import QoSPolicy
-from repro.workloads.stats import PreparedStats, TraceStats, prepared_stats, trace_stats
-from repro.workloads.swf_header import build_swf_header, parse_swf_header
 
 __all__ = [
     "SWFRecord",
@@ -61,10 +59,4 @@ __all__ = [
     "AssignmentConfig",
     "assign_profiles_and_vms",
     "QoSPolicy",
-    "PreparedStats",
-    "TraceStats",
-    "prepared_stats",
-    "trace_stats",
-    "build_swf_header",
-    "parse_swf_header",
 ]

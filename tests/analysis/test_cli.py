@@ -59,12 +59,10 @@ class TestAnalysisEntryPoint:
             "determinism-taint",
             "api-dead-export",
             "dead-internal-function",
-            "api-shim-expired",
             "layering-import",
             "layering-cycle",
             "api-all-resolves",
             "api-facade-import",
-            "api-deprecation",
             "float-equality",
             "except-bare",
             "except-swallow",

@@ -211,13 +211,6 @@ class TestApiSurfaceRules:
         assert len(result.violations) == 1
         assert "repro.api" in result.violations[0].message
 
-    def test_deprecation_shims_need_category_and_version(self):
-        result = lint_fixture("bad_deprecation.py", "api-deprecation")
-        assert len(result.violations) == 2  # good_shim passes
-        messages = " ".join(v.message for v in result.violations)
-        assert "removal" in messages
-        assert "UserWarning" in messages
-
 
 class TestFloatRule:
     def test_float_equality_flagged(self):
@@ -385,24 +378,6 @@ class TestDeadcodeRules:
         result = run_lint([module, consumer], rules={"dead-internal-function"})
         assert result.ok, "\n".join(v.render() for v in result.violations)
 
-    def test_expired_shim_flagged_against_package_version(self):
-        package_init = (
-            Path(__file__).resolve().parents[2] / "src" / "repro" / "__init__.py"
-        )
-        result = run_lint(
-            [FIXTURES / "bad_expired_shim.py", package_init],
-            rules={"api-shim-expired"},
-        )
-        assert len(result.violations) == 1
-        message = result.violations[0].message
-        assert "1.0" in message and "delete" in message
-
-    def test_shim_fixture_quiet_without_version_in_scope(self):
-        result = run_lint(
-            [FIXTURES / "bad_expired_shim.py"], rules={"api-shim-expired"}
-        )
-        assert result.ok
-
 
 class TestEngineBehaviour:
     def test_unknown_rule_id_raises_immediately(self):
@@ -427,7 +402,6 @@ class TestEngineBehaviour:
             "layering-cycle",
             "api-all-resolves",
             "api-facade-import",
-            "api-deprecation",
             "float-equality",
             "except-bare",
             "except-swallow",

@@ -363,8 +363,8 @@ class TestProvenance:
 
 class TestProvenanceFromStats:
     """The allocator builds each plan's provenance straight from its
-    pass's CacheStats; the record must equal the one the counter-mapping
-    decoder (``from_counts``, the wire path) builds from the same pass."""
+    pass's CacheStats; the record must equal the one the dataclass
+    constructor builds from the same pass's counter mapping."""
 
     #: Allocator options per search pass, and what marks that pass.
     PASSES = {
@@ -404,7 +404,7 @@ class TestProvenanceFromStats:
         assert plan.search_provenance is provenance
         assert getattr(provenance, marker) == marked
         self.assert_same_record(
-            provenance, AllocationProvenance.from_counts(stats.as_dict(), **extra)
+            provenance, AllocationProvenance(**stats.as_dict(), **extra)
         )
 
     @pytest.mark.parametrize("anytime", [False, True])
@@ -425,8 +425,8 @@ class TestProvenanceFromStats:
         )
         self.assert_same_record(
             built,
-            AllocationProvenance.from_counts(
-                stats.as_dict(), time_budget_s=2.0, budget_consumed_s=0.5
+            AllocationProvenance(
+                **stats.as_dict(), time_budget_s=2.0, budget_consumed_s=0.5
             ),
         )
         assert built.anytime_rounds == (3 if anytime else 0)

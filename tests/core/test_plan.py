@@ -69,7 +69,7 @@ class TestProvenanceAccess:
     def plan_with_provenance(self):
         from repro.core.plan import AllocationProvenance
 
-        provenance = AllocationProvenance.from_counts({"partitions_enumerated": 7})
+        provenance = AllocationProvenance(partitions_enumerated=7)
         return AllocationPlan(
             assignments=(),
             alpha=0.5,
@@ -82,17 +82,15 @@ class TestProvenanceAccess:
         plan = self.plan_with_provenance()
         assert plan.search_provenance.partitions_enumerated == 7
 
-    def test_from_counts_defaults_missing_fields_to_zero(self):
+    def test_counters_default_to_zero(self):
         from repro.core.plan import AllocationProvenance
 
-        provenance = AllocationProvenance.from_counts({})
+        provenance = AllocationProvenance()
         assert provenance.partitions_enumerated == 0
         assert provenance.as_dict()["grid_hits"] == 0
 
     def test_as_dict_round_trips(self):
         from repro.core.plan import AllocationProvenance
 
-        provenance = AllocationProvenance.from_counts(
-            {"grid_hits": 3, "frontier_peak": 2}
-        )
-        assert AllocationProvenance.from_counts(provenance.as_dict()) == provenance
+        provenance = AllocationProvenance(grid_hits=3, frontier_peak=2)
+        assert AllocationProvenance(**provenance.as_dict()) == provenance

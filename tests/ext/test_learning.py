@@ -2,8 +2,8 @@
 
 import pytest
 
+from benchmarks.learning import fit_learned_model
 from repro.common.errors import ConfigurationError
-from repro.ext.learning import fit_learned_model
 from repro.strategies.base import ServerView, VMDescriptor
 from repro.strategies.proactive import ProactiveStrategy
 from repro.testbed.benchmarks import WorkloadClass

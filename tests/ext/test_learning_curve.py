@@ -2,8 +2,8 @@
 
 import pytest
 
+from benchmarks.learning import learning_curve
 from repro.common.errors import ConfigurationError
-from repro.ext.learning.curve import learning_curve
 
 
 @pytest.fixture(scope="module")

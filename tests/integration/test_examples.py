@@ -39,10 +39,6 @@ class TestFastExamples:
         assert "Table I" in out
         assert (tmp_path / "model_database.csv").exists()
 
-    def test_whatif_frontier(self):
-        out = run_example("whatif_frontier.py")
-        assert "Pareto" in out
-
     def test_migration_rescue(self):
         out = run_example("migration_rescue.py")
         assert "reactive migrations" in out

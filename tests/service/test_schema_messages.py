@@ -18,7 +18,7 @@ import re
 
 import pytest
 
-from repro.common.errors import ConfigurationError, SchemaError
+from repro.common.errors import SchemaError
 from repro.core.allocator import VMRequest
 from repro.core.model import EstimatedOutcome
 from repro.core.plan import AllocationPlan, AllocationProvenance, BlockAssignment
@@ -330,14 +330,14 @@ RESTORE_MESSAGES = [
     (f"{S0}.server_id", 5, SchemaError,
      f"{ST}: 'servers[0].server_id' must be a string, got 5"),
     ("servers[1].server_id", "s0", SchemaError, f"{ST}: duplicate server_id 's0'"),
-    (f"{S0}.server_id", "", ConfigurationError, "server_id must be non-empty"),
+    (f"{S0}.server_id", "", SchemaError, "server_id must be non-empty"),
     (f"{S0}.allocated", DELETE, SchemaError, f"{ST} is missing 'allocated'"),
     (f"{S0}.allocated", [], SchemaError,
      f"{ST}: 'servers[0].allocated' must be an object, got []"),
     (f"{S0}.allocated.nio", DELETE, SchemaError, f"{ST} is missing 'nio'"),
     (f"{S0}.allocated.nio", 1.5, SchemaError,
      f"{ST}: 'servers[0].allocated.nio' must be an integer, got 1.5"),
-    (f"{S0}.allocated.nio", -1, ConfigurationError,
+    (f"{S0}.allocated.nio", -1, SchemaError,
      "allocated counts must be >= 0, got (1, 1, -1)"),
     ("pending", DELETE, SchemaError, f"{ST} is missing 'pending'"),
     ("pending", "x", SchemaError, f"{ST}: 'pending' must be an array, got 'x'"),

@@ -49,6 +49,13 @@ def make_session(svc, **config):
     return body["session_id"]
 
 
+def internal_errors(svc):
+    """How many requests the service has answered with a 500."""
+    status, metrics = svc.request("GET", "/v1/metrics")
+    assert status == 200
+    return metrics["counters"].get('service.http.errors{status="500"}', 0)
+
+
 def plans_bytes(svc, sid):
     status, body = svc.request("GET", f"/v1/sessions/{sid}/plans")
     assert status == 200
@@ -303,6 +310,25 @@ class TestValidationParity:
         assert body["error"]["code"] == "invalid_request"
         assert cli_message in body["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"alpha": True}, "'alpha' must be a number, got True"),
+            ({"time_budget_s": "5"}, "'time_budget_s' must be a number, got '5'"),
+        ],
+    )
+    def test_non_number_config_field_400(self, svc, config, message):
+        # The CLI parsers take argv strings; a JSON body must carry a
+        # number, or the session would echo `true` or fail at allocation.
+        before = internal_errors(svc)
+        status, body = svc.request("POST", "/v1/sessions", config)
+        assert status == 400
+        assert body["error"] == {
+            "code": "invalid_request",
+            "message": f"session config document: {message}",
+        }
+        assert internal_errors(svc) == before
+
     def test_unknown_config_key_400(self, svc):
         status, body = svc.request("POST", "/v1/sessions", {"servers": 4})
         assert status == 400
@@ -487,6 +513,26 @@ class TestSnapshotRestore:
             "code": "invalid_request",
             "message": f"session_state document: {message}",
         }
+        svc.request("DELETE", f"/v1/sessions/{sid}")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("server_id", "", "server_id must be non-empty"),
+            ("allocated", {"ncpu": 0, "nmem": 0, "nio": -1},
+             "allocated counts must be >= 0, got (0, 0, -1)"),
+        ],
+    )
+    def test_put_state_rejects_bad_server_entry(self, svc, field, value, message):
+        sid = make_session(svc, n_servers=2, coalesce=2)
+        status, snapshot = svc.request("GET", f"/v1/sessions/{sid}/state")
+        assert status == 200
+        snapshot["servers"][1][field] = value
+        before = internal_errors(svc)
+        status, body = svc.request("PUT", f"/v1/sessions/{sid}/state", snapshot)
+        assert status == 400
+        assert body["error"] == {"code": "invalid_request", "message": message}
+        assert internal_errors(svc) == before
         svc.request("DELETE", f"/v1/sessions/{sid}")
 
 
