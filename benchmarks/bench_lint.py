@@ -70,14 +70,14 @@ def main(argv=None) -> int:
         metric("cold", "s", "lower", cold, gate={"max": COLD_CEILING_S}),
         metric("warm", "s", "lower", warm),
         metric("checked_files", "count", "higher", [checked_files]),
-        # Pre-baseline findings: the committed debt.
+        # Findings after suppressions.
         metric("findings_raw", "count", "lower", [n_findings]),
     ]
     config = {"paths": list(LINT_PATHS), "exclude": list(FIXTURE_EXCLUDE),
               "repeats": args.repeats}
     benchfile.write(OUTPUT, "bench_lint", config, metrics)
     print(
-        f"lint: {checked_files} files, {n_findings} raw findings; "
+        f"lint: {checked_files} files, {n_findings} findings; "
         f"cold p50 {statistics.median(cold):.2f}s, "
         f"warm p50 {statistics.median(warm):.2f}s"
     )

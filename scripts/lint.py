@@ -1,20 +1,14 @@
 #!/usr/bin/env python3
-"""Run the repro invariant linter without remembering module paths.
+"""Run the repro invariant linter without setting ``PYTHONPATH``.
 
-Equivalent to ``PYTHONPATH=src python -m repro.analysis src/repro``
-from the repo root, but works from anywhere:
+Equivalent to ``PYTHONPATH=src python -m repro.analysis`` (or
+``repro lint``) from the repo root, but works from anywhere:
 
     python scripts/lint.py [paths...] [--format {text,json,sarif}]
 
-and -- unlike the raw module -- automatically applies the repo's
-committed findings baseline (``scripts/LINT_baseline.json``) when the
-command line carries no ``--baseline``/``--update-baseline`` of its
-own, so a clean checkout exits 0.  Refresh the baseline with::
-
-    python scripts/lint.py src/repro --update-baseline scripts/LINT_baseline.json
-
-Exit status: 0 clean, 1 findings, 2 usage error.  See DESIGN.md
-"Enforced invariants" for the rule catalog and suppression policy.
+With no paths it lints this checkout's ``src/repro``.  Exit status: 0
+clean, 1 findings, 2 usage error.  See DESIGN.md "Enforced invariants"
+for the rule catalog and suppression policy.
 """
 
 from __future__ import annotations
@@ -22,29 +16,14 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src"
-BASELINE = REPO_ROOT / "scripts" / "LINT_baseline.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from repro.analysis.cli import main  # noqa: E402
 
-
-def _argv() -> list[str]:
-    argv = sys.argv[1:]
-    explicit = any(
-        arg in ("--baseline", "--update-baseline")
-        or arg.startswith(("--baseline=", "--update-baseline="))
-        for arg in argv
-    )
-    if not explicit and "--list-rules" not in argv and BASELINE.exists():
-        argv = [*argv, "--baseline", str(BASELINE)]
-    return argv
-
-
 if __name__ == "__main__":
     # With no paths the linter defaults to the package it was imported
     # from, which the sys.path insert above pins to this repo's src/.
-    sys.exit(main(_argv()))
+    sys.exit(main())

@@ -42,20 +42,18 @@ dead-internal-function    no internal function with zero call-graph
                           in-edges and no other reference
 suppression-stale         (engine-driven) directives shield a rule that
                           still fires there
-baseline-stale            (engine-driven) baseline entries match a live
-                          finding
 ========================  ==============================================
 
 Violations are suppressed in place with justification comments::
 
     risky_line()  # repro: allow <rule-id> -- why this one is fine
 
-(or ``# repro: allow-file <rule-id>`` once per file); aggregated
-project-scope findings that are accepted debt live in the committed
-baseline ``scripts/LINT_baseline.json`` instead (see
-:mod:`repro.analysis.baseline`).  See :mod:`repro.analysis.suppress`
-for the exact grammar and DESIGN.md "Enforced invariants" for the
-policy.
+(or ``# repro: allow-file <rule-id>`` once per file).  A directive is
+the only way to accept a finding: an aggregated project-scope finding
+is anchored at its first site, so one directive there covers it, and a
+directive that stops shielding anything becomes ``suppression-stale``.
+See :mod:`repro.analysis.suppress` for the exact grammar and DESIGN.md
+"Enforced invariants" for the policy.
 
 Run it as ``python -m repro.analysis src/repro`` or ``repro lint``;
 exit status 1 means findings, 2 means usage error.
@@ -67,7 +65,6 @@ enforces, since the full pass runs over ``src/repro`` including this
 directory.
 """
 
-from repro.analysis.baseline import Baseline, BaselineError, load_baseline, write_baseline
 from repro.analysis.engine import (
     FileContext,
     LintResult,
@@ -81,8 +78,6 @@ from repro.analysis.reporters import to_json, to_sarif, to_text
 from repro.analysis import rules as _rules  # noqa: F401  (registers the catalog)
 
 __all__ = [
-    "Baseline",
-    "BaselineError",
     "FileContext",
     "LintResult",
     "Rule",
@@ -90,12 +85,10 @@ __all__ = [
     "collect_py_files",
     "get_rule",
     "iter_rules",
-    "load_baseline",
     "load_context",
     "rule_ids",
     "run_lint",
     "to_json",
     "to_sarif",
     "to_text",
-    "write_baseline",
 ]

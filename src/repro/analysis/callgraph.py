@@ -81,10 +81,6 @@ class CallGraph:
             ExternalCall(dotted=dotted, node=node, caller=caller)
         )
 
-    def in_degree(self, qualname: str) -> int:
-        """Distinct referencing locations (calls and bare references)."""
-        return len(self.referrers.get(qualname, ()))
-
     def iter_external(self) -> Iterator[ExternalCall]:
         for caller in sorted(self.external):
             yield from self.external[caller]

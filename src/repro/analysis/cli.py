@@ -1,18 +1,17 @@
-"""The linter's command line.
+"""The linter's command line, defined once.
 
-Reachable three ways (all share this module):
+Reachable three ways, all running this parser and handler:
 
+* ``repro lint [paths...]`` (the package CLI hands its argv here)
 * ``python -m repro.analysis [paths...]``
-* ``repro lint [paths...]`` (the package CLI delegates here)
-* ``python scripts/lint.py [paths...]`` (adds the repo baseline)
+* ``python scripts/lint.py [paths...]``
 
 With no paths the installed ``repro`` package tree itself is linted --
 the acceptance gate ``python -m repro.analysis src/repro`` simply
-names it explicitly.  ``--baseline`` accepts the findings recorded in
-a committed baseline document; ``--update-baseline`` rewrites that
-document from the current findings (the diff is the review artifact).
-Exit status: 0 clean, 1 findings, 2 usage error (argparse), matching
-the other ``repro`` subcommands; flag values are validated by the
+names it explicitly.  Accepting a finding takes a ``# repro: allow``
+directive at its site (:mod:`repro.analysis.suppress`).  Exit status:
+0 clean, 1 findings, 2 usage error (argparse), matching the other
+``repro`` subcommands; flag values are validated by the
 ``repro.common.validation`` ``parse_*`` family, so junk flags exit 2
 with the same message style everywhere.
 """
@@ -24,18 +23,11 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import BaselineError, load_baseline, write_baseline
 from repro.analysis.engine import run_lint
-from repro.analysis.registry import iter_rules
+from repro.analysis.registry import get_rule, iter_rules
 from repro.analysis.reporters import to_json, to_sarif, to_text
 from repro.analysis import rules as _rules  # noqa: F401  (registers the catalog)
 from repro.common.validation import parse_lint_format, typed_flag
-
-FORMATS = ("text", "json", "sarif")
-
-#: Argparse ``type=`` for ``--format``; ``repro lint`` reuses it so the
-#: two entry points cannot drift apart.
-format_arg = typed_flag(parse_lint_format)
 
 _RENDERERS = {"text": to_text, "json": to_json, "sarif": to_sarif}
 
@@ -47,7 +39,7 @@ def default_target() -> Path:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
+        prog="repro lint",
         description="repro invariant linter: determinism, layering, API surface, float discipline",
     )
     parser.add_argument(
@@ -58,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        type=format_arg,
+        type=typed_flag(parse_lint_format),
         default="text",
         metavar="{text,json,sarif}",
         help="report style: human text (default), one JSON document, "
@@ -71,27 +63,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the run to a comma-separated subset of rule ids",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="accept the findings recorded in this baseline document "
-        "(unused entries become baseline-stale findings)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="rewrite PATH from the current findings and exit 0; "
-        "review the diff, then commit it",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog (id: summary) and exit",
     )
     return parser
+
+
+def _selected_rules(parser: argparse.ArgumentParser, text: str) -> list[str]:
+    """``--rules``: ids that check something, or a usage error."""
+    selected = [part.strip() for part in text.split(",") if part.strip()]
+    if not selected:
+        parser.error(f"--rules {text!r} names no rule id (see --list-rules)")
+    try:
+        chosen = [get_rule(rule_id) for rule_id in selected]
+    except KeyError as exc:
+        parser.error(f"unknown rule id {exc.args[0]!r} (see --list-rules)")
+    if all(rule.engine_driven for rule in chosen):
+        parser.error(
+            f"--rules {text!r} names only engine-driven rules, which a "
+            f"subset run never checks; run the full catalog instead"
+        )
+    return selected
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -101,32 +94,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         for rule in iter_rules():
             print(f"{rule.id}: {rule.summary}")
         return 0
-    if args.baseline is not None and args.update_baseline is not None:
-        parser.error("--baseline and --update-baseline are mutually exclusive")
-    rules = None
-    if args.rules is not None:
-        rules = [part.strip() for part in args.rules.split(",") if part.strip()]
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except BaselineError as exc:
-            parser.error(str(exc))
-    paths = args.paths or [default_target()]
+    rules = None if args.rules is None else _selected_rules(parser, args.rules)
     try:
-        result = run_lint(paths, rules=rules, baseline=baseline)
-    except KeyError as exc:
-        parser.error(f"unknown rule id {exc.args[0]!r} (see --list-rules)")
+        result = run_lint(args.paths or [default_target()], rules=rules)
     except FileNotFoundError as exc:
         parser.error(str(exc))
-    if args.update_baseline is not None:
-        written = write_baseline(args.update_baseline, result.violations)
-        noun = "entry" if len(written.entries) == 1 else "entries"
-        print(
-            f"wrote {len(written.entries)} baseline {noun} to "
-            f"{args.update_baseline} -- review the diff, then commit it"
-        )
-        return 0
     print(_RENDERERS[args.format](result))
     return 0 if result.ok else 1
 

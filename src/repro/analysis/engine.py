@@ -18,9 +18,9 @@ module identity they are pretending to have with a header comment::
 
     # repro-fixture-module: repro.sim.badclock
 
-Files that fail to parse yield a single ``parse-error`` violation
-instead of aborting the run: the linter must be able to judge a broken
-tree.
+Files that fail to decode or parse yield a single ``parse-error``
+violation instead of aborting the run: the linter must be able to judge
+a broken tree.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from __future__ import annotations
 import ast
 import os
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.registry import get_rule, iter_rules, rule_ids
 from repro.analysis.suppress import Suppressions, scan
 
@@ -107,9 +107,6 @@ class LintResult:
 
     violations: list
     checked_files: int
-    #: Findings accepted by the applied baseline (absent from
-    #: ``violations``); zero when no baseline was applied.
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -152,20 +149,28 @@ def load_context(path: Path, module: str | None = None) -> FileContext | Violati
         stat = path.stat()
         cache_key = (str(path.resolve()), stat.st_mtime_ns, stat.st_size, module)
     except OSError:
-        pass  # unreadable/virtual path: fall through, let read_text raise
+        pass  # unreadable/virtual path: fall through, let the open raise
     if cache_key is not None:
         cached = _CONTEXT_CACHE.get(cache_key)
         if cached is not None:
             return cached
     display = _display_path(path)
-    source = path.read_text(encoding="utf-8")
-    if module is None:
-        match = _FIXTURE_MODULE_RE.search(source)
-        module = match.group(1) if match else module_name_for(path)
     try:
+        # Decode as the interpreter does: a PEP 263 coding cookie (or a
+        # BOM) names the encoding, UTF-8 otherwise.
+        with tokenize.open(path) as handle:
+            source = handle.read()
         tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
+    except UnicodeDecodeError as exc:
         loaded: FileContext | Violation = Violation(
+            rule=PARSE_ERROR,
+            path=display,
+            line=1,
+            col=0,
+            message=f"file does not decode: {exc}",
+        )
+    except SyntaxError as exc:  # also a bad or unknown coding cookie
+        loaded = Violation(
             rule=PARSE_ERROR,
             path=display,
             line=exc.lineno or 1,
@@ -173,6 +178,9 @@ def load_context(path: Path, module: str | None = None) -> FileContext | Violati
             message=f"file does not parse: {exc.msg}",
         )
     else:
+        if module is None:
+            match = _FIXTURE_MODULE_RE.search(source)
+            module = match.group(1) if match else module_name_for(path)
         loaded = FileContext(
             path=path,
             display_path=display,
@@ -250,43 +258,9 @@ def _stale_suppression_findings(contexts, fired, fired_rules_by_path):
                     )
 
 
-def _apply_baseline(violations, baseline: Baseline):
-    """Split violations into (kept, n_accepted) and flag unused entries."""
-    accepted = baseline.resolved_keys()
-    used: set = set()
-    kept: list[Violation] = []
-    n_accepted = 0
-    for violation in violations:
-        key = (violation.rule, str(Path(violation.path).resolve()), violation.message)
-        if key in accepted:
-            used.add(key)
-            n_accepted += 1
-        else:
-            kept.append(violation)
-    baseline_display = _display_path(baseline.source)
-    for key, entry in sorted(accepted.items()):
-        if key in used:
-            continue
-        kept.append(
-            Violation(
-                rule="baseline-stale",
-                path=baseline_display,
-                line=1,
-                col=0,
-                message=(
-                    f"baseline entry matched no finding this run "
-                    f"({entry.rule} at {entry.path}: {entry.message!r}); "
-                    f"the debt is paid -- refresh with --update-baseline"
-                ),
-            )
-        )
-    return kept, n_accepted
-
-
 def run_lint(
     paths: Sequence[Path],
     rules: Iterable[str] | None = None,
-    baseline: Baseline | None = None,
     exclude: Sequence[str] = (),
 ) -> LintResult:
     """Lint every ``.py`` file under ``paths``.
@@ -296,9 +270,8 @@ def run_lint(
     ``KeyError`` immediately rather than silently checking nothing.
     Full-catalog runs (``rules=None``) additionally audit the
     suppression comments themselves: a directive whose rule did not
-    fire on its line becomes ``suppression-stale``.  ``baseline``
-    accepts the committed findings it lists (and reports its own stale
-    entries); ``exclude`` drops files by path substring.
+    fire on its line becomes ``suppression-stale``.  ``exclude`` drops
+    files by path substring.
     """
     # Deferred on purpose: pulling the catalog in at module scope would
     # put the engine on an import cycle through the package root -- the
@@ -352,11 +325,5 @@ def run_lint(
         # every directive for an unselected rule would look unused.
         admit(_stale_suppression_findings(contexts, fired, fired_rules_by_path))
 
-    baselined = 0
-    if baseline is not None:
-        violations, baselined = _apply_baseline(violations, baseline)
-
     violations.sort(key=Violation.sort_key)
-    return LintResult(
-        violations=violations, checked_files=len(files), baselined=baselined
-    )
+    return LintResult(violations=violations, checked_files=len(files))

@@ -54,21 +54,10 @@ class ClassSymbol:
     node: ast.ClassDef
     methods: dict  # name -> FunctionSymbol
     base_names: tuple  # textual base-class names (dotted where written so)
-    fields: tuple  # AnnAssign field names in declaration order (dataclass-style)
 
     @property
     def lineno(self) -> int:
         return self.node.lineno
-
-    def field_node(self, field_name: str) -> ast.AST | None:
-        for statement in self.node.body:
-            if (
-                isinstance(statement, ast.AnnAssign)
-                and isinstance(statement.target, ast.Name)
-                and statement.target.id == field_name
-            ):
-                return statement
-        return None
 
 
 @dataclass
@@ -113,7 +102,6 @@ def _index_module(context) -> ModuleTable:
             )
         elif isinstance(statement, ast.ClassDef):
             methods: dict[str, FunctionSymbol] = {}
-            fields: list[str] = []
             for inner in statement.body:
                 if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     methods[inner.name] = FunctionSymbol(
@@ -123,10 +111,6 @@ def _index_module(context) -> ModuleTable:
                         node=inner,
                         class_name=statement.name,
                     )
-                elif isinstance(inner, ast.AnnAssign) and isinstance(
-                    inner.target, ast.Name
-                ):
-                    fields.append(inner.target.id)
             table.classes[statement.name] = ClassSymbol(
                 qualname=f"{context.module}.{statement.name}",
                 module=context.module,
@@ -134,7 +118,6 @@ def _index_module(context) -> ModuleTable:
                 node=statement,
                 methods=methods,
                 base_names=_class_base_names(statement),
-                fields=tuple(fields),
             )
         elif isinstance(statement, ast.Assign):
             for target in statement.targets:

@@ -33,9 +33,9 @@ class Rule:
     summary: str
     scope: str
     check: Callable[..., Iterable]
-    #: True for rules the engine itself emits (stale suppressions,
-    #: stale baseline entries): registered so the id is part of the
-    #: suppression/reporting vocabulary, but ``check`` is never called.
+    #: True for rules the engine itself emits (stale suppressions):
+    #: registered so the id is part of the suppression/reporting
+    #: vocabulary, but ``check`` is never called.
     engine_driven: bool = False
 
     def __post_init__(self) -> None:

@@ -8,7 +8,6 @@ Three formats:
 
     {
       "checked_files": 93,
-      "n_baselined": 0,
       "n_violations": 0,
       "tool": "repro.analysis",
       "version": 1,
@@ -42,11 +41,7 @@ def to_text(result) -> str:
     """Human-readable report, one line per finding."""
     lines = [violation.render() for violation in result.violations]
     noun = "violation" if len(result.violations) == 1 else "violations"
-    summary = f"{len(result.violations)} {noun} in {result.checked_files} checked file(s)"
-    baselined = getattr(result, "baselined", 0)
-    if baselined:
-        summary += f" ({baselined} accepted by baseline)"
-    lines.append(summary)
+    lines.append(f"{len(result.violations)} {noun} in {result.checked_files} checked file(s)")
     return "\n".join(lines)
 
 
@@ -61,7 +56,6 @@ def to_json(result) -> str:
         "version": JSON_SCHEMA_VERSION,
         "tool": "repro.analysis",
         "checked_files": result.checked_files,
-        "n_baselined": getattr(result, "baselined", 0),
         "n_violations": len(result.violations),
         "violations": [
             {

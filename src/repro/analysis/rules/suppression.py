@@ -6,17 +6,13 @@ handled).  This rule closes the loop by validating every directive
 against the live registry, and flags ``# repro:`` comments that do not
 parse as directives at all.
 
-Two further hygiene rules are registered here but *driven by the
-engine* (their ``check`` never runs): the engine alone knows which
-violations fired before suppression/baseline filtering.
-
-* ``suppression-stale`` -- a directive names a rule that no longer
-  fires on the line(s) it shields.  Dead suppressions read as "this is
-  a known measurement point" when nothing of the sort remains.
-* ``baseline-stale`` -- a ``scripts/LINT_baseline.json`` entry matched
-  no finding this run: the debt it recorded is paid, so the entry must
-  be removed (``repro lint --update-baseline``) before it masks a
-  future regression with the same message.
+A further hygiene rule is registered here but *driven by the engine*
+(its ``check`` never runs), since the engine alone knows which
+violations fired before suppression: ``suppression-stale`` -- a
+directive names a rule that no longer fires on the line(s) it shields.
+Dead suppressions read as "this is a known measurement point" when
+nothing of the sort remains, and would silently absorb the next
+regression on that line.
 """
 
 from __future__ import annotations
@@ -58,14 +54,4 @@ def check_suppressions(ctx) -> Iterator:
     engine_driven=True,
 )
 def _stale_suppressions_are_engine_driven(ctx) -> Iterator:
-    return iter(())
-
-
-@rule(
-    "baseline-stale",
-    "every findings-baseline entry must match a live finding "
-    "(engine-driven; update the baseline when debt is paid)",
-    engine_driven=True,
-)
-def _stale_baseline_entries_are_engine_driven(ctx) -> Iterator:
     return iter(())

@@ -18,10 +18,10 @@ point reads as one finding.  Sanctioning a justified source takes an
 explicit ``# repro: allow determinism-taint -- why`` on the read (the
 vocabulary is deliberately separate from ``determinism-wallclock``:
 silencing the shallow rule does not silence the graph-scoped one).
-The two long-standing measurement points -- the opt-in anytime
-``Deadline`` and the simulator's placement-latency histogram -- are
-carried in ``scripts/LINT_baseline.json`` instead of inline
-suppressions, as the worked example of the baseline flow.
+Since an aggregated finding sits at its first read, one directive there
+sanctions the whole group.  The tree carries exactly two: the opt-in
+anytime ``Deadline`` and the simulator's placement-latency histogram,
+each naming both rules on its first wall-clock read.
 
 Seeded RNG construction is *not* a source: ``numpy.random.default_rng(seed)``
 and friends with an explicit seed argument are exactly how

@@ -48,7 +48,6 @@ from repro.common.validation import (
     parse_alpha_carbon,
     parse_format,
     parse_jobs,
-    parse_lint_format,
     parse_port,
     parse_shards,
     parse_time_budget,
@@ -110,7 +109,6 @@ _carbon_signal_arg = typed_flag(parse_carbon_signal)
 _price_signal_arg = typed_flag(parse_price_signal)
 _jobs_arg = typed_flag(parse_jobs)
 _format_arg = typed_flag(parse_format)
-_lint_format_arg = typed_flag(parse_lint_format)
 _faults_arg = typed_flag(_parse_faults)
 _shards_arg = typed_flag(parse_shards)
 _time_budget_arg = typed_flag(parse_time_budget)
@@ -142,9 +140,9 @@ def _add_obs_arguments(command: argparse.ArgumentParser, formats: bool = True) -
         help="write the deterministic metrics snapshot as JSON",
     )
     if formats:
-        # One validator for every subcommand taking --format (allocate/
-        # evaluate/lint): unknown values exit 2 with the same message,
-        # matching the --vms/--alpha validation style.
+        # One validator for every reporting subcommand (allocate/
+        # evaluate; the linter's adds sarif): unknown values exit 2 with
+        # the same message, matching the --vms/--alpha validation style.
         command.add_argument(
             "--format",
             type=_format_arg,
@@ -425,42 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent session ceiling (default: 64)",
     )
 
-    lint = sub.add_parser(
-        "lint", help="run the invariant linter (determinism, layering, API surface)"
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: the installed repro package)",
-    )
-    lint.add_argument(
-        "--format",
-        type=_lint_format_arg,
-        default="text",
-        metavar="{text,json,sarif}",
-        help="report style: human text (default), one JSON document, "
-        "or a SARIF 2.1.0 log",
-    )
-    lint.add_argument(
-        "--rules",
-        default=None,
-        metavar="ID[,ID...]",
-        help="restrict the run to a comma-separated subset of rule ids",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="accept the findings recorded in this baseline document",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        default=None,
-        metavar="PATH",
-        help="rewrite PATH from the current findings and exit 0",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalog and exit"
+    # The linter defines its own command line (repro.analysis.cli):
+    # main() hands it everything after ``lint``, unparsed.
+    sub.add_parser(
+        "lint",
+        add_help=False,
+        help="run the invariant linter (determinism, layering, API surface)",
     )
 
     reproduce = sub.add_parser(
@@ -914,25 +882,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    # Delegate to the linter's own CLI so `repro lint` and `python -m
-    # repro.analysis` cannot drift apart (exit codes: 0 clean, 1
-    # findings, 2 usage).
-    from repro.analysis.cli import main as analysis_main
-
-    argv = list(args.paths)
-    argv += ["--format", args.format]
-    if args.rules is not None:
-        argv += ["--rules", args.rules]
-    if args.baseline is not None:
-        argv += ["--baseline", args.baseline]
-    if args.update_baseline is not None:
-        argv += ["--update-baseline", args.update_baseline]
-    if args.list_rules:
-        argv.append("--list-rules")
-    return analysis_main(argv)
-
-
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     # Fig. 1 runs the profiler, which fig1_profiles imports on first use:
     # load it with the command, before the reproduction starts.
@@ -956,17 +905,21 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "fig2": _cmd_fig2,
     "serve": _cmd_serve,
-    "lint": _cmd_lint,
     "reproduce": _cmd_reproduce,
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
     if args.command == "lint":
         # The linter is pure analysis; it never records into an
         # observability bundle.
-        return _COMMANDS[args.command](args)
+        from repro.analysis.cli import main as lint_main
+
+        return lint_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics", None)
     wants_json = getattr(args, "format", "text") == "json"

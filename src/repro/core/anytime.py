@@ -122,7 +122,7 @@ class Deadline:
             self._started = None
             self._expires = None
         else:
-            self._started = time.monotonic()  # repro: allow determinism-wallclock -- opt-in --time-budget deadline; never armed in deterministic mode
+            self._started = time.monotonic()  # repro: allow determinism-wallclock, determinism-taint -- opt-in --time-budget deadline; never armed in deterministic mode
             self._expires = self._started + budget_s
 
     def expired(self) -> bool:

@@ -107,11 +107,6 @@ def set_partitions(items: Sequence[T]) -> Iterator[list[list[T]]]:
             return
 
 
-def count_set_partitions(n: int) -> int:
-    """Alias of :func:`bell_number`, matching the generator's output size."""
-    return bell_number(n)
-
-
 def candidate_blocks(
     remaining: MixKey,
     ceiling: MixKey,

@@ -435,7 +435,7 @@ class DatacenterSimulator:
                 c_attempts.inc()
                 # Real wall latency of strategy.place() for the obs
                 # histogram only; simulated time (`now`) never sees it.
-                # repro: allow determinism-wallclock -- obs-only measurement
+                # repro: allow determinism-wallclock, determinism-taint -- obs-only measurement
                 wall0 = time.perf_counter()
             placement = strategy.place(descriptors, cluster.views())
             if not enabled:

@@ -1,8 +1,16 @@
-"""CLI contracts: exit codes, JSON/SARIF modes, uniform flag validation."""
+"""CLI contracts: exit codes, JSON/SARIF modes, uniform flag validation.
+
+The linter's command line is defined once (:mod:`repro.analysis.cli`);
+``repro lint``, ``python -m repro.analysis`` and ``scripts/lint.py``
+all run that parser, so usage errors read ``repro lint: error:`` from
+each of them.
+"""
 
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +21,7 @@ from repro.cli import main as repro_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PACKAGE_DIR = Path(repro.__file__).resolve().parent
-REPO_BASELINE = Path(__file__).resolve().parents[2] / "scripts" / "LINT_baseline.json"
+LINT_SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "lint.py"
 
 
 class TestAnalysisEntryPoint:
@@ -68,81 +76,14 @@ class TestAnalysisEntryPoint:
             "except-swallow",
             "suppression-unknown-rule",
             "suppression-stale",
-            "baseline-stale",
         ):
             assert rule_id in output
+        assert "baseline-stale" not in output
 
     def test_missing_path_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
             analysis_main(["/no/such/path.txt"])
         assert excinfo.value.code == 2
-
-
-class TestBaselineFlags:
-    def test_update_then_apply_round_trips(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        target = str(FIXTURES / "bad_wallclock.py")
-        code = analysis_main(
-            [target, "--rules", "determinism-wallclock", "--update-baseline", str(baseline)]
-        )
-        assert code == 0
-        assert "wrote 3 baseline entries" in capsys.readouterr().out
-        document = json.loads(baseline.read_text(encoding="utf-8"))
-        assert document["schema_version"] == "1"
-        assert len(document["findings"]) == 3
-        code = analysis_main(
-            [target, "--rules", "determinism-wallclock", "--baseline", str(baseline)]
-        )
-        assert code == 0
-        assert "(3 accepted by baseline)" in capsys.readouterr().out
-
-    def test_stale_baseline_entry_fails_the_run(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "schema_version": "1",
-                    "findings": [
-                        {"rule": "except-bare", "path": "gone.py", "message": "paid off"}
-                    ],
-                }
-            ),
-            encoding="utf-8",
-        )
-        clean = tmp_path / "clean.py"
-        clean.write_text("VALUE = 1\n", encoding="utf-8")
-        code = analysis_main([str(clean), "--baseline", str(baseline)])
-        assert code == 1
-        assert "baseline-stale" in capsys.readouterr().out
-
-    def test_malformed_baseline_exits_two(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("[]", encoding="utf-8")
-        with pytest.raises(SystemExit) as excinfo:
-            analysis_main([str(FIXTURES / "bad_wallclock.py"), "--baseline", str(baseline)])
-        assert excinfo.value.code == 2
-        assert "findings" in capsys.readouterr().err
-
-    def test_baseline_and_update_are_mutually_exclusive(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"findings": []}', encoding="utf-8")
-        with pytest.raises(SystemExit) as excinfo:
-            analysis_main(
-                [
-                    str(FIXTURES / "bad_wallclock.py"),
-                    "--baseline",
-                    str(baseline),
-                    "--update-baseline",
-                    str(tmp_path / "other.json"),
-                ]
-            )
-        assert excinfo.value.code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_repo_baseline_accepts_the_committed_debt(self):
-        # The committed baseline carries exactly the two sanctioned
-        # measurement points; with it applied the shipped tree is clean.
-        assert analysis_main([str(PACKAGE_DIR), "--baseline", str(REPO_BASELINE)]) == 0
 
 
 class TestReproLintSubcommand:
@@ -171,34 +112,76 @@ class TestReproLintSubcommand:
         document = json.loads(capsys.readouterr().out)
         assert document["version"] == "2.1.0"
 
-    def test_lint_baseline_passthrough(self, capsys):
-        code = repro_main(
-            ["lint", str(PACKAGE_DIR), "--baseline", str(REPO_BASELINE)]
-        )
-        assert code == 0
-        assert "accepted by baseline" in capsys.readouterr().out
-
-    def test_lint_update_baseline_passthrough(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        code = repro_main(
-            [
-                "lint",
-                str(FIXTURES / "bad_rng.py"),
-                "--rules",
-                "determinism-rng",
-                "--update-baseline",
-                str(baseline),
-            ]
-        )
-        assert code == 0
-        assert baseline.exists()
-        assert "wrote 3 baseline entries" in capsys.readouterr().out
-
     def test_lint_list_rules(self, capsys):
         assert repro_main(["lint", "--list-rules"]) == 0
         output = capsys.readouterr().out
         assert "determinism-wallclock" in output
         assert "determinism-taint" in output
+
+    @pytest.mark.parametrize("flag", ["--baseline", "--update-baseline"])
+    def test_findings_baseline_flags_are_gone(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(["lint", str(PACKAGE_DIR / "analysis"), flag, str(tmp_path / "b.json")])
+        assert excinfo.value.code == 2
+        assert f"repro lint: error: unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rules, reason",
+        [
+            (",", "names no rule id"),
+            (" , ", "names no rule id"),
+            ("suppression-stale", "names only engine-driven rules"),
+        ],
+    )
+    def test_selection_that_checks_nothing_exits_two(self, rules, reason, tmp_path, capsys):
+        # A stale directive a full run reports: a subset run that could
+        # only ask for suppression-stale would silently pass it.
+        stale = tmp_path / "stale.py"
+        stale.write_text("X = 1  # repro: allow except-bare -- gone\n", encoding="utf-8")
+        assert repro_main(["lint", str(stale)]) == 1
+        assert "suppression-stale" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(["lint", str(stale), "--rules", rules])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert "repro lint: error: --rules" in error
+        assert reason in error
+
+    def test_usage_errors_name_repro_lint_from_every_entry_point(self, capsys):
+        for run in (analysis_main, lambda argv: repro_main(["lint", *argv])):
+            with pytest.raises(SystemExit) as excinfo:
+                run(["/no/such/path.py"])
+            assert excinfo.value.code == 2
+            assert "repro lint: error:" in capsys.readouterr().err
+        script = subprocess.run(
+            [sys.executable, str(LINT_SCRIPT), "--format", "yaml"],
+            capture_output=True,
+            text=True,
+        )
+        assert script.returncode == 2
+        assert "repro lint: error: argument --format" in script.stderr
+
+
+class TestSourceDecoding:
+    """Files are decoded as the interpreter decodes them."""
+
+    def test_coding_cookie_is_honoured(self, tmp_path, capsys):
+        latin = tmp_path / "latin.py"
+        latin.write_bytes(b'# -*- coding: latin-1 -*-\nNAME = "caf\xe9"\n')
+        assert repro_main(["lint", str(latin)]) == 0
+        assert "0 violations in 1 checked file(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "data",
+        [b'NAME = "caf\xe9"\n', b'X = 1\nY = 2\nNAME = "caf\xe9"\n'],
+        ids=["first-line", "later-line"],
+    )
+    def test_undecodable_file_is_one_parse_error(self, data, tmp_path, capsys):
+        broken = tmp_path / "broken.py"
+        broken.write_bytes(data)
+        assert repro_main(["lint", str(broken), "--format", "json"]) == 1
+        document = json.loads(capsys.readouterr().out)
+        assert [v["rule"] for v in document["violations"]] == ["parse-error"]
 
 
 class TestUniformFormatValidation:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.analysis import load_baseline, run_lint, to_json, to_sarif, to_text, write_baseline
+from repro.analysis import run_lint, to_json, to_sarif, to_text
 from repro.analysis.registry import rule_ids
 from repro.analysis.reporters import JSON_SCHEMA_VERSION, SARIF_SCHEMA_URI, SARIF_VERSION
 
@@ -21,7 +21,6 @@ class TestJsonReporter:
             "version",
             "tool",
             "checked_files",
-            "n_baselined",
             "n_violations",
             "violations",
         }
@@ -33,7 +32,6 @@ class TestJsonReporter:
 
         assert document["schema_version"] == SCHEMA_VERSION
         assert document["checked_files"] == 1
-        assert document["n_baselined"] == 0
         assert document["n_violations"] == len(document["violations"]) > 0
         for entry in document["violations"]:
             assert set(entry) == {"rule", "path", "line", "col", "message"}
@@ -57,20 +55,6 @@ class TestJsonReporter:
         keys = [(e["path"], e["line"], e["col"], e["rule"]) for e in entries]
         assert keys == sorted(keys)
 
-    def test_baselined_count_round_trips(self, tmp_path):
-        raw = run_lint([FIXTURES / "bad_float_eq.py"], rules={"float-equality"})
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, raw.violations)
-        clean = run_lint(
-            [FIXTURES / "bad_float_eq.py"],
-            rules={"float-equality"},
-            baseline=load_baseline(baseline_path),
-        )
-        assert clean.ok
-        document = json.loads(to_json(clean))
-        assert document["n_baselined"] == len(raw.violations)
-        assert document["n_violations"] == 0
-
 
 class TestTextReporter:
     def test_one_line_per_finding_plus_summary(self):
@@ -87,17 +71,6 @@ class TestTextReporter:
         clean.write_text("VALUE = 1\n", encoding="utf-8")
         result = run_lint([clean])
         assert to_text(result) == "0 violations in 1 checked file(s)"
-
-    def test_baseline_acceptance_is_reported(self, tmp_path):
-        raw = run_lint([FIXTURES / "bad_except.py"], rules={"except-bare"})
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, raw.violations)
-        clean = run_lint(
-            [FIXTURES / "bad_except.py"],
-            rules={"except-bare"},
-            baseline=load_baseline(baseline_path),
-        )
-        assert to_text(clean).endswith("(1 accepted by baseline)")
 
 
 class TestSarifReporter:

@@ -6,7 +6,6 @@ from repro.campaign.records import total_vms
 from repro.core.partitions import (
     FAMILY_MAX_VMS,
     bell_number,
-    count_set_partitions,
     count_type_partitions,
     largest_first,
     ordered_type_partitions,
@@ -38,9 +37,6 @@ class TestBellNumbers:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bell_number(-1)
-
-    def test_alias(self):
-        assert count_set_partitions(5) == bell_number(5)
 
 
 class TestSetPartitions:
