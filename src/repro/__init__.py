@@ -33,7 +33,7 @@ Subpackages
 ``repro.obs``
     Observability: metrics registry + JSONL span tracer (off by default).
 ``repro.ext``
-    Future-work extensions: carbon-aware allocation, reactive migration.
+    Future-work extension: carbon- and price-aware allocation.
 
 :mod:`repro.api` is the stable public facade; everything not exported
 there is internal (see DESIGN.md, "Public API and stability").

@@ -94,6 +94,7 @@ from repro.core.plan import AllocationPlan, AllocationProvenance, BlockAssignmen
 from repro.core.scoring import (
     CarbonContext,
     ScoreWeights,
+    best_candidate_index,
     carbon_axis,
     score_candidates,
     score_candidates_carbon,
@@ -204,8 +205,8 @@ class _Frontier:
     ``offer`` drops a new candidate iff some *earlier retained* one
     weakly dominates it on both axes; earlier elements are never
     evicted.  That rule is exactly lossless for the allocator's
-    selection: the scan ``scores[i] < scores[best] - 1e-12`` can only
-    move ``best`` to a strictly better candidate, and a dropped
+    selection: :func:`~repro.core.scoring.best_candidate_index` can
+    only move ``best`` to a strictly better candidate, and a dropped
     candidate's score is >= its dominator's under any shared
     normalization, so it could never have become ``best``.  The
     running ``max_time``/``max_energy`` cover *every* offered
@@ -691,10 +692,7 @@ class ProactiveAllocator:
                 self._weights,
                 maxima=(frontier.max_time, frontier.max_energy),
             )
-        best_index = 0
-        for i in range(1, len(scores)):
-            if scores[i] < scores[best_index] - 1e-12:
-                best_index = i
+        best_index = best_candidate_index(scores)
         chosen = retained[best_index]
 
         stats.candidates_feasible = compliant.count + fallback.count

@@ -215,18 +215,15 @@ def score_candidates_carbon(
     return scores
 
 
-def best_candidate_index(
-    candidates: Sequence[tuple[float, float]],
-    weights: ScoreWeights,
-) -> int:
-    """Index of the best-scoring candidate; ties resolve to the earliest.
+def best_candidate_index(scores: Sequence[float]) -> int:
+    """Index of the lowest score; ties resolve to the earliest.
 
     The earliest-wins tie-break implements the paper's rule "If two
     partitions have the same rank in different servers, we select the
     first server of the list" (candidates are enumerated in
-    server-list order).
+    server-list order).  A later score must beat the best so far by
+    more than 1e-12 to win: two mixes can score equal up to rounding.
     """
-    scores = score_candidates(candidates, weights)
     best = 0
     for i in range(1, len(scores)):
         if scores[i] < scores[best] - 1e-12:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.common.errors import FaultSpecError
 from repro.common.rng import SeedSequenceFactory
@@ -21,7 +20,6 @@ from repro.faults.spec import (
     FaultKind,
     FaultSpec,
     RandomFaults,
-    WorkerFaultPlan,
 )
 
 
@@ -50,12 +48,12 @@ class ScheduledFault:
 class FaultSchedule:
     """The simulator-facing half of a materialized spec.
 
-    ``timeline`` is sorted and stable; ``worker_plan`` carries the
-    spec's worker-failure injections for :func:`repro.exec.pmap`.
+    ``timeline`` is sorted and stable.  The spec's worker-failure
+    injections are not part of it: callers hand
+    ``FaultSpec.worker_failures`` to :func:`repro.exec.pmap` directly.
     """
 
     timeline: tuple[ScheduledFault, ...] = ()
-    worker_plan: WorkerFaultPlan = WorkerFaultPlan()
 
     def __bool__(self) -> bool:
         return bool(self.timeline)
@@ -145,10 +143,7 @@ def materialize(spec: FaultSpec, n_servers: int) -> FaultSchedule:
     entries = _explicit_entries(spec.sim_events)
     entries.extend(_random_crashes(spec, n_servers))
     entries.sort(key=lambda entry: entry.time_s)
-    schedule = FaultSchedule(
-        timeline=tuple(entries),
-        worker_plan=WorkerFaultPlan(failures=dict(spec.worker_failures)),
-    )
+    schedule = FaultSchedule(timeline=tuple(entries))
     schedule.validate_servers(n_servers)
     return schedule
 

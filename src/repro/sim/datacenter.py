@@ -208,19 +208,12 @@ class DatacenterSimulator:
         jobs: Sequence[PreparedJob],
         strategy: AllocationStrategy,
         qos: QoSPolicy,
-        rebalancer=None,
         faults: FaultSchedule | None = None,
     ) -> SimulationResult:
         """Run the simulation to completion and aggregate metrics.
 
         Parameters
         ----------
-        rebalancer:
-            Optional reactive-migration hook (duck-typed:
-            ``maybe_rebalance(servers, now) -> list[server_id]``, e.g.
-            :class:`repro.ext.migration.rebalancer.ReactiveRebalancer`);
-            invoked after VM completions, with the returned servers'
-            boundary events rescheduled.
         faults:
             Optional materialized fault timeline (see
             :func:`repro.faults.materialize`).  Crashed servers evict
@@ -245,14 +238,13 @@ class DatacenterSimulator:
         # record) and closes on every exit, so a failed run neither
         # leaks the handle nor loses buffered lines.
         with ChronicleSpill(path) if path is not None else nullcontext() as spill:
-            return self._simulate(jobs, strategy, qos, rebalancer, faults, spill)
+            return self._simulate(jobs, strategy, qos, faults, spill)
 
     def _simulate(
         self,
         jobs: Sequence[PreparedJob],
         strategy: AllocationStrategy,
         qos: QoSPolicy,
-        rebalancer,
         faults: FaultSchedule | None,
         spill: ChronicleSpill | None,
     ) -> SimulationResult:
@@ -717,15 +709,6 @@ class DatacenterSimulator:
                 schedule_boundary(index, now)
                 if finished:
                     complete_vms(finished, now)
-                    if rebalancer is not None:
-                        touched_ids, done_vms = rebalancer.maybe_rebalance(servers, now)
-                        if done_vms:
-                            complete_vms(done_vms, now)
-                        for server_id in touched_ids:
-                            moved_index = server_index[server_id]
-                            # Migration syncs the server itself; only
-                            # the boundary prediction needs refreshing.
-                            schedule_boundary(moved_index, now)
                     drain_all(now)
                     if enabled:
                         g_powered.set(cluster.powered_count())

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from repro.campaign.records import MixKey
 from repro.common.errors import SimulationError
-from repro.sim.vm import SimVM, VMState
+from repro.sim.vm import SimVM
 from repro.testbed.contention import ContentionParams, KindRecord, MixModel, kind_record
 from repro.testbed.power import instantaneous_power
 from repro.testbed.spec import SUBSYSTEMS, ServerSpec
@@ -234,11 +234,6 @@ class ServerRuntime:
         return self._powered_since_s is not None
 
     @property
-    def slowdown_factor(self) -> float:
-        """Transient-fault progress multiplier (1.0 = nominal speed)."""
-        return self._slowdown_factor
-
-    @property
     def last_sync_s(self) -> float:
         """Sim time up to which progress/energy are integrated."""
         return self._last_sync_s
@@ -274,7 +269,7 @@ class ServerRuntime:
         stage?)``.  Physics changes only when the mix does, so the
         first level is this server's entry for its current mix: it is
         returned without building any key, and cleared by ``_host``/
-        ``_unhost`` (every placement, finish, eviction, migration and
+        ``_unhost`` (every placement, finish, eviction, abort and
         crash) and by :meth:`sync` when a VM changes stage.
 
         The second level is the per-run memo, shared by every server of
@@ -434,34 +429,12 @@ class ServerRuntime:
         vm.place(self.server_id, now_s)
         self._host(vm)
 
-    def attach_vm(self, vm: SimVM, now_s: float) -> None:
-        """Attach an already-running VM (migration arrival).
-
-        Unlike :meth:`add_vm` this does not run the PENDING->RUNNING
-        lifecycle transition; the VM keeps its progress state.  Caller
-        must have synced to ``now_s`` first.
-        """
-        if abs(now_s - self._last_sync_s) > 1e-6:
-            raise SimulationError(
-                f"server {self.server_id}: attach_vm at {now_s} without sync"
-            )
-        if self.failed:
-            raise SimulationError(
-                f"server {self.server_id}: cannot attach VM to a failed server"
-            )
-        if vm.done:
-            raise SimulationError(f"cannot attach finished VM {vm.vm_id!r}")
-        if not self.powered_on:
-            self._set_power(now_s)
-        vm.server_id = self.server_id
-        self._host(vm)
-
     def detach_vm(self, vm: SimVM, now_s: float) -> SimVM:
-        """Remove a running VM without completing it (for migration).
+        """Remove a running VM without completing it (a VM abort).
 
         Caller must have synced to ``now_s`` first; the VM keeps its
-        remaining-work state and can be re-attached to another server
-        with :meth:`attach_vm`.
+        remaining-work state, which the caller discards when it
+        restarts the VM elsewhere.
         """
         if abs(now_s - self._last_sync_s) > 1e-6:
             raise SimulationError(

@@ -41,7 +41,6 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.faults import FaultSchedule, ScheduledFault
-from repro.faults.spec import WorkerFaultPlan
 from repro.sim.datacenter import DatacenterConfig, SimulationResult
 from repro.sim.metrics import compute_metrics
 from repro.workloads.assignment import PreparedJob
@@ -170,10 +169,7 @@ def partition_schedule(
             job_id = _job_of_vm(entry.vm) if entry.vm is not None else None
             shard = job_to_shard.get(job_id, 0) if job_id is not None else 0
             timelines[shard].append(entry)
-    return [
-        FaultSchedule(timeline=tuple(timeline), worker_plan=WorkerFaultPlan())
-        for timeline in timelines
-    ]
+    return [FaultSchedule(timeline=tuple(timeline)) for timeline in timelines]
 
 
 def shard_config(

@@ -87,14 +87,16 @@ class AllocationStrategy(abc.ABC):
         vms: Sequence[VMDescriptor],
         servers: Sequence[ServerView],
     ) -> Optional[Mapping[str, str]]:
-        """Re-place VMs evicted by a server failure.
+        """Re-place VMs evicted by a server crash or a VM abort.
 
-        Evicted VMs keep their progress, so a fast re-placement
-        matters more than an optimal one; the default simply reuses
-        :meth:`place`.  Strategies can override to treat displaced
-        work differently (e.g. ignore consolidation thresholds).  The
-        same atomicity contract applies: cover all VMs or return
-        ``None`` to leave them queued.
+        The simulator restarts every such VM from scratch: the VMs
+        handed over are fresh (same ``vm_id`` and deadline, no
+        progress), and the discarded work is logged as
+        :attr:`~repro.faults.FaultRecord.lost_work_s`.  The default
+        simply reuses :meth:`place`.  Strategies can override to treat
+        displaced work differently (e.g. ignore consolidation
+        thresholds).  The same atomicity contract applies: cover all
+        VMs or return ``None`` to leave them queued.
         """
         return self.place(vms, servers)
 

@@ -97,29 +97,21 @@ class TestTieEpsilon:
     def test_sub_epsilon_improvement_keeps_first(self):
         # A later candidate better by less than 1e-12 is treated as a
         # tie; the earliest-enumerated candidate must win.
-        base = (100.0, 100.0)
-        nearly = (100.0 * (1.0 - 1e-14), 100.0)
-        index = best_candidate_index([base, nearly], ScoreWeights(0.0))
-        assert index == 0
+        base = 1.0
+        nearly = 1.0 - 1e-14
+        assert best_candidate_index([base, nearly]) == 0
 
     def test_above_epsilon_improvement_moves_best(self):
-        base = (100.0, 100.0)
-        clearly = (100.0 * (1.0 - 1e-9), 100.0)
-        index = best_candidate_index([base, clearly], ScoreWeights(0.0))
-        assert index == 1
+        base = 1.0
+        clearly = 1.0 - 1e-9
+        assert best_candidate_index([base, clearly]) == 1
 
 
 class TestBestCandidateIndex:
     def test_picks_minimum(self):
-        index = best_candidate_index(
-            [(300.0, 300.0), (100.0, 100.0), (200.0, 200.0)], ScoreWeights(0.5)
-        )
-        assert index == 1
+        assert best_candidate_index([1.0, 1 / 3, 2 / 3]) == 1
 
     def test_tie_breaks_to_first(self):
         # "If two partitions have the same rank ... we select the first
         # server of the list."
-        index = best_candidate_index(
-            [(100.0, 100.0), (100.0, 100.0)], ScoreWeights(0.5)
-        )
-        assert index == 0
+        assert best_candidate_index([0.5, 0.5]) == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.fig3_algorithm import fig3_contract
+from benchmarks.bench_fig3_algorithm import fig3_contract
 
 
 @pytest.fixture(scope="module")

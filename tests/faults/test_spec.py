@@ -320,12 +320,6 @@ class TestMaterialize:
         assert timeline[0].factor == pytest.approx(3.0)
         assert timeline[1].time_s == pytest.approx(15.0)
 
-    def test_worker_plan_carried_through(self):
-        spec = FaultSpec(events=(FaultEvent(kind=FaultKind.WORKER_FAILURE, task=1, times=2),))
-        schedule = materialize(spec, 1)
-        assert schedule.worker_plan.failures_for(1) == 2
-        assert not schedule  # no sim timeline entries
-
     def test_out_of_range_server_rejected(self):
         spec = FaultSpec(events=(crash(server=5),))
         with pytest.raises(FaultSpecError, match="targets server 5 but the cluster has 2"):

@@ -39,11 +39,6 @@ class TestFastExamples:
         assert "Table I" in out
         assert (tmp_path / "model_database.csv").exists()
 
-    def test_migration_rescue(self):
-        out = run_example("migration_rescue.py")
-        assert "reactive migrations" in out
-        assert "proactive placement" in out
-
 
 class TestSlowExamplesAtLeastParse:
     @pytest.mark.parametrize(

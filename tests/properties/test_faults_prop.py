@@ -177,12 +177,6 @@ class TestSpecDataLaws:
             for entry in schedule.timeline
         )
 
-    @given(fault_specs())
-    @settings(max_examples=40, derandomize=True)
-    def test_worker_plan_matches_spec(self, spec):
-        schedule = materialize(spec, N_SERVERS)
-        assert dict(schedule.worker_plan.failures) == dict(spec.worker_failures)
-
 
 class TestChaosInvariants:
     @given(workloads(), feasible_chaos())

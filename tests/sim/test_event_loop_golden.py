@@ -12,9 +12,9 @@ and the deterministic trace.
 
 The runs cover both placement paths (queued jobs, with backfilling,
 and fault-evicted groups), every server-fault action applied and as a
-no-op, VM aborts, and the reactive rebalancer.  A digest is re-recorded
-only for an intended change of the simulator's outputs, and such a
-change is stated in CHANGES.md.
+no-op, and VM aborts.  A digest is re-recorded only for an intended
+change of the simulator's outputs, and such a change is stated in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import json
 
 from repro.ext.carbon import TemporalSignals
 from repro.ext.carbon.signal import daily_carbon_signal, double_peak_price_signal
-from repro.ext.migration import MigrationPolicy, ReactiveRebalancer
 from repro.faults import FaultEvent, FaultKind, FaultSpec, materialize
 from repro.obs.runtime import observed
 from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
@@ -103,7 +102,7 @@ def golden_config(spill_path: str) -> DatacenterConfig:
     )
 
 
-def run_digest(tmp_path, strategy, *, faults=None, rebalancer=None) -> str:
+def run_digest(tmp_path, strategy, *, faults=None) -> str:
     """SHA-256 over everything one run produces."""
     spill = tmp_path / "spill.jsonl"
     config = golden_config(str(spill))
@@ -114,7 +113,6 @@ def run_digest(tmp_path, strategy, *, faults=None, rebalancer=None) -> str:
             golden_jobs(),
             strategy,
             golden_qos(),
-            rebalancer=rebalancer,
             faults=schedule,
         )
         snapshot = obs.snapshot()
@@ -147,7 +145,6 @@ def run_digest(tmp_path, strategy, *, faults=None, rebalancer=None) -> str:
 GOLDEN = {
     "FF-2": "b02c5166f6053610cd92b0ea8432568b3324989b5f92d4e5063c0f7b08b7558c",
     "PA-0.5": "fca0f849f373ca78fc8ee65ca2bfa38af395019315138030e14e447530c271e1",
-    "FF-3+rebalancer": "660f372c2d312ebd9bbb808b1091047614508dad26dee56c12f2cebc21d36294",
 }
 
 
@@ -162,20 +159,10 @@ class TestEventLoopGolden:
             tmp_path, ProactiveStrategy(database, alpha=0.5), faults=golden_faults()
         ) == GOLDEN["PA-0.5"]
 
-    def test_ff3_with_rebalancer(self, tmp_path, database):
-        rebalancer = ReactiveRebalancer(
-            database,
-            policy=MigrationPolicy(overload_factor=1.5, max_migrations=4),
-            cooldown_s=100.0,
-        )
-        assert run_digest(
-            tmp_path, FirstFitStrategy(3), rebalancer=rebalancer
-        ) == GOLDEN["FF-3+rebalancer"]
-
-    def test_runs_exercise_every_path(self, tmp_path, database):
+    def test_runs_exercise_every_path(self, tmp_path):
         """The golden runs keep covering what they pin: both placement
         paths, backfilling, applied and no-op faults of every action,
-        spilled intervals, and migrations."""
+        and spilled intervals."""
         spill = tmp_path / "spill.jsonl"
         with observed() as obs:
             result = DatacenterSimulator(golden_config(str(spill))).run(
@@ -193,13 +180,3 @@ class TestEventLoopGolden:
         assert spill.stat().st_size > 0
         notes = {n.kind for c in result.chronicles for n in c.notes}
         assert {"crash", "recover", "slowdown", "slowdown_end", "abort", "replace"} <= notes
-
-        rebalancer = ReactiveRebalancer(
-            database,
-            policy=MigrationPolicy(overload_factor=1.5, max_migrations=4),
-            cooldown_s=100.0,
-        )
-        DatacenterSimulator(golden_config(str(spill))).run(
-            golden_jobs(), FirstFitStrategy(3), golden_qos(), rebalancer=rebalancer
-        )
-        assert rebalancer.migrations_performed > 0

@@ -1,4 +1,4 @@
-"""Additional ServerRuntime lifecycle edge cases (migration support)."""
+"""Additional ServerRuntime lifecycle edge cases (VM abort, power)."""
 
 import pytest
 
@@ -48,38 +48,6 @@ class TestDetach:
         server.sync(10.0)
         server.detach_vm(vm, 10.0)
         assert not server.powered_on
-
-
-class TestAttach:
-    def test_attach_preserves_progress(self, server):
-        origin = ServerRuntime("origin", default_server())
-        origin.sync(0.0)
-        vm = make_vm()
-        origin.add_vm(vm, 0.0)
-        origin.sync(150.0)
-        origin.detach_vm(vm, 150.0)
-
-        server.sync(150.0)
-        server.attach_vm(vm, 150.0)
-        assert vm.server_id == "s0"
-        assert server.n_vms == 1
-        # Continue to completion on the new host.
-        now = 150.0
-        while server.next_boundary(now) is not None:
-            now = server.next_boundary(now)
-            server.sync(now)
-        assert vm.done
-
-    def test_attach_without_sync_rejected(self, server):
-        with pytest.raises(SimulationError, match="without sync"):
-            server.attach_vm(make_vm(), 500.0)
-
-    def test_attach_powers_on(self, server):
-        assert not server.powered_on
-        vm = make_vm()
-        vm.place("elsewhere", 0.0)  # already running elsewhere
-        server.attach_vm(vm, 0.0)
-        assert server.powered_on
 
 
 class TestPowerOn:

@@ -115,7 +115,6 @@ class TestSubpackageImports:
             "repro.strategies",
             "repro.experiments",
             "repro.service",
-            "repro.ext.migration",
         ],
     )
     def test_imports_cleanly(self, module):
