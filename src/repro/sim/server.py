@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from repro.campaign.records import MixKey
 from repro.common.errors import SimulationError
 from repro.sim.vm import SimVM
-from repro.testbed.contention import ContentionParams, KindRecord, MixModel, kind_record
+from repro.testbed.contention import ContentionParams, KindRecord, MixModel, stage_kinds
 from repro.testbed.power import instantaneous_power
 from repro.testbed.spec import SUBSYSTEMS, ServerSpec
 from repro.testbed.benchmarks import WorkloadClass
@@ -39,8 +39,9 @@ _MIX_CACHE_MAX = 32768
 class KindRegistry:
     """Small integer codes for the VM kinds of one run.
 
-    A kind is a ``(benchmark, init stage?)`` pair: it fixes the VM's
-    view, hence everything the contention model reads of it.  Codes
+    A kind is a ``(benchmark, init stage?)`` pair: it fixes everything
+    the contention model reads of the VM, its record from
+    :func:`~repro.testbed.contention.stage_kinds`.  Codes
     are handed out in order of first sight, and ``records[code]`` is
     the kind's :class:`~repro.testbed.contention.KindRecord`, which
     pins the benchmark, so no ``id`` in the table can be recycled
@@ -61,7 +62,8 @@ class KindRegistry:
         code = self._codes.get(key)
         if code is None:
             code = self._codes[key] = len(self.records)
-            self.records.append(kind_record(vm.active_view()))
+            init, work = stage_kinds(vm.benchmark)
+            self.records.append(init if vm.stage == 0 else work)
         return code
 
 

@@ -7,7 +7,6 @@ from math import nan
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.testbed.benchmarks import BenchmarkSpec, WorkloadClass, canonical_benchmark
-from repro.testbed.contention import ActiveVM
 
 
 class VMState(enum.Enum):
@@ -106,16 +105,6 @@ class SimVM:
     @property
     def done(self) -> bool:
         return self.stage >= 2
-
-    def active_view(self) -> ActiveVM:
-        """The contention model's view of this VM in its current stage."""
-        if self.stage == 0:
-            return ActiveVM(
-                self.benchmark,
-                demand_scale=self.benchmark.init_demand_scale,
-                contended=False,
-            )
-        return ActiveVM(self.benchmark, demand_scale=1.0, contended=True)
 
     def advance(self, dt_s: float, slowdown: float, epsilon_s: float = 1e-9) -> None:
         """Progress the current stage by ``dt_s`` wall seconds."""

@@ -28,6 +28,7 @@ from repro.common.errors import SimulationError
 from repro.sim.datacenter import DatacenterSimulator
 from repro.sim.server import ServerRuntime
 from repro.testbed.power import instantaneous_power
+from tests.oracles.runner import view_of
 
 _EPSILON_S = 1e-9
 
@@ -37,7 +38,7 @@ class NaiveServerRuntime(ServerRuntime):
     whose VMs advance through :meth:`SimVM.advance` at every step."""
 
     def _mix_physics(self) -> tuple:
-        views = [vm.active_view() for vm in self._vms]
+        views = [view_of(vm.benchmark, vm.stage) for vm in self._vms]
         slowdowns = self._model.slowdowns(views)
         loads = self._model.subsystem_loads(views)
         power = instantaneous_power(loads, len(views), self.spec.power)

@@ -1,13 +1,17 @@
 """Unit tests for the mix runner."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.testbed.benchmarks import get_benchmark
-from repro.testbed.contention import MixModel
 from repro.testbed.meter import PowerMeter
 from repro.testbed.runner import MixRunResult, VMInstance, run_mix
 from repro.testbed.spec import Subsystem, default_server
+from tests.oracles.runner import reference_run_mix
 
 
 @pytest.fixture
@@ -144,49 +148,98 @@ class TestResultAccessors:
         assert run_mix(server, instances("fftw", 3)).n_vms == 3
 
 
-class TestFusedPhysics:
-    """``run_mix`` prices each step with ``MixModel.slowdowns_and_loads``;
-    with the naive ``slowdowns`` + ``subsystem_loads`` pair patched in
-    its place, every run must come out equal, float for float."""
+class TestOracle:
+    """``run_mix`` advances groups of identical VMs on interned kind
+    records; the per-VM oracle (``tests/oracles/runner.py``) builds a
+    view per VM per step and prices it with the naive ``slowdowns`` +
+    ``subsystem_loads`` pair.  Every run must come out equal, float
+    for float: segments, load profile, outcomes, energy, max power and
+    the meter reading."""
 
-    NAMES = ("fftw", "sysbench", "bonnie")
+    @staticmethod
+    def twin():
+        """A spec sharing fftw's name, with different demands."""
+        twin = dataclasses.replace(
+            get_benchmark("fftw"),
+            demands={Subsystem.CPU: 0.4, Subsystem.MEMORY: 0.9, Subsystem.DISK: 0.3},
+        )
+        assert twin.name == "fftw" and twin != get_benchmark("fftw")
+        return twin
 
     @classmethod
-    def mixes(cls, server):
-        import dataclasses
-        import random
-
-        rng = random.Random(20110516)
-        # Staggered arrivals: idle gaps, joins mid-stage, ties.
-        yield [
-            VMInstance(f"s{i}", get_benchmark(rng.choice(cls.NAMES)), rng.choice([0.0, 40.0, 40.0, 300.0]))
-            for i in range(6)
+    def pool(cls):
+        no_init = dataclasses.replace(get_benchmark("sysbench"), serial_fraction=0.0)
+        return [get_benchmark(name) for name in ("fftw", "sysbench", "b_eff_io", "bonnie")] + [
+            cls.twin(),
+            no_init,
         ]
-        # A crowd deep into thrashing territory.
-        crowd = [VMInstance(f"c{i}", get_benchmark(rng.choice(cls.NAMES))) for i in range(14)]
-        assert sum(vm.benchmark.ram_gb for vm in crowd) > server.usable_ram_gb
-        yield crowd
-        # Two distinct specs sharing a name, with different demands.
-        fftw = get_benchmark("fftw")
-        twin = dataclasses.replace(
-            fftw, demands={Subsystem.CPU: 0.4, Subsystem.MEMORY: 0.9, Subsystem.DISK: 0.3}
+
+    @staticmethod
+    def check(server, vms, meter_seed=None):
+        def meter():
+            if meter_seed is None:
+                return None
+            return PowerMeter(period_s=25.0, accuracy=0.015, rng=meter_seed)
+
+        fast = run_mix(server, vms, meter=meter())
+        slow = reference_run_mix(server, vms, meter=meter())
+        assert fast.segments == slow.segments
+        assert fast.load_profile == slow.load_profile
+        assert fast.outcomes == slow.outcomes
+        assert fast.energy_j == slow.energy_j
+        assert fast.max_power_w == slow.max_power_w
+        assert fast.meter_reading == slow.meter_reading
+        assert fast == slow
+        return fast
+
+    @st.composite
+    def mixes(draw):
+        pool = TestOracle.pool()
+        n = draw(st.integers(min_value=1, max_value=default_server().max_vms))
+        specs = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        # Few distinct offsets: ties, idle gaps and joins mid-stage.
+        offsets = draw(
+            st.lists(st.sampled_from([0.0, 0.0, 40.0, 300.0, 2500.0]), min_size=n, max_size=n)
         )
-        yield [VMInstance(f"t{i}", spec) for i, spec in enumerate((fftw, twin, fftw, twin, twin))]
+        ids = draw(st.permutations(range(n)))
+        vms = [VMInstance(f"v{i}", spec, offset) for i, spec, offset in zip(ids, specs, offsets)]
+        meter_seed = draw(st.none() | st.integers(min_value=0, max_value=2**16))
+        return vms, meter_seed
 
-    def test_equals_naive_pair(self, server, monkeypatch):
-        fused = [run_mix(server, mix) for mix in self.mixes(server)]
-        calls = []
+    @settings(max_examples=60, deadline=None)
+    @given(mixes())
+    def test_equals_per_vm_oracle(self, mix):
+        vms, meter_seed = mix
+        self.check(default_server(), vms, meter_seed)
 
-        def naive_pair(model, mix):
-            calls.append(len(mix))
-            return model.slowdowns(mix), model.subsystem_loads(mix)
+    def test_staggered_offsets_with_ties_and_idle_gaps(self, server):
+        fftw, sysbench = get_benchmark("fftw"), get_benchmark("sysbench")
+        vms = [
+            VMInstance("a", fftw, 40.0),
+            VMInstance("b", sysbench, 40.0),
+            VMInstance("c", fftw, 40.0),
+            VMInstance("d", fftw, 5000.0),
+            VMInstance("e", sysbench, 300.0),
+        ]
+        result = self.check(server, vms)
+        idle = [w for t0, t1, w in result.segments if w == server.power.idle_w]
+        assert len(idle) == 2  # before the first arrival and before "d"
 
-        monkeypatch.setattr(MixModel, "slowdowns_and_loads", naive_pair)
-        naive = [run_mix(server, mix) for mix in self.mixes(server)]
-        assert max(calls) >= 12
-        for fast, slow in zip(fused, naive):
-            assert fast.segments == slow.segments
-            assert fast.load_profile == slow.load_profile
-            assert fast.outcomes == slow.outcomes
-            assert fast.energy_j == slow.energy_j
-            assert fast == slow
+    def test_twin_specs_sharing_a_name(self, server):
+        fftw, twin = get_benchmark("fftw"), self.twin()
+        vms = [VMInstance(f"t{i}", spec) for i, spec in enumerate((fftw, twin, fftw, twin, twin))]
+        result = self.check(server, vms)
+        assert result.exec_time_of("t0") == result.exec_time_of("t2")
+        assert result.exec_time_of("t0") != result.exec_time_of("t1")
+
+    def test_thrashing_crowd(self, server):
+        crowd = instances("fftw", 8) + instances("sysbench", 6)
+        assert sum(vm.benchmark.ram_gb for vm in crowd) > server.usable_ram_gb
+        self.check(server, crowd)
+
+    def test_single_vm(self, server):
+        self.check(server, instances("bonnie", 1))
+
+    def test_metered_path(self, server):
+        result = self.check(server, instances("fftw", 3) + instances("b_eff_io", 2), meter_seed=7)
+        assert result.meter_reading is not None
