@@ -4,6 +4,7 @@ Useful for tracking performance regressions of the hot paths: the mix
 runner, the allocator, the event engine and the trace pipeline.
 """
 
+from repro.campaign.platformrunner import run_campaign
 from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
 from repro.sim.engine import EventQueue
 from repro.testbed.benchmarks import WorkloadClass, get_benchmark
@@ -11,6 +12,7 @@ from repro.testbed.runner import VMInstance, run_mix
 from repro.testbed.spec import default_server
 from repro.workloads.cleaning import clean_trace
 from repro.workloads.synthetic import EGEETraceConfig, generate_egee_like_trace
+from tests.campaign.test_campaign_golden import CAMPAIGN_DIGEST, campaign_digest
 
 
 def test_mix_runner_16_vms(benchmark):
@@ -20,6 +22,12 @@ def test_mix_runner_16_vms(benchmark):
     vms = [VMInstance(f"v{i}", fftw) for i in range(16)]
     result = benchmark(lambda: run_mix(server, vms))
     assert result.n_vms == 16
+
+
+def test_default_campaign(benchmark):
+    """The default model-building campaign: 664 emulated mixes."""
+    campaign = benchmark(run_campaign)
+    assert campaign_digest(campaign) == CAMPAIGN_DIGEST
 
 
 def test_allocator_batch_latency(benchmark, database):

@@ -107,12 +107,13 @@ def run_base_tests(
             if benchmarks is not None
             else canonical_benchmark(workload_class)
         )
+        # Each run's VMs are a prefix of the largest run's.
+        pool = [VMInstance(f"{workload_class.value}-{i}", benchmark) for i in range(max_vms)]
         curve: list[BaseTestPoint] = []
         for n in range(1, max_vms + 1):
             if progress is not None:
                 progress(workload_class, n)
-            vms = [VMInstance(f"{workload_class.value}-{i}", benchmark) for i in range(n)]
-            result = run_mix(server, vms, params=params, meter=meter)
+            result = run_mix(server, pool[:n], params=params, meter=meter)
             if meter is not None and result.meter_reading is not None:
                 energy = float(result.meter_reading.energy_j)
                 max_power = float(result.meter_reading.max_power_w)

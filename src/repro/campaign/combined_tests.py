@@ -19,6 +19,7 @@ from repro.campaign.optimal import OptimalScenarios
 from repro.campaign.records import BenchmarkRecord, MixKey
 from repro.common.errors import ConfigurationError
 from repro.testbed.benchmarks import (
+    WORKLOAD_CLASSES,
     BenchmarkSpec,
     WorkloadClass,
     canonical_benchmark,
@@ -51,26 +52,34 @@ def combination_grid(osc: int, osm: int, osi: int) -> Iterator[MixKey]:
                     yield (ncpu, nmem, nio)
 
 
-def build_mix_instances(
-    key: MixKey,
-    benchmarks: Mapping[WorkloadClass, BenchmarkSpec] | None = None,
-) -> list[VMInstance]:
-    """Materialize the VM instances of a (Ncpu, Nmem, Nio) mix."""
-    ncpu, nmem, nio = key
-    instances: list[VMInstance] = []
-    for workload_class, count in (
-        (WorkloadClass.CPU, ncpu),
-        (WorkloadClass.MEM, nmem),
-        (WorkloadClass.IO, nio),
-    ):
+def _instance_pools(
+    bounds: MixKey,
+    benchmarks: Mapping[WorkloadClass, BenchmarkSpec] | None,
+) -> list[list[VMInstance]]:
+    """Per class (CPU, MEM, IO), the VM instances of the ``bounds`` mix.
+
+    Instances are immutable and named by class and index, so every mix
+    within the bounds is made of prefixes of these lists.
+    """
+    pools = []
+    for workload_class, count in zip(WORKLOAD_CLASSES, bounds):
         benchmark = (
             benchmarks[workload_class]
             if benchmarks is not None
             else canonical_benchmark(workload_class)
         )
-        for i in range(count):
-            instances.append(VMInstance(f"{workload_class.value}-{i}", benchmark))
-    return instances
+        prefix = workload_class.value
+        pools.append([VMInstance(f"{prefix}-{i}", benchmark) for i in range(count)])
+    return pools
+
+
+def build_mix_instances(
+    key: MixKey,
+    benchmarks: Mapping[WorkloadClass, BenchmarkSpec] | None = None,
+) -> list[VMInstance]:
+    """Materialize the VM instances of a (Ncpu, Nmem, Nio) mix."""
+    cpu, mem, io = _instance_pools(key, benchmarks)
+    return cpu + mem + io
 
 
 @dataclass(frozen=True)
@@ -135,11 +144,13 @@ def run_combined_tests(
                 progress(key)
         payload = _MixPayload(server=server, params=params, benchmarks=benchmarks)
         return list(mapper(_measure_mix, keys, payload))
+    cpu, mem, io = _instance_pools((osc, osm, osi), benchmarks)
     records: list[BenchmarkRecord] = []
     for key in keys:
         if progress is not None:
             progress(key)
-        instances = build_mix_instances(key, benchmarks)
+        ncpu, nmem, nio = key
+        instances = cpu[:ncpu] + mem[:nmem] + io[:nio]
         result = run_mix(server, instances, params=params, meter=meter)
         if meter is not None and result.meter_reading is not None:
             energy = float(result.meter_reading.energy_j)

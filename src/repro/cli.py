@@ -41,6 +41,7 @@ from repro.common.errors import (
     ConfigurationError,
     FaultSpecError,
     TraceFormatError,
+    UnplaceableJobError,
 )
 from repro.common.rng import SeedSequenceFactory
 from repro.common.validation import (
@@ -192,6 +193,21 @@ def _add_carbon_arguments(
 def _usage_error(command: str, message: str) -> "SystemExit":
     print(f"repro {command}: error: {message}", file=sys.stderr)
     return SystemExit(2)
+
+
+def _unplaceable(command: str, error: UnplaceableJobError, remedy: str) -> int:
+    """Report a job too large for the simulated cluster; exit code 2."""
+    print(
+        f"repro {command}: error: job {error.job_id} can never be placed: "
+        f"strategy {error.strategy} rejects it on an idle cluster; {remedy}",
+        file=sys.stderr,
+    )
+    return 2
+
+
+#: What ``evaluate`` and ``reproduce`` suggest for an unplaceable job:
+#: their clouds are sized from the VM budget.
+_LARGER_BUDGET = "pass a larger --vm-budget (the clouds scale with it)"
 
 
 def _carbon_options(args: argparse.Namespace, command: str) -> CarbonOptions | None:
@@ -594,6 +610,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         # index outside the simulated cluster surfaces here.
         print(f"repro evaluate: error: {error}", file=sys.stderr)
         return 2
+    except UnplaceableJobError as error:
+        return _unplaceable("evaluate", error, _LARGER_BUDGET)
     if json_output:
         from repro.service import schema
 
@@ -780,6 +798,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ) as error:
         print(f"repro simulate: error: {error}", file=sys.stderr)
         return 2
+    except UnplaceableJobError as error:
+        return _unplaceable(
+            "simulate", error, "pass more servers with --servers or a larger --vm-budget"
+        )
     applied = sum(1 for record in result.fault_log if record.applied)
     if json_output:
         from repro.service import schema
@@ -889,9 +911,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.experiments.paper_summary import reproduce_paper
 
     progress = None if args.quiet else print
-    reproduction = reproduce_paper(
-        vm_budget=args.vm_budget, progress=progress, jobs=args.jobs
-    )
+    try:
+        reproduction = reproduce_paper(
+            vm_budget=args.vm_budget, progress=progress, jobs=args.jobs
+        )
+    except UnplaceableJobError as error:
+        return _unplaceable("reproduce", error, _LARGER_BUDGET)
     print()
     print(reproduction.report)
     return 0

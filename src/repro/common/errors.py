@@ -69,6 +69,28 @@ class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent state."""
 
 
+class UnplaceableJobError(SimulationError):
+    """A queued job can never be placed.
+
+    Its strategy rejects it on an idle cluster with no capacity left to
+    come back (no failed server, no pending fault): the cluster is too
+    small for the job.  Carries the job id and the strategy's name.
+    """
+
+    def __init__(self, job_id: int, strategy: str):
+        self.job_id = job_id
+        self.strategy = strategy
+        super().__init__(
+            f"strategy {strategy} rejects job {job_id} on an idle cluster; "
+            f"it can never be placed"
+        )
+
+    def __reduce__(self):
+        # Rebuild from the fields, not from the formatted message, so the
+        # error survives the trip back from a worker process.
+        return (type(self), (self.job_id, self.strategy))
+
+
 class FaultSpecError(ReproError, ValueError):
     """A fault-injection spec (see :mod:`repro.faults`) is invalid.
 

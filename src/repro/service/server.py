@@ -556,7 +556,10 @@ class Service:
         now = _perf_counter()
         times = self._admit_times[session.session_id]
         times.extend(now for _ in range(admitted))
-        self._events[session.session_id].set()
+        if session.window_ready():
+            # Wake the batching loop only when it has a full window to
+            # allocate; a partial one waits for more admissions or a flush.
+            self._events[session.session_id].set()
         return 200, schema.stamp(
             {
                 "session_id": session.session_id,
@@ -608,11 +611,12 @@ class Service:
     async def _batch_loop(self, session_id: str) -> None:
         """Drain complete coalescing windows whenever admissions arrive.
 
-        One task per session; woken by the admission handler's
-        ``Event.set()``.  Allocation itself runs inline (the allocator
-        is CPU-bound and sessions are mutated atomically), with a
-        ``sleep(0)`` between windows so concurrently arriving requests
-        keep being read.
+        One task per session; woken by an ``Event.set()`` from the
+        admission handler once a full window is queued, and from state
+        restores and fault injections.  Allocation itself runs inline
+        (the allocator is CPU-bound and sessions are mutated
+        atomically), with a ``sleep(0)`` between windows so
+        concurrently arriving requests keep being read.
         """
         session = self._sessions[session_id]
         event = self._events[session_id]

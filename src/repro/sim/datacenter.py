@@ -25,7 +25,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError, SimulationError, UnplaceableJobError
 from repro.faults import (
     FAULTS_INJECTED,
     FAULTS_REALLOCATIONS,
@@ -481,11 +481,7 @@ class DatacenterSimulator:
                     # With a failed server or faults still pending,
                     # capacity may yet return; the end-of-run unfinished
                     # check is the backstop against a silent hang.
-                    raise SimulationError(
-                        f"strategy {strategy.name} rejects job "
-                        f"{queue[0].job.job_id} on an idle cluster; it can "
-                        f"never be placed"
-                    )
+                    raise UnplaceableJobError(queue[0].job.job_id, strategy.name)
                 # Head blocked: optionally backfill a bounded window of
                 # later jobs (EASY-style; placing them cannot unblock
                 # the head, so one pass suffices).

@@ -11,6 +11,7 @@ from repro.common.errors import (
     ReproError,
     SimulationError,
     TraceFormatError,
+    UnplaceableJobError,
 )
 
 
@@ -62,3 +63,19 @@ class TestTraceFormatError:
         err = TraceFormatError("bad header")
         assert str(err) == "bad header"
         assert err.line_number is None
+
+
+class TestUnplaceableJobError:
+    def test_is_a_simulation_error_with_the_old_message(self):
+        err = UnplaceableJobError(8, "PA-0.5")
+        assert isinstance(err, SimulationError)
+        assert str(err) == (
+            "strategy PA-0.5 rejects job 8 on an idle cluster; it can never be placed"
+        )
+
+    def test_pickles_with_its_fields(self):
+        # A worker process hands the error back pickled.
+        import pickle
+
+        err = pickle.loads(pickle.dumps(UnplaceableJobError(8, "PA-1")))
+        assert (err.job_id, err.strategy, str(err)) == (8, "PA-1", str(UnplaceableJobError(8, "PA-1")))

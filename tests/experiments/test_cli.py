@@ -347,6 +347,36 @@ class TestTypedErrors:
         assert err.startswith("repro simulate: error: factor must be > 1, got nan")
         assert "Traceback" not in err
 
+    # A 50-VM budget scales the clouds down so far that job 8 outgrows
+    # them under every proactive goal: the run deadlocks on its queue.
+    def test_simulate_unplaceable_job_exits_2(self, capsys):
+        argv = ["simulate", "--vm-budget", "50", "--strategy", "PA-0.5", "--qos-factor", "4"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "repro simulate: error: job 8 can never be placed: strategy PA-0.5 "
+            "rejects it on an idle cluster; pass more servers with --servers "
+            "or a larger --vm-budget"
+        )
+        assert "Traceback" not in err
+
+    def test_evaluate_unplaceable_job_exits_2(self, capsys):
+        assert main(["evaluate", "--vm-budget", "50", "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "repro evaluate: error: job 8 can never be placed: strategy PA-1 "
+            "rejects it on an idle cluster; pass a larger --vm-budget (the "
+            "clouds scale with it)\n"
+        )
+
+    def test_reproduce_unplaceable_job_exits_2(self, capsys):
+        assert main(["reproduce", "--vm-budget", "50", "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "repro reproduce: error: job 8 can never be placed: strategy PA-1 "
+            "rejects it on an idle cluster; pass a larger --vm-budget (the "
+            "clouds scale with it)\n"
+        )
+
     def test_allocate_infeasible_batch(self, campaign, tmp_path, capsys):
         campaign.save(tmp_path)
         argv = ["allocate", "--model", str(tmp_path), "--servers", "1"]

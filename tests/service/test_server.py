@@ -12,6 +12,7 @@ idle timeout.
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
@@ -19,6 +20,7 @@ import pytest
 import repro
 from repro.common.validation import parse_alpha
 from repro.service import BackgroundService, ServiceConfig
+from repro.service.server import Service
 from repro.service.session import Session, SessionConfig
 
 CLASSES = ("cpu", "mem", "io")
@@ -398,6 +400,30 @@ class TestAdmissionAndFlush:
             assert status == 429
             assert body["error"]["code"] == "backpressure"
             assert "session limit reached (1)" in body["error"]["message"]
+
+
+class TestBatchLoopWakeups:
+    def test_only_a_full_window_wakes_the_loop(self, database):
+        # Partial windows wait for more admissions or a flush; waking
+        # the loop for them finds nothing to allocate.
+        async def scenario():
+            service = Service(database=database)
+            _, info = await service._route_create_session({}, {"n_servers": 4, "coalesce": 8})
+            sid = info["session_id"]
+            session, event = service._sessions[sid], service._events[sid]
+            woken, start = [], 0
+            for size in (3, 4, 1, 5):
+                await service._route_admit({"sid": sid}, {"requests": request_docs(size, start)})
+                start += size
+                woken.append(event.is_set())
+                await asyncio.sleep(0)
+            batches = len(session.batches)
+            for task in service._loops.values():
+                task.cancel()
+            await asyncio.gather(*service._loops.values(), return_exceptions=True)
+            return woken, batches, session.queue_depth
+
+        assert asyncio.run(scenario()) == ([False, False, True, False], 1, 5)
 
 
 class TestCoalescedDeterminism:
