@@ -10,12 +10,8 @@ burst: 5 jobs x up to 4 VMs).
 
 import pytest
 
-from repro.core.partitions import (
-    bell_number,
-    count_type_partitions,
-    set_partitions,
-    type_partitions,
-)
+from repro.core.partitions import type_partitions
+from tests.oracles.partitions import bell_number, count_type_partitions, set_partitions
 
 #: A large single-burst batch: 12 CPU VMs (bursts share one profile).
 BATCH = (12, 0, 0)

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from repro.campaign.platformrunner import run_campaign
 from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
 from repro.core.model import ModelDatabase
-from repro.core.partitions import count_type_partitions
 from repro.core.plan import AllocationPlan
 from repro.testbed.benchmarks import WorkloadClass
 from repro.testbed.spec import ServerSpec
+from tests.oracles.partitions import count_type_partitions
 
 
 @dataclass(frozen=True)

@@ -48,12 +48,11 @@ from repro.core.allocator import (
     ProactiveAllocator,
     ServerState,
     VMRequest,
-    plan_objective,
 )
 from repro.core.model import ModelDatabase
 from repro.obs.runtime import observed
 from repro.testbed.benchmarks import WorkloadClass
-from tests.oracles.allocator import reference_allocate
+from tests.oracles.allocator import plan_objective, reference_allocate
 
 import benchfile
 from benchfile import metric

@@ -15,9 +15,8 @@ TI)" -- also a small CSV of (parameter, value) pairs.
 from __future__ import annotations
 
 import csv
-import io
 import os
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.campaign.optimal import ClassOptima, OptimalScenarios
 from repro.campaign.records import BenchmarkRecord
@@ -77,11 +76,6 @@ def read_records_csv(path: str | os.PathLike) -> list[BenchmarkRecord]:
     """
     with open(path, encoding="utf-8", newline="") as handle:
         return _parse_records(handle, str(path))
-
-
-def parse_records_text(text: str) -> list[BenchmarkRecord]:
-    """Parse records from CSV text (convenience for tests/tools)."""
-    return _parse_records(io.StringIO(text), "<string>")
 
 
 def _parse_records(handle, source: str) -> list[BenchmarkRecord]:
@@ -185,22 +179,3 @@ def read_auxiliary_file(path: str | os.PathLike) -> OptimalScenarios:
             t_single_s=t_single,
         )
     return OptimalScenarios(per_class=per_class)
-
-
-def records_to_rows(records: Sequence[BenchmarkRecord]) -> list[list[str]]:
-    """Render records as display rows (header first), for reports."""
-    rows = [list(_HEADER)]
-    for record in sorted(records):
-        rows.append(
-            [
-                str(record.ncpu),
-                str(record.nmem),
-                str(record.nio),
-                f"{record.time_s:.1f}",
-                f"{record.avg_time_vm_s:.1f}",
-                f"{record.energy_j:.0f}",
-                f"{record.max_power_w:.1f}",
-                f"{record.edp:.0f}",
-            ]
-        )
-    return rows

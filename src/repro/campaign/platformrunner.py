@@ -23,6 +23,7 @@ from repro.campaign.csvdb import write_auxiliary_file, write_records_csv
 from repro.campaign.optimal import OptimalScenarios, extract_optima
 from repro.campaign.records import BenchmarkRecord
 from repro.common.rng import RngLike, derive_rng
+from repro.common.validation import check_non_negative
 from repro.obs.runtime import Observability, get_observability
 from repro.testbed.benchmarks import BenchmarkSpec, WorkloadClass
 from repro.testbed.contention import ContentionParams
@@ -123,7 +124,7 @@ def run_campaign(
     """
     server = server or default_server()
     meter = None
-    if meter_accuracy > 0.0:
+    if check_non_negative("meter_accuracy", meter_accuracy) > 0.0:
         meter = PowerMeter(accuracy=meter_accuracy, rng=derive_rng(meter_rng))
 
     def say(message: str) -> None:

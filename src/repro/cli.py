@@ -49,6 +49,7 @@ from repro.common.validation import (
     parse_alpha_carbon,
     parse_format,
     parse_jobs,
+    parse_meter_accuracy,
     parse_port,
     parse_shards,
     parse_time_budget,
@@ -109,6 +110,7 @@ _alpha_carbon_arg = typed_flag(parse_alpha_carbon)
 _carbon_signal_arg = typed_flag(parse_carbon_signal)
 _price_signal_arg = typed_flag(parse_price_signal)
 _jobs_arg = typed_flag(parse_jobs)
+_meter_accuracy_arg = typed_flag(parse_meter_accuracy)
 _format_arg = typed_flag(parse_format)
 _faults_arg = typed_flag(_parse_faults)
 _shards_arg = typed_flag(parse_shards)
@@ -269,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign = sub.add_parser("campaign", help="run the benchmarking campaign")
     campaign.add_argument("--output", "-o", required=True, help="directory for the CSV files")
-    campaign.add_argument("--meter-accuracy", type=float, default=0.0)
+    campaign.add_argument("--meter-accuracy", type=_meter_accuracy_arg, default=0.0)
     campaign.add_argument("--quiet", action="store_true")
 
     allocate = sub.add_parser("allocate", help="allocate a VM batch through a stored model")

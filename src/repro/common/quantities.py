@@ -41,16 +41,6 @@ class Watts(float):
         return f"{float(self):.6g}W"
 
 
-def watt_hours(joules: float) -> float:
-    """Convert joules to watt-hours (1 Wh = 3600 J)."""
-    return float(joules) / 3600.0
-
-
-def kilojoules(joules: float) -> float:
-    """Convert joules to kilojoules."""
-    return float(joules) / 1000.0
-
-
 def energy_delay_product(energy_j: float, time_s: float) -> float:
     """Energy-Delay Product in J*s, the tertiary metric of Table II.
 

@@ -17,22 +17,22 @@ tested in ``tests/common/test_validation.py`` and
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 
 def check_positive(name: str, value: float) -> float:
-    """Require ``value > 0``; return it as float."""
+    """Require a finite ``value > 0``; return it as float."""
     value = float(value)
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
 
 def check_non_negative(name: str, value: float) -> float:
-    """Require ``value >= 0``; return it as float."""
+    """Require a finite ``value >= 0``; return it as float."""
     value = float(value)
-    if value < 0.0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {value}")
     return value
 
 
@@ -55,22 +55,6 @@ def check_positive_int(name: str, value: int) -> int:
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return value
-
-
-def check_non_negative_int(name: str, value: int) -> int:
-    """Require an integral value >= 0; return it as int."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def check_nonempty(name: str, seq: Sequence) -> Sequence:
-    """Require a non-empty sequence; return it."""
-    if len(seq) == 0:
-        raise ValueError(f"{name} must not be empty")
-    return seq
 
 
 # -- shared user-input parsers (CLI flags and service request bodies) --
@@ -128,6 +112,21 @@ def parse_alpha_carbon(value) -> float:
             f"1 = minimize carbon/cost only), got {value:g}"
         )
     return value
+
+
+def parse_meter_accuracy(value) -> float:
+    """``--meter-accuracy``: the meter's relative accuracy class.
+
+    A finite number >= 0 (the paper's meter: 0.015); 0 keeps the
+    campaign exact.
+    """
+    try:
+        parsed = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"meter-accuracy must be a number, got {value!r}") from None
+    if not 0.0 <= parsed < math.inf:
+        raise ValueError(f"meter-accuracy must be a finite number >= 0, got {value!r}")
+    return parsed
 
 
 def parse_jobs(value) -> int:
@@ -210,12 +209,3 @@ def parse_count(name: str, value, minimum: int = 1) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
     return value
-
-
-def check_sorted(name: str, values: Iterable[float]) -> None:
-    """Require a non-decreasing iterable of floats."""
-    prev = None
-    for i, v in enumerate(values):
-        if prev is not None and v < prev:
-            raise ValueError(f"{name} must be sorted non-decreasingly (index {i}: {v} < {prev})")
-        prev = v

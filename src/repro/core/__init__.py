@@ -3,9 +3,9 @@ the proactive application-centric VM allocation algorithm (Sect. III).
 
 * :mod:`~repro.core.model` -- the model database: Table II records,
   binary-search lookup, proportional estimation for off-grid mixes.
-* :mod:`~repro.core.partitions` -- set-partition generation (Orlov's
-  restricted-growth-string scheme) and the type-aware multiset
-  variant the allocator uses as its fast path.
+* :mod:`~repro.core.partitions` -- type-aware multiset partitions, the
+  allocator's search space (Orlov's set partitions collapsed by
+  workload class).
 * :mod:`~repro.core.scoring` -- the alpha trade-off objective.
 * :mod:`~repro.core.allocator` -- the brute-force proactive allocator
   with QoS constraints (streamed and branch-and-bound pruned, with a
@@ -17,12 +17,7 @@ the proactive application-centric VM allocation algorithm (Sect. III).
 
 from repro.core.estimatecache import BoundTables, CacheStats, EstimateGrid, grid_for
 from repro.core.model import EstimatedOutcome, ModelDatabase
-from repro.core.partitions import (
-    bell_number,
-    count_type_partitions,
-    set_partitions,
-    type_partitions,
-)
+from repro.core.partitions import type_partitions
 from repro.core.scoring import ScoreWeights, score_candidates
 from repro.core.plan import AllocationPlan, AllocationProvenance, BlockAssignment
 from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
@@ -34,9 +29,6 @@ __all__ = [
     "grid_for",
     "EstimatedOutcome",
     "ModelDatabase",
-    "bell_number",
-    "count_type_partitions",
-    "set_partitions",
     "type_partitions",
     "ScoreWeights",
     "score_candidates",

@@ -1,24 +1,18 @@
-"""Set-partition generation (paper Sect. III-D).
+"""Type-partition generation (paper Sect. III-D).
 
 "As the number of partitions of a set might be large, we used the
 search algorithm discussed in [21] [M. Orlov, 'Efficient Generation of
 Set Partitions', 2002], which is efficient in terms of complexity."
 
-Two generators live here:
-
-* :func:`set_partitions` -- Orlov's restricted-growth-string scheme:
-  iterates all partitions of a set of *n* distinguishable items in
-  constant amortized time per partition;
-* :func:`type_partitions` -- the allocator's fast path.  VMs are
-  interchangeable within a workload class, so a partition block is
-  fully described by its (Ncpu, Nmem, Nio) counts and the search space
-  collapses from Bell(n) set partitions to the much smaller family of
-  multiset partitions.  Blocks are emitted in non-increasing
-  lexicographic order, which canonicalizes each multiset of blocks and
-  avoids duplicates.  Per-dimension bounds prune blocks the model
-  database could not score.
-
-``tests/core`` cross-checks the two against each other.
+VMs are interchangeable within a workload class, so a partition block
+is fully described by its (Ncpu, Nmem, Nio) counts and the search space
+collapses from Bell(n) set partitions to the much smaller family of
+multiset partitions.  :func:`type_partitions` emits blocks in
+non-increasing lexicographic order, which canonicalizes each multiset
+of blocks and avoids duplicates.  Per-dimension bounds prune blocks the
+model database could not score.  Orlov's set-partition scheme, the
+reference the type partitions are checked against, is
+``tests/oracles/partitions.py``.
 
 The allocator reads type partitions through
 :func:`ordered_type_partitions`, which hands each partition over in
@@ -39,72 +33,11 @@ first, or it sees the families cached before.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.campaign.records import MixKey, total_vms
 
-T = TypeVar("T")
-
 PrunePredicate = Callable[[Sequence[MixKey], MixKey], bool]
-
-
-def bell_number(n: int) -> int:
-    """Number of partitions of an n-element set (Bell triangle)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 1
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for value in row:
-            nxt.append(nxt[-1] + value)
-        row = nxt
-    return row[-1]
-
-
-def set_partitions(items: Sequence[T]) -> Iterator[list[list[T]]]:
-    """Generate all partitions of ``items`` (Orlov's RGS scheme).
-
-    Each partition is a list of non-empty blocks; blocks appear in
-    order of their smallest member, members keep input order.  The
-    number of partitions is Bell(len(items)) -- callers are expected
-    to keep ``items`` small (the paper's allocator operates on burst
-    batches of at most ~20 VMs and prunes via the type-aware variant).
-
-    Yields fresh lists; mutating them does not affect iteration.
-    """
-    n = len(items)
-    if n == 0:
-        yield []
-        return
-    # Restricted growth string kappa with running prefix maxima M,
-    # per Orlov: M[i] = max(kappa[0..i]).  A digit at position i may
-    # grow while kappa[i] <= M[i-1] (it can open at most one new block
-    # beyond the prefix's largest block id).
-    kappa = [0] * n
-    maxima = [0] * n
-
-    def emit() -> list[list[T]]:
-        n_blocks = max(kappa) + 1
-        blocks: list[list[T]] = [[] for _ in range(n_blocks)]
-        for index, block_id in enumerate(kappa):
-            blocks[block_id].append(items[index])
-        return blocks
-
-    yield emit()
-    while True:
-        for i in range(n - 1, 0, -1):
-            if kappa[i] <= maxima[i - 1]:
-                kappa[i] += 1
-                maxima[i] = max(maxima[i], kappa[i])
-                for j in range(i + 1, n):
-                    kappa[j] = 0
-                    maxima[j] = maxima[i]
-                yield emit()
-                break
-        else:
-            return
 
 
 def candidate_blocks(
@@ -264,49 +197,6 @@ def ordered_type_partitions(
     if prune is None and total_vms(counts) <= FAMILY_MAX_VMS:
         return partition_family(counts, bounds)
     return (largest_first(p) for p in type_partitions(counts, bounds, prune=prune))
-
-
-def count_type_partitions(counts: MixKey, bounds: tuple[int, int, int] | None = None) -> int:
-    """Number of type partitions, by memoized DP (no enumeration).
-
-    A partition in canonical (non-increasing lex) order is a first
-    block ``b`` followed by a canonical partition of the remainder with
-    ceiling ``b``, so the count satisfies::
-
-        N(remaining, ceiling) = sum over admissible first blocks b of
-                                N(remaining - b, b)
-
-    memoized on (remaining, ceiling).  Matches the generator exactly
-    (cross-checked in tests/core) at a fraction of its cost -- the
-    state space is polynomial in the counts while the partition family
-    itself grows super-exponentially.
-    """
-    if min(counts) < 0:
-        raise ValueError(f"counts must be non-negative, got {counts}")
-    if bounds is not None and min(bounds) < 0:
-        raise ValueError(f"bounds must be non-negative, got {bounds}")
-    top = tuple(counts)
-    memo: dict[tuple[MixKey, MixKey], int] = {}
-
-    def count(remaining: MixKey, ceiling: MixKey) -> int:
-        if remaining == (0, 0, 0):
-            return 1
-        state = (remaining, ceiling)
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        total = 0
-        for block in candidate_blocks(remaining, ceiling, bounds):
-            rest = (
-                remaining[0] - block[0],
-                remaining[1] - block[1],
-                remaining[2] - block[2],
-            )
-            total += count(rest, block)
-        memo[state] = total
-        return total
-
-    return count(top, top)
 
 
 def count_type_partitions_capped(

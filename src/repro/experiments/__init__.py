@@ -1,15 +1,14 @@
 """Experiment harness: one module per paper artifact.
 
-Every table and figure of the paper's evaluation maps to a function
-here that regenerates its rows/series (see DESIGN.md's per-experiment
-index).  The benchmark suite under ``benchmarks/`` calls these
-functions and prints the paper-shaped output; EXPERIMENTS.md records
+Every paper artifact that ``repro reproduce`` regenerates maps to a
+function here (see DESIGN.md's per-experiment index).  The benchmark
+suite under ``benchmarks/`` calls these functions and prints the
+paper-shaped output; Tables I and II and the Fig. 3 contract, which no
+command runs, live in their benches.  EXPERIMENTS.md records
 paper-vs-measured values.
 
 * :mod:`~repro.experiments.fig1_profiles`   -- Fig. 1 utilization traces
 * :mod:`~repro.experiments.fig2_basecurve`  -- Fig. 2 FFTW curve
-* :mod:`~repro.experiments.table1_parameters` -- Table I parameters
-* :mod:`~repro.experiments.table2_database` -- Table II database build
 * :mod:`~repro.experiments.fig4_accounting` -- Fig. 4 worked example
 * :mod:`~repro.experiments.evaluation`      -- Figs. 5-7 full evaluation
 * :mod:`~repro.experiments.report`          -- headline-claim extraction
@@ -18,8 +17,6 @@ paper-vs-measured values.
 from repro.experiments.config import EvaluationConfig, SMALLER, LARGER
 from repro.experiments.fig1_profiles import fig1_profiles
 from repro.experiments.fig2_basecurve import fig2_basecurve
-from repro.experiments.table1_parameters import table1_parameters
-from repro.experiments.table2_database import table2_database
 from repro.experiments.fig4_accounting import fig4_worked_example
 from repro.experiments.evaluation import (
     EvaluationResult,
@@ -35,8 +32,6 @@ __all__ = [
     "LARGER",
     "fig1_profiles",
     "fig2_basecurve",
-    "table1_parameters",
-    "table2_database",
     "fig4_worked_example",
     "EvaluationResult",
     "StrategyOutcome",

@@ -33,10 +33,6 @@ class PaperReproduction:
     report: str
 
     @property
-    def fig2_optimum_matches(self) -> bool:
-        return self.fig2.optimal_n == 9
-
-    @property
     def fig4_matches(self) -> bool:
         return self.fig4.matches_paper
 

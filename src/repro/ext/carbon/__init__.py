@@ -6,12 +6,6 @@ extension, per-interval carbon/cost accounting in the simulator, and
 temporal shifting of deferrable jobs toward cheap/green windows.
 """
 
-from repro.ext.carbon.figures import (
-    CarbonFigure,
-    CarbonStrategyPoint,
-    carbon_figures,
-    figure_document,
-)
 from repro.ext.carbon.options import CarbonOptions
 from repro.ext.carbon.shifting import shift_deferrable
 from repro.ext.carbon.signal import (
@@ -30,15 +24,11 @@ from repro.ext.carbon.signal import (
 __all__ = [
     "DAY_S",
     "J_PER_KWH",
-    "CarbonFigure",
     "CarbonOptions",
-    "CarbonStrategyPoint",
     "TemporalSignal",
     "TemporalSignals",
-    "carbon_figures",
     "daily_carbon_signal",
     "double_peak_price_signal",
-    "figure_document",
     "load_signal",
     "parse_carbon_signal",
     "parse_price_signal",

@@ -407,9 +407,8 @@ class TemporalSignals:
     This is the opaque ``signals`` object carried by
     :class:`repro.sim.datacenter.DatacenterConfig`: the sim layer never
     imports this module.  It calls the duck-typed :meth:`accrue` once
-    per simulated interval, in ``ServerRuntime.sync``; ``carbon_of`` /
-    ``cost_of`` are the per-axis forms audits recompute with (an absent
-    signal contributes exactly 0.0).
+    per simulated interval, in ``ServerRuntime.sync`` (an absent signal
+    contributes exactly 0.0).
     """
 
     carbon: TemporalSignal | None = None
@@ -421,25 +420,15 @@ class TemporalSignals:
 
     # -- interval accounting (sim layer: constant power over a span) --
 
-    def carbon_of(self, power_w: float, t0_s: float, t1_s: float) -> float:
-        """Carbon mass (gCO2) of drawing ``power_w`` over ``[t0, t1]``."""
-        if self.carbon is None or t1_s <= t0_s:
-            return 0.0
-        return (power_w / J_PER_KWH) * self.carbon.integrate(t0_s, t1_s)
-
-    def cost_of(self, power_w: float, t0_s: float, t1_s: float) -> float:
-        """Energy cost (currency) of drawing ``power_w`` over ``[t0, t1]``."""
-        if self.price is None or t1_s <= t0_s:
-            return 0.0
-        return (power_w / J_PER_KWH) * self.price.integrate(t0_s, t1_s)
-
     def accrue(self, power_w: float, t0_s: float, t1_s: float) -> "tuple[float, float]":
-        """``(carbon_of, cost_of)`` in one dispatch.
+        """Carbon mass (gCO2) and energy cost of drawing ``power_w``
+        over ``[t0, t1]``, in one dispatch.
 
         The simulator accounts both axes on every interval; fusing the
-        pair halves the per-span call overhead.  Same formulas and
-        operand order as the individual methods, so the results are
-        bit-identical to calling them separately.
+        pair halves the per-span call overhead.  Each axis is
+        ``(power_w / J_PER_KWH) * signal.integrate(t0, t1)``, 0 without
+        that signal; ``tests/oracles/carbon.py`` keeps the unfused pair
+        this is pinned bit-identical to.
         """
         if t1_s <= t0_s:
             return 0.0, 0.0

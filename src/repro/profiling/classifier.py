@@ -74,11 +74,6 @@ class IntensityProfile:
     def is_intensive(self, subsystem: Subsystem) -> bool:
         return subsystem in self.intensive
 
-    @property
-    def dimensions(self) -> int:
-        """Number of dimensions the application is intensive along."""
-        return len(self.intensive)
-
     def workload_class(self) -> WorkloadClass:
         """Collapse the profile to the single database class label.
 

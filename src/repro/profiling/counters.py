@@ -41,14 +41,6 @@ class CounterSample:
     io_requests: float
     packets: float
 
-    @property
-    def l2_miss_intensity(self) -> float:
-        """L2 misses normalized to the memory-bound peak rate.
-
-        The paper's proxy for memory activity; in [0, ~1].
-        """
-        return self.l2_misses / _PEAK_L2_MISSES_PER_S
-
 
 def emulate_counters(
     trace: UtilizationTrace,

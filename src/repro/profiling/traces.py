@@ -63,23 +63,6 @@ class UtilizationTrace:
             return 0.0
         return float(np.mean(values))
 
-    def peak_utilization(self, subsystem: Subsystem) -> float:
-        values = self.utilization[subsystem]
-        if len(values) == 0:
-            return 0.0
-        return float(np.max(values))
-
-    def busy_fraction(self, subsystem: Subsystem, threshold: float = 0.5) -> float:
-        """Fraction of samples with utilization above ``threshold``.
-
-        The paper notes applications demand subsystems "in discrete
-        time windows"; this measures how wide those windows are.
-        """
-        values = self.utilization[subsystem]
-        if len(values) == 0:
-            return 0.0
-        return float(np.mean(values > threshold))
-
     def as_rows(self) -> list[tuple[float, float, float, float, float]]:
         """Rows of (t, cpu, memory, disk, network), e.g. for CSV export."""
         rows = []

@@ -74,16 +74,3 @@ def weighted_energy(intervals: Sequence[tuple[float, float]]) -> float:
         to 1.
     """
     return IntervalWeights(tuple(intervals)).weighted_value
-
-
-def fractions_from_durations(durations_s: Sequence[float]) -> list[float]:
-    """Convert interval durations into the weights the formulas expect."""
-    if not durations_s:
-        raise ValueError("at least one duration is required")
-    for duration in durations_s:
-        if duration < 0:
-            raise ValueError(f"durations must be >= 0, got {duration}")
-    total = sum(durations_s)
-    if total <= 0:
-        raise ValueError("total duration must be positive")
-    return [duration / total for duration in durations_s]

@@ -9,9 +9,9 @@ after the fact* and checked against the simulated outcomes -- which is
 exactly what ``tests/integration/test_chronicle_consistency.py`` does.
 The chronicle is the audit trail, not an accountant: it keeps no
 running totals.  ``ServerRuntime`` is the one energy, carbon and cost
-account; every chronicle quantity (energy, per-VM residency) is a
-replay of :meth:`Chronicle.iter_all`, which is how the audits
-recompute the server's books.
+account.  The simulator only writes chronicles; the readers that replay
+one (spilled intervals, then resident ones) and recompute the server's
+books from it are ``tests/oracles/chronicle.py``.
 
 Scale additions (DESIGN.md "Simulation at scale"):
 
@@ -21,10 +21,8 @@ Scale additions (DESIGN.md "Simulation at scale"):
 * **JSONL spill.**  An optional :class:`ChronicleSpill` sink receives
   evicted intervals as JSON lines (the spill file is shared by all
   servers of a run; each line is tagged with its server id).
-  :meth:`Chronicle.iter_all` replays spilled + resident intervals in
-  original order.  Evicting *without* a spill is allowed, but every
-  interval-level query then raises rather than silently reporting on a
-  truncated log.
+  Evicting *without* a spill is allowed; a replay then raises rather
+  than silently reporting on a truncated log.
 """
 
 from __future__ import annotations
@@ -152,39 +150,6 @@ class ChronicleSpill:
         self.close()
 
 
-def iter_spilled(path: str, server_id: str | None = None) -> Iterator[tuple[str, Interval]]:
-    """Replay ``(server_id, interval)`` pairs from a spill file, in
-    write order, optionally filtered to one server.
-
-    Raises :class:`SimulationError` naming the path and line number on
-    a line that is not a JSON record with every field (a spill file
-    truncated or corrupted after the run).
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-                server = raw["server"]
-                if server_id is not None and server != server_id:
-                    continue
-                interval = Interval(
-                    t0_s=raw["t0"],
-                    t1_s=raw["t1"],
-                    mix=tuple(raw["mix"]),
-                    power_w=raw["power"],
-                    vm_ids=tuple(raw["vms"]),
-                )
-            except (ValueError, KeyError, TypeError) as error:
-                raise SimulationError(
-                    f"chronicle spill {path}, line {lineno}: corrupt record "
-                    f"({type(error).__name__}: {error})"
-                ) from None
-            yield server, interval
-
-
 class Chronicle:
     """Interval log for one server.
 
@@ -266,53 +231,3 @@ class Chronicle:
 
     def __iter__(self) -> Iterator[Interval]:
         return starmap(Interval, self._rows)
-
-    def iter_all(self) -> Iterator[Interval]:
-        """Every recorded interval in original order: spilled first
-        (replayed from disk), then resident.
-
-        Requires the spill to have been closed/flushed.  Raises when
-        intervals were evicted with no spill attached -- a truncated
-        audit would otherwise silently pass over the missing spans.
-        """
-        if self.n_evicted:
-            if self._spill_path is None:
-                raise SimulationError(
-                    f"chronicle {self.server_id}: {self.n_evicted} intervals "
-                    f"evicted without a spill; interval-level audit impossible"
-                )
-            for _, interval in iter_spilled(self._spill_path, self.server_id):
-                yield interval
-        yield from starmap(Interval, self._rows)
-
-    # -- the paper's weighted-interval arithmetic ----------------------
-
-    def vm_intervals(self, vm_id: str) -> list[Interval]:
-        """The intervals during which one VM was resident (replays the
-        spill when the ring evicted)."""
-        return [i for i in self.iter_all() if vm_id in i.vm_ids]
-
-    def vm_execution_time_s(self, vm_id: str) -> float:
-        """The VM's execution time as the sum of its interval durations.
-
-        This *is* the Fig. 4 weighted formula: with weights
-        ``w_k = dt_k / sum(dt)`` and per-interval "estimated time"
-        equal to the full span, ``sum_k w_k * span = span``; we verify
-        the simulator against the additive form, which is equivalent
-        and numerically direct.  Like every interval-level query, the
-        replay raises when intervals were evicted with no spill
-        attached.
-        """
-        durations = [i.duration_s for i in self.vm_intervals(vm_id)]
-        if not durations:
-            raise KeyError(f"VM {vm_id!r} never appeared on server {self.server_id!r}")
-        return sum(durations)
-
-    def interval_weights(self, vm_id: str) -> list[tuple[float, MixKey]]:
-        """(weight, mix) pairs over the VM's residency -- the inputs of
-        the paper's ExecTime formula."""
-        intervals = self.vm_intervals(vm_id)
-        total = sum(i.duration_s for i in intervals)
-        if total <= 0:
-            raise SimulationError(f"VM {vm_id!r} has zero recorded residency")
-        return [(i.duration_s / total, i.mix) for i in intervals]

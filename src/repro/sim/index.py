@@ -13,8 +13,8 @@ structures incrementally instead:
   changed since the last ``views()`` call.  Every mutation is funneled
   through :class:`repro.sim.server.ServerRuntime` host/unhost/power/
   fail/recover helpers, so the counters cannot drift from the ground
-  truth; :meth:`ClusterIndex.audit` re-derives them for the property
-  suite.
+  truth; ``tests/oracles/sim.py::audit_index`` re-derives them for
+  the property suite.
 * :class:`ServerViews` -- the cached snapshot list handed to
   strategies.  Between events only the dirty slots are re-snapshotted
   in place; membership (which servers appear at all) is rebuilt only
@@ -113,26 +113,6 @@ class ClusterIndex:
     def on_failure(self, slot: int, failed: bool) -> None:
         self.failed += 1 if failed else -1
         self.members_stale = True
-
-    # -- drift audit ---------------------------------------------------
-
-    def audit(self, servers) -> list[str]:
-        """Re-derive every counter from the servers and report drift.
-
-        Returns human-readable mismatch descriptions (empty = sane).
-        The property suite calls this after randomized event storms.
-        """
-        problems: list[str] = []
-        powered = sum(1 for s in servers if s.powered_on)
-        active = sum(s.n_vms for s in servers)
-        failed = sum(1 for s in servers if s.failed)
-        if powered != self.powered:
-            problems.append(f"powered: index {self.powered} != actual {powered}")
-        if active != self.active_vms:
-            problems.append(f"active_vms: index {self.active_vms} != actual {active}")
-        if failed != self.failed:
-            problems.append(f"failed: index {self.failed} != actual {failed}")
-        return problems
 
 
 class _FreeLevel:

@@ -74,10 +74,6 @@ class EnergyBreakdown:
     busy_j: float
     idle_j: float
 
-    @property
-    def total_j(self) -> float:
-        return self.busy_j + self.idle_j
-
 
 class ServerRuntime:
     """One powered server hosting VMs under the contention model.
@@ -255,12 +251,6 @@ class ServerRuntime:
     def cost(self) -> float:
         """Time-integrated energy cost; 0.0 without signals."""
         return self._cost
-
-    def current_power_w(self) -> float:
-        """Instantaneous draw under the current mix (0 when off)."""
-        if not self.powered_on:
-            return 0.0
-        return self._mix_physics()[2]
 
     def _mix_physics(self) -> tuple:
         """(slowdowns, loads, power) for the current mix, memoized

@@ -125,10 +125,5 @@ class SimVM:
         return self.finished_at_s - self.submit_time_s
 
     @property
-    def exec_time_s(self) -> float:
-        """Completion minus placement (execution only)."""
-        return self.finished_at_s - self.placed_at_s
-
-    @property
     def missed_deadline(self) -> bool:
         return self.finished_at_s > self.deadline_s

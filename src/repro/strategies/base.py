@@ -102,11 +102,3 @@ class AllocationStrategy(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name}>"
-
-
-def spread_by_class(vms: Sequence[VMDescriptor]) -> MixKey:
-    """Count a VM batch into a (Ncpu, Nmem, Nio) key."""
-    ncpu = sum(1 for vm in vms if vm.workload_class is WorkloadClass.CPU)
-    nmem = sum(1 for vm in vms if vm.workload_class is WorkloadClass.MEM)
-    nio = sum(1 for vm in vms if vm.workload_class is WorkloadClass.IO)
-    return (ncpu, nmem, nio)

@@ -19,6 +19,7 @@ the allocation model; the actual numerical kernels are irrelevant.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -86,14 +87,14 @@ class BenchmarkSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("benchmark name must be non-empty")
-        if self.t_ref_s <= 0:
-            raise ConfigurationError(f"t_ref_s must be positive, got {self.t_ref_s}")
+        if not 0.0 < self.t_ref_s < math.inf:
+            raise ConfigurationError(f"t_ref_s must be positive and finite, got {self.t_ref_s}")
         if not 0.0 <= self.serial_fraction < 1.0:
             raise ConfigurationError(
                 f"serial_fraction must lie in [0, 1), got {self.serial_fraction}"
             )
-        if self.ram_gb <= 0:
-            raise ConfigurationError(f"ram_gb must be positive, got {self.ram_gb}")
+        if not 0.0 < self.ram_gb < math.inf:
+            raise ConfigurationError(f"ram_gb must be positive and finite, got {self.ram_gb}")
         if not 0.0 <= self.init_demand_scale <= 1.0:
             raise ConfigurationError(
                 f"init_demand_scale must lie in [0, 1], got {self.init_demand_scale}"

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.common.quantities import Joules, Watts, integrate_power_samples
 from repro.common.rng import RngLike, derive_rng
+from repro.common.validation import check_non_negative, check_positive
 
 #: Piecewise-constant power profile: (t_start, t_end, watts) segments,
 #: contiguous and sorted by time.
@@ -42,12 +43,6 @@ class MeterReading:
     def duration_s(self) -> float:
         return (len(self.samples_w) - 1) * self.period_s if len(self.samples_w) > 1 else self.period_s
 
-    @property
-    def mean_power_w(self) -> float:
-        if not self.samples_w:
-            return 0.0
-        return float(np.mean(self.samples_w))
-
 
 class PowerMeter:
     """1 Hz sampling wall-power meter with a configurable accuracy class.
@@ -66,12 +61,8 @@ class PowerMeter:
     """
 
     def __init__(self, period_s: float = 1.0, accuracy: float = 0.0, rng: RngLike = None):
-        if period_s <= 0:
-            raise ValueError(f"period_s must be positive, got {period_s}")
-        if accuracy < 0:
-            raise ValueError(f"accuracy must be >= 0, got {accuracy}")
-        self._period_s = float(period_s)
-        self._accuracy = float(accuracy)
+        self._period_s = check_positive("period_s", period_s)
+        self._accuracy = check_non_negative("accuracy", accuracy)
         self._rng = derive_rng(rng)
 
     @property

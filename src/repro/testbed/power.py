@@ -15,9 +15,8 @@ bookkeeping and is what makes energy-optimal consolidation levels
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from repro.testbed.contention import ActiveVM, MixModel
 from repro.testbed.spec import SUBSYSTEMS, PowerSpec, Subsystem
 
 
@@ -48,14 +47,3 @@ def instantaneous_power(
             raise ValueError(f"load factor for {subsystem} must be >= 0, got {rho}")
         draw += power.dynamic_w[subsystem] * min(1.0, rho)
     return draw
-
-
-def mix_power(model: MixModel, mix: Sequence[ActiveVM]) -> float:
-    """Convenience wrapper: power draw of a mix on ``model``'s server.
-
-    An empty mix draws idle power (server on, nothing running); a
-    powered-off server draws nothing, but powering off is a decision of
-    the datacenter simulator, not of the testbed.
-    """
-    loads = model.subsystem_loads(mix)
-    return instantaneous_power(loads, len(mix), model.server.power)

@@ -20,6 +20,7 @@ Semantics
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -51,9 +52,9 @@ class VMInstance:
     def __post_init__(self) -> None:
         if not self.vm_id:
             raise ConfigurationError("vm_id must be non-empty")
-        if self.start_offset_s < 0:
+        if not 0.0 <= self.start_offset_s < math.inf:
             raise ConfigurationError(
-                f"start_offset_s must be >= 0, got {self.start_offset_s}"
+                f"start_offset_s must be finite and >= 0, got {self.start_offset_s}"
             )
 
 
@@ -65,10 +66,6 @@ class VMRunOutcome:
     benchmark_name: str
     start_s: Seconds
     finish_s: Seconds
-
-    @property
-    def exec_time_s(self) -> Seconds:
-        return Seconds(self.finish_s - self.start_s)
 
 
 @dataclass(frozen=True)
@@ -105,12 +102,6 @@ class MixRunResult:
     def edp(self) -> float:
         """Energy-Delay Product (J*s), Table II's tertiary metric."""
         return energy_delay_product(self.energy_j, self.total_time_s)
-
-    def exec_time_of(self, vm_id: str) -> Seconds:
-        for outcome in self.outcomes:
-            if outcome.vm_id == vm_id:
-                return outcome.exec_time_s
-        raise KeyError(f"no VM {vm_id!r} in this run")
 
 
 class _RunningVM:

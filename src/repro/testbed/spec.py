@@ -79,15 +79,6 @@ class PowerSpec:
                     f"dynamic_w[{subsystem}] must be >= 0, got {self.dynamic_w[subsystem]}"
                 )
 
-    @property
-    def max_w(self) -> float:
-        """Upper bound of the power model with all subsystems saturated.
-
-        Excludes the per-VM term, which is unbounded in principle but
-        capped in practice by ``ServerSpec.max_vms``.
-        """
-        return self.idle_w + sum(self.dynamic_w[s] for s in SUBSYSTEMS)
-
 
 @dataclass(frozen=True)
 class ServerSpec:

@@ -29,10 +29,6 @@ class CleanReport:
     cancelled: int
     anomalies: int
 
-    @property
-    def removed(self) -> int:
-        return self.total - self.kept
-
     def summary(self) -> str:
         return (
             f"kept {self.kept}/{self.total} jobs "

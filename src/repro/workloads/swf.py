@@ -61,29 +61,9 @@ class SWFRecord(NamedTuple):
     preceding_job: int = -1
     think_time: int = -1
 
-    @property
-    def job_status(self) -> JobStatus:
-        try:
-            return JobStatus(self.status)
-        except ValueError:
-            return JobStatus.UNKNOWN
-
-    @property
-    def completed(self) -> bool:
-        return self.status == JobStatus.COMPLETED
-
     def shifted(self, delta_s: int) -> "SWFRecord":
         """A copy with the submit time shifted by ``delta_s`` seconds."""
         return self._replace(submit_time=self.submit_time + delta_s)
-
-    def as_fields(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    @classmethod
-    def from_fields(cls, fields: Sequence[int]) -> "SWFRecord":
-        if len(fields) != N_FIELDS:
-            raise ValueError(f"SWF record needs {N_FIELDS} fields, got {len(fields)}")
-        return cls(*fields)
 
 
 def read_swf(path: str | os.PathLike) -> tuple[list[str], list[SWFRecord]]:

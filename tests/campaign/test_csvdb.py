@@ -2,11 +2,10 @@
 
 import pytest
 
+from benchmarks.bench_table2_database import records_to_rows
 from repro.campaign.csvdb import (
-    parse_records_text,
     read_auxiliary_file,
     read_records_csv,
-    records_to_rows,
     write_auxiliary_file,
     write_records_csv,
 )
@@ -18,6 +17,13 @@ from repro.testbed.benchmarks import WorkloadClass
 
 def record(key, time_s=100.0):
     return BenchmarkRecord.from_measurement(key, time_s, 20_000.0, 230.0)
+
+
+def parse_text(tmp_path, text):
+    """Read records from ``text`` through the file reader."""
+    path = tmp_path / "db.csv"
+    path.write_text(text, encoding="utf-8")
+    return read_records_csv(path)
 
 
 def sample_optima():
@@ -61,30 +67,30 @@ class TestRecordsRoundTrip:
         with pytest.raises(TraceFormatError, match="empty"):
             read_records_csv(path)
 
-    def test_wrong_header_rejected(self):
+    def test_wrong_header_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError, match="header"):
-            parse_records_text("a,b,c\n")
+            parse_text(tmp_path, "a,b,c\n")
 
-    def test_malformed_row_rejected(self):
+    def test_malformed_row_rejected(self, tmp_path):
         text = "Ncpu,Nmem,Nio,Time,avgTimeVM,Energy,MaxPower,EDP\n1,0,0,ten,1,1,1,1\n"
         with pytest.raises(TraceFormatError, match="line 2"):
-            parse_records_text(text)
+            parse_text(tmp_path, text)
 
-    def test_wrong_column_count_rejected(self):
+    def test_wrong_column_count_rejected(self, tmp_path):
         text = "Ncpu,Nmem,Nio,Time,avgTimeVM,Energy,MaxPower,EDP\n1,0,0\n"
         with pytest.raises(TraceFormatError, match="columns"):
-            parse_records_text(text)
+            parse_text(tmp_path, text)
 
-    def test_unsorted_file_rejected(self):
+    def test_unsorted_file_rejected(self, tmp_path):
         header = "Ncpu,Nmem,Nio,Time,avgTimeVM,Energy,MaxPower,EDP"
         rows = "2,0,0,10,5,100,200,1000\n1,0,0,10,10,100,200,1000"
         with pytest.raises(TraceFormatError, match="sorted"):
-            parse_records_text(f"{header}\n{rows}\n")
+            parse_text(tmp_path, f"{header}\n{rows}\n")
 
-    def test_blank_lines_skipped(self):
+    def test_blank_lines_skipped(self, tmp_path):
         header = "Ncpu,Nmem,Nio,Time,avgTimeVM,Energy,MaxPower,EDP"
         text = f"{header}\n\n1,0,0,10,10,100,200,1000\n\n"
-        assert len(parse_records_text(text)) == 1
+        assert len(parse_text(tmp_path, text)) == 1
 
 
 class TestAuxiliaryFile:

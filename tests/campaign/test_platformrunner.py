@@ -1,5 +1,7 @@
 """Unit tests for the campaign automation platform."""
 
+import math
+
 import pytest
 
 from repro.campaign.combined_tests import expected_combination_count
@@ -58,6 +60,11 @@ class TestRunCampaign:
             a.energy_j != b.energy_j
             for a, b in zip(noisy.records, campaign.records)
         )
+
+    @pytest.mark.parametrize("accuracy", [math.nan, math.inf, -1.0])
+    def test_bad_meter_accuracy_rejected(self, accuracy):
+        with pytest.raises(ValueError, match="meter_accuracy must be non-negative and finite"):
+            run_campaign(meter_accuracy=accuracy)
 
     def test_base_curve_counts(self, campaign):
         assert campaign.n_base_tests == 3 * 16

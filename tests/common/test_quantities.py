@@ -8,8 +8,6 @@ from repro.common.quantities import (
     Watts,
     energy_delay_product,
     integrate_power_samples,
-    kilojoules,
-    watt_hours,
 )
 
 
@@ -26,14 +24,6 @@ class TestUnitTypes:
         assert repr(Seconds(1.5)) == "1.5s"
         assert repr(Joules(2.0)) == "2J"
         assert repr(Watts(125.0)) == "125W"
-
-
-class TestConversions:
-    def test_watt_hours(self):
-        assert watt_hours(3600.0) == 1.0
-
-    def test_kilojoules(self):
-        assert kilojoules(14250.0) == 14.25
 
 
 class TestEnergyDelayProduct:

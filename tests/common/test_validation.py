@@ -1,15 +1,14 @@
 """Unit tests for repro.common.validation."""
 
+import math
+
 import pytest
 
 from repro.common.validation import (
     check_fraction,
     check_non_negative,
-    check_non_negative_int,
-    check_nonempty,
     check_positive,
     check_positive_int,
-    check_sorted,
     parse_alpha,
     parse_count,
     parse_format,
@@ -34,6 +33,16 @@ class TestScalarCheckers:
     def test_non_negative_rejects(self):
         with pytest.raises(ValueError):
             check_non_negative("x", -0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_positive_rejects_non_finite_naming_the_value(self, value):
+        with pytest.raises(ValueError, match=f"x must be positive and finite, got {value}"):
+            check_positive("x", value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_negative_rejects_non_finite_naming_the_value(self, value):
+        with pytest.raises(ValueError, match=f"x must be non-negative and finite, got {value}"):
+            check_non_negative("x", value)
 
     @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
     def test_fraction_accepts(self, value):
@@ -60,9 +69,6 @@ class TestIntCheckers:
     def test_positive_int_rejects_float(self):
         with pytest.raises(TypeError):
             check_positive_int("n", 3.0)  # type: ignore[arg-type]
-
-    def test_non_negative_int_accepts_zero(self):
-        assert check_non_negative_int("n", 0) == 0
 
 
 class TestSharedParsers:
@@ -125,19 +131,3 @@ class TestSharedParsers:
         with pytest.raises(ValueError) as bare:
             parse_alpha("1.5")
         assert str(excinfo.value) == str(bare.value)
-
-
-class TestSequenceCheckers:
-    def test_nonempty_passes_through(self):
-        assert check_nonempty("xs", [1]) == [1]
-
-    def test_nonempty_rejects(self):
-        with pytest.raises(ValueError, match="xs"):
-            check_nonempty("xs", [])
-
-    def test_sorted_ok(self):
-        check_sorted("xs", [1.0, 1.0, 2.0])
-
-    def test_sorted_rejects(self):
-        with pytest.raises(ValueError, match="index 2"):
-            check_sorted("xs", [1.0, 3.0, 2.0])

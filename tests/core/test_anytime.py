@@ -15,11 +15,9 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
 from repro.core.anytime import AnytimeConfig
-from repro.core.partitions import (
-    count_type_partitions,
-    count_type_partitions_capped,
-)
+from repro.core.partitions import count_type_partitions_capped
 from repro.obs.runtime import observed
+from tests.oracles.partitions import count_type_partitions
 from repro.testbed.benchmarks import WorkloadClass
 
 

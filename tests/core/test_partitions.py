@@ -5,14 +5,12 @@ import pytest
 from repro.campaign.records import total_vms
 from repro.core.partitions import (
     FAMILY_MAX_VMS,
-    bell_number,
-    count_type_partitions,
     largest_first,
     ordered_type_partitions,
     partition_family,
-    set_partitions,
     type_partitions,
 )
+from tests.oracles.partitions import bell_number, count_type_partitions, set_partitions
 
 #: Table I's grid bounds (OSC, OSM, OSI) and two small boxes.
 BOXES = [(9, 7, 7), (2, 1, 1), (0, 3, 3)]

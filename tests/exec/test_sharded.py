@@ -8,7 +8,6 @@ from repro.common.errors import ConfigurationError
 from repro.obs.runtime import Observability, observed
 from repro.exec.sharded import run_sharded, shard_spill_paths
 from repro.faults import random_crash_spec
-from repro.sim.chronicle import iter_spilled
 from repro.sim.datacenter import DatacenterConfig
 from repro.strategies.firstfit import FirstFitStrategy
 from repro.strategies.proactive import ProactiveStrategy
@@ -16,6 +15,7 @@ from repro.strategies.random_fit import RandomFitStrategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy
+from tests.oracles.chronicle import iter_all, iter_spilled
 
 
 def make_jobs(n):
@@ -238,7 +238,7 @@ class TestShardedChronicles:
         for chronicle, busy, idle in zip(
             result.chronicles, result.per_server_busy_j, result.per_server_idle_j
         ):
-            intervals = list(chronicle.iter_all())
+            intervals = list(iter_all(chronicle))
             assert len(intervals) == chronicle.n_recorded
             assert sum(i.energy_j for i in intervals) == pytest.approx(
                 busy + idle, rel=1e-9

@@ -101,6 +101,21 @@ class TestArgValidation:
         assert excinfo.value.code == 2
         assert "time-budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("accuracy", ["inf", "nan", "-1", "loose"])
+    def test_bad_meter_accuracy_exits_2(self, accuracy, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "-o", str(tmp_path), "--meter-accuracy", accuracy, "--quiet"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro campaign: error:" in err
+        assert "meter-accuracy must be a" in err
+        assert not (tmp_path / "model_database.csv").exists()
+
+    @pytest.mark.parametrize("accuracy", ["0", "0.015"])
+    def test_meter_accuracy_accepted(self, accuracy):
+        args = build_parser().parse_args(["campaign", "-o", "/tmp/x", "--meter-accuracy", accuracy])
+        assert args.meter_accuracy == float(accuracy)
+
     @pytest.mark.parametrize("command", ["allocate", "evaluate"])
     def test_time_budget_accepted_and_defaults_to_none(self, command):
         base = ["--model", "/tmp/x"] if command == "allocate" else []

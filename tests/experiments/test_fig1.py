@@ -33,5 +33,5 @@ class TestFig1:
     def test_utilization_windows_visible(self, result):
         # Fig. 1 shows low-demand init windows then a busy phase.
         trace = result.cpu_intensive.trace
-        busy = trace.busy_fraction(Subsystem.CPU, threshold=0.8)
+        busy = (trace.utilization[Subsystem.CPU] > 0.8).mean()
         assert 0.3 < busy < 0.95

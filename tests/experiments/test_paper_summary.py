@@ -12,7 +12,7 @@ def reproduction():
 
 class TestReproducePaper:
     def test_fig2_and_fig4_match(self, reproduction):
-        assert reproduction.fig2_optimum_matches
+        assert reproduction.fig2.optimal_n == 9
         assert reproduction.fig4_matches
 
     def test_report_covers_every_artifact(self, reproduction):

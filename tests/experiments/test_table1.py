@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.table1_parameters import table1_parameters
+from benchmarks.bench_table1_base_params import table1_parameters
 from repro.testbed.benchmarks import WorkloadClass
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.campaign.combined_tests import expected_combination_count
 from repro.core.model import ModelDatabase
-from repro.experiments.table2_database import table2_database
+from benchmarks.bench_table2_database import table2_database
 
 
 @pytest.fixture(scope="module")

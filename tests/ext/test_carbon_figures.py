@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
-from repro.ext.carbon.figures import (
+from tests.ext.carbon_figures import (
     CarbonFigure,
     CarbonStrategyPoint,
     carbon_figures,

@@ -12,6 +12,7 @@ from repro.sim.server import ServerRuntime
 from repro.sim.vm import SimVM
 from repro.testbed.benchmarks import WorkloadClass
 from repro.testbed.spec import default_server
+from tests.oracles.chronicle import interval_weights, iter_all, vm_execution_time_s
 
 
 def drive(server, vms_with_offsets, horizon=1e6):
@@ -61,13 +62,13 @@ class TestChronicleConsistency:
     def test_exec_times_match_interval_sums(self, run):
         server, finished, _ = run
         for vm_id, vm in finished.items():
-            recomputed = server.chronicle.vm_execution_time_s(vm_id)
-            assert recomputed == pytest.approx(vm.exec_time_s, rel=1e-9), vm_id
+            recomputed = vm_execution_time_s(server.chronicle, vm_id)
+            assert recomputed == pytest.approx(vm.finished_at_s - vm.placed_at_s, rel=1e-9), vm_id
 
     def test_interval_weights_are_a_partition(self, run):
         server, finished, _ = run
         for vm_id in finished:
-            weights = server.chronicle.interval_weights(vm_id)
+            weights = interval_weights(server.chronicle, vm_id)
             assert sum(w for w, _ in weights) == pytest.approx(1.0)
             # Mix changes between consecutive intervals (that is what
             # defines an interval boundary)... except across another
@@ -78,8 +79,9 @@ class TestChronicleConsistency:
 
     def test_energy_matches_accounting(self, run):
         server, _, _ = run
-        assert sum(i.energy_j for i in server.chronicle.iter_all()) == pytest.approx(
-            server.energy().total_j, rel=1e-9
+        energy = server.energy()
+        assert sum(i.energy_j for i in iter_all(server.chronicle)) == pytest.approx(
+            energy.busy_j + energy.idle_j, rel=1e-9
         )
 
     def test_worked_example_shape(self, run):
@@ -88,8 +90,8 @@ class TestChronicleConsistency:
         interval durations -- the Fig. 4 formula with measured weights."""
         server, finished, _ = run
         vm = finished["c0"]
-        weights = server.chronicle.interval_weights("c0")
-        span = vm.exec_time_s
+        weights = interval_weights(server.chronicle, "c0")
+        span = vm.finished_at_s - vm.placed_at_s
         weighted = sum(w * span for w, _ in weights)
         assert weighted == pytest.approx(span)
         assert len(weights) >= 3  # several distinct allocations seen

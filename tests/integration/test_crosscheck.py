@@ -92,7 +92,8 @@ def _replay_mix(
             last_finish = now
     else:  # pragma: no cover - convergence guard
         raise ConfigurationError(f"replay of mix {key} did not converge")
-    return last_finish, runtime.energy().total_j
+    energy = runtime.energy()
+    return last_finish, energy.busy_j + energy.idle_j
 
 
 def crosscheck_database(

@@ -52,7 +52,7 @@ class TestFullPipeline:
         # 5. Generate, clean and complete a small trace.
         raw = generate_egee_like_trace(EGEETraceConfig(n_jobs=300), rng=11)
         cleaned, report = clean_trace(raw)
-        assert report.removed > 0
+        assert report.total - report.kept > 0
         jobs = truncate_to_vm_budget(assign_profiles_and_vms(cleaned, rng=12), 400)
 
         # 6. Simulate with both a baseline and the proactive strategy

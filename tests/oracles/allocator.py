@@ -20,6 +20,9 @@ pass read per-call tables of pristine-class scores.  It runs inside the
 shipped search (same pruning, same provenance counters), so patched in
 place of ``ProactiveAllocator._assign_streamed`` it must leave both the
 plan and ``search_provenance`` unchanged.
+
+:func:`plan_objective` scores any plan on the allocator's alpha scale,
+so plans from different search modes compare.
 """
 
 from __future__ import annotations
@@ -43,10 +46,11 @@ from repro.core.allocator import (
     _tightest_deadlines,
     bind_vm_ids,
 )
+from repro.core.estimatecache import grid_for
 from repro.core.model import EstimatedOutcome
 from repro.core.partitions import type_partitions
 from repro.core.plan import AllocationPlan, BlockAssignment
-from repro.core.scoring import score_candidates
+from repro.core.scoring import ScoreWeights, score_candidates
 from repro.testbed.benchmarks import WorkloadClass
 
 
@@ -396,3 +400,51 @@ def greedy_assign_streamed(
         energy_j=energy,
         qos_ok=qos_ok,
     )
+
+
+def plan_objective(
+    plan: AllocationPlan,
+    servers: Sequence[ServerState],
+    database,
+) -> float:
+    """Alpha objective of a plan, recomputed from its assignments.
+
+    Puts plans from different search modes on one comparable scale
+    (the anytime-vs-exact quality ratio of ``bench_perf_allocator.py``
+    and ``tests/properties/test_anytime_prop.py``): makespan over each
+    touched server's *final* combined-mix estimate (the last
+    assignment per server wins, since its mix only grows), summed
+    marginal energy versus each server's pre-plan base (zero for
+    empty, off-grid, or unestimable residuals -- the allocator's own
+    fallback), normalized by the database ranges exactly as the
+    allocator scores candidates.
+    """
+    if not plan.assignments:
+        return 0.0
+    grid = grid_for(database)
+    base: dict[str, float] = {}
+    for server in servers:
+        mix = server.allocated
+        energy = 0.0
+        if grid.covers(mix) and total_vms(mix) > 0:
+            cell = grid.get(mix)
+            if cell is not None:
+                energy = cell.energy_j
+        base[server.server_id] = energy
+    final: dict[str, EstimatedOutcome] = {}
+    for assignment in plan.assignments:
+        final[assignment.server_id] = assignment.estimate
+    makespan = max(estimate.time_s for estimate in final.values())
+    energy = sum(
+        max(0.0, estimate.energy_j - base.get(server_id, 0.0))
+        for server_id, estimate in final.items()
+    )
+    weights = ScoreWeights(plan.alpha)
+    max_time = database.time_range_s[1]
+    max_energy = database.energy_range_j[1]
+    score = 0.0
+    if max_energy > 0.0:
+        score += weights.energy_weight * (energy / max_energy)
+    if max_time > 0.0:
+        score += weights.time_weight * (makespan / max_time)
+    return score

@@ -11,7 +11,8 @@ equal this one bit for bit (``tests/testbed/test_runner.py``).
 
 :func:`view_of` and :func:`view_record` are the view side of a kind:
 the view a VM presents in a stage, and the record the contention
-model reads of that view.
+model reads of that view.  :func:`mix_power` prices one mix of views
+the same naive way.
 """
 
 from __future__ import annotations
@@ -171,3 +172,12 @@ def reference_run_mix(
         load_profile=tuple(load_profile),
         meter_reading=reading,
     )
+
+
+def mix_power(model: MixModel, mix: Sequence[ActiveVM]) -> float:
+    """Power draw of a mix of views on ``model``'s server.
+
+    An empty mix draws idle power (server on, nothing running).
+    """
+    loads = model.subsystem_loads(mix)
+    return instantaneous_power(loads, len(mix), model.server.power)

@@ -20,6 +20,9 @@ It reaches the loop through the simulator's ``_server_type`` /
 assert that the production loop's results equal its results bit for
 bit, and ``benchmarks/bench_sim_scale.py`` times it as the pre-index
 baseline of its speedup gate.
+
+:func:`audit_index` re-derives a :class:`~repro.sim.index.ClusterIndex`'s
+counters from the servers, for the property suite's event storms.
 """
 
 from __future__ import annotations
@@ -124,3 +127,21 @@ class NaiveDatacenterSimulator(DatacenterSimulator):
 
     _server_type = NaiveServerRuntime
     _cluster_type = NaiveClusterState
+
+
+def audit_index(index, servers) -> list[str]:
+    """Re-derive every counter of ``index`` from the servers and report drift.
+
+    Returns human-readable mismatch descriptions (empty = sane).
+    """
+    problems: list[str] = []
+    powered = sum(1 for s in servers if s.powered_on)
+    active = sum(s.n_vms for s in servers)
+    failed = sum(1 for s in servers if s.failed)
+    if powered != index.powered:
+        problems.append(f"powered: index {index.powered} != actual {powered}")
+    if active != index.active_vms:
+        problems.append(f"active_vms: index {index.active_vms} != actual {active}")
+    if failed != index.failed:
+        problems.append(f"failed: index {index.failed} != actual {failed}")
+    return problems

@@ -59,7 +59,7 @@ class TestClassification:
 
     def test_multi_dimensional_intensity(self):
         profile = classify_trace(trace_with(cpu=0.9, net=0.7))
-        assert profile.dimensions == 2
+        assert len(profile.intensive) == 2
         assert profile.is_intensive(Subsystem.NETWORK)
         # Network-intensive without disk maps to CPU class (no network
         # dimension in the database).
@@ -67,7 +67,7 @@ class TestClassification:
 
     def test_nothing_significant_defaults_to_cpu(self):
         profile = classify_trace(trace_with(cpu=0.1))
-        assert profile.dimensions == 0
+        assert len(profile.intensive) == 0
         assert profile.workload_class() is WorkloadClass.CPU
 
     def test_mean_utilization_retained(self):

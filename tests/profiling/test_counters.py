@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.profiling.counters import emulate_counters
+from repro.profiling.counters import _PEAK_L2_MISSES_PER_S, emulate_counters
 from repro.profiling.traces import sample_load_profile
 from repro.testbed.benchmarks import get_benchmark
 from repro.testbed.spec import Subsystem
@@ -45,7 +45,7 @@ class TestEmulateCounters:
     def test_l2_miss_intensity_normalized(self):
         trace = make_trace(mem=1.0)
         samples = emulate_counters(trace, get_benchmark("sysbench"))
-        assert 0.0 <= samples[0].l2_miss_intensity <= 1.5
+        assert 0.0 <= samples[0].l2_misses / _PEAK_L2_MISSES_PER_S <= 1.5
 
     def test_short_trace_yields_nothing(self):
         trace = sample_load_profile([])

@@ -32,7 +32,7 @@ class TestSampling:
 
     def test_clamping(self):
         trace = sample_load_profile([segment(0.0, 2.0, cpu=2.5)])
-        assert trace.peak_utilization(Subsystem.CPU) == 1.0
+        assert trace.utilization[Subsystem.CPU].max() == 1.0
 
     def test_piecewise_values(self):
         trace = sample_load_profile(
@@ -69,7 +69,7 @@ class TestTraceStatistics:
         assert 0.1 < mean < 0.9
 
     def test_busy_fraction(self, trace):
-        busy = trace.busy_fraction(Subsystem.CPU, threshold=0.5)
+        busy = (trace.utilization[Subsystem.CPU] > 0.5).mean()
         assert 0.3 < busy < 0.7
 
     def test_zero_subsystem(self, trace):

@@ -5,11 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.common.quantities import integrate_power_samples
-from repro.sim.accounting import (
-    fractions_from_durations,
-    weighted_energy,
-    weighted_execution_time,
-)
+from repro.sim.accounting import weighted_energy, weighted_execution_time
+from tests.oracles.chronicle import fractions_from_durations
 
 values = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 durations = st.lists(

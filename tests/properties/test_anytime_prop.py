@@ -24,11 +24,12 @@ import random
 import pytest
 
 from repro.common.errors import AllocationError, ConfigurationError
-from repro.core.allocator import ProactiveAllocator, VMRequest, plan_objective
+from repro.core.allocator import ProactiveAllocator, VMRequest
 from repro.experiments.config import SMALLER
 from repro.experiments.evaluation import run_evaluation
 from repro.obs.runtime import observed
 from repro.testbed.benchmarks import WorkloadClass
+from tests.oracles.allocator import plan_objective
 
 from properties.test_allocator_equivalence_prop import (
     random_database,

@@ -41,6 +41,7 @@ from repro.ext.carbon.signal import (
     parse_price_signal,
     signal_from_document,
 )
+from repro.ext.carbon.options import CarbonOptions
 from repro.ext.carbon.shifting import shift_deferrable
 from repro.faults import FaultEvent, FaultKind, FaultSpec
 from repro.service import schema
@@ -49,6 +50,8 @@ from repro.strategies.firstfit import FirstFitStrategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy
+from tests.oracles.carbon import carbon_of, cost_of
+from tests.oracles.chronicle import iter_all
 
 STEP = TemporalSignal(
     times_s=(0.0, 25.0, 50.0),
@@ -112,10 +115,10 @@ def assert_intervals_reaccount(result, pair):
     totals = zip(result.chronicles, result.per_server_carbon_g, result.per_server_cost)
     for chronicle, carbon_g, cost in totals:
         carbon = recost = 0.0
-        for interval in chronicle.iter_all():
+        for interval in iter_all(chronicle):
             span = (interval.power_w, interval.t0_s, interval.t1_s)
-            carbon += pair.carbon_of(*span)
-            recost += pair.cost_of(*span)
+            carbon += carbon_of(pair, *span)
+            recost += cost_of(pair, *span)
         assert carbon == carbon_g
         assert recost == cost
 
@@ -159,9 +162,9 @@ class TestIntegrationExactness:
     def test_accounting_units(self):
         # 1 kW over one 100 s period of STEP: (1000/3.6e6) * 200 gCO2.
         pair = TemporalSignals(carbon=STEP)
-        assert pair.carbon_of(1000.0, 0.0, 100.0) == (1000.0 / J_PER_KWH) * 200.0
-        assert pair.cost_of(1000.0, 0.0, 100.0) == 0.0
-        assert pair.carbon_of(1000.0, 50.0, 50.0) == 0.0
+        assert carbon_of(pair, 1000.0, 0.0, 100.0) == (1000.0 / J_PER_KWH) * 200.0
+        assert cost_of(pair, 1000.0, 0.0, 100.0) == 0.0
+        assert carbon_of(pair, 1000.0, 50.0, 50.0) == 0.0
         # Spending E joules uniformly over a window uses the mean value.
         assert pair.carbon_mass_g(J_PER_KWH, 0.0, 100.0) == STEP.period_mean
 
@@ -218,6 +221,18 @@ class TestValidation:
             TemporalSignal(times_s=(0.0,), values=(-1.0,), period_s=10.0)
         with pytest.raises(ValueError, match="finite and >= 0"):
             TemporalSignal(times_s=(0.0,), values=(math.nan,), period_s=10.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_knobs_rejected_naming_the_value(self, value):
+        signals = TemporalSignals(carbon=daily_carbon_signal(1))
+        with pytest.raises(ValueError, match=f"period_s must be positive and finite, got {value}"):
+            TemporalSignal(times_s=(0.0,), values=(1.0,), period_s=value)
+        with pytest.raises(ValueError, match=f"shift_margin must be positive and finite, got {value}"):
+            CarbonOptions(signals=signals, shift_margin=value)
+        with pytest.raises(ValueError, match=f"margin must be positive and finite, got {value}"):
+            shift_deferrable([], signals, QoSPolicy.unlimited(), {}, margin=value)
+        with pytest.raises(ValueError, match=f"t_ref_s must be non-negative and finite, got {value}"):
+            CarbonContext(signals=signals, t_ref_s=value)
 
     def test_kind_and_arity(self):
         with pytest.raises(ValueError, match="kind"):
@@ -421,8 +436,8 @@ class TestAccountingConservation:
                 t0 = rng.uniform(0.0, 3.0 * period)
                 t1 = t0 + rng.uniform(0.0, 1.5 * period) * rng.choice((0.0, 0.001, 1.0))
                 assert pair.accrue(450.0, t0, t1) == (
-                    pair.carbon_of(450.0, t0, t1),
-                    pair.cost_of(450.0, t0, t1),
+                    carbon_of(pair, 450.0, t0, t1),
+                    cost_of(pair, 450.0, t0, t1),
                 )
 
     def test_residue_exact_at_float_edges(self):
@@ -451,8 +466,8 @@ class TestAccountingConservation:
                 assert signal.integrate(t, t + 1.0) >= 0.0
             pair = TemporalSignals(carbon=step, price=replace(step, values=(0.3, 0.1)))
             assert pair.accrue(450.0, t, t + 1.0) == (
-                pair.carbon_of(450.0, t, t + 1.0),
-                pair.cost_of(450.0, t, t + 1.0),
+                carbon_of(pair, 450.0, t, t + 1.0),
+                cost_of(pair, 450.0, t, t + 1.0),
             )
 
 

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.partitions import bell_number, set_partitions, type_partitions
+from repro.core.partitions import type_partitions
+from tests.oracles.partitions import bell_number, set_partitions
 
 
 @st.composite

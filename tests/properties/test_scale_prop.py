@@ -33,7 +33,8 @@ from repro.testbed.benchmarks import WorkloadClass
 from repro.testbed.spec import default_server
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy
-from tests.oracles.sim import NaiveDatacenterSimulator, NaiveServerRuntime
+from tests.oracles.chronicle import iter_all, vm_execution_time_s
+from tests.oracles.sim import NaiveDatacenterSimulator, NaiveServerRuntime, audit_index
 
 STRATEGIES = {
     "FF": FirstFitStrategy,
@@ -291,7 +292,7 @@ class TestChronicleConservation:
         for chronicle, busy, idle in zip(
             result.chronicles, result.per_server_busy_j, result.per_server_idle_j
         ):
-            intervals = list(chronicle.iter_all())
+            intervals = list(iter_all(chronicle))
             assert len(intervals) == chronicle.n_recorded
             assert sum(i.energy_j for i in intervals if i.vm_ids) == pytest.approx(
                 busy, rel=1e-9, abs=1e-9
@@ -300,7 +301,7 @@ class TestChronicleConservation:
                 idle, rel=1e-9, abs=1e-9
             )
             for vm in {vm for i in intervals for vm in i.vm_ids}:
-                assert chronicle.vm_execution_time_s(vm) == sum(
+                assert vm_execution_time_s(chronicle, vm) == sum(
                     i.duration_s for i in intervals if vm in i.vm_ids
                 )
 
@@ -342,7 +343,7 @@ class TestIndexDriftStorm:
                 server.recover(now)
             elif op == "detach" and server.n_vms > 0:
                 server.detach_vm(server.vms[0], now)
-            assert cluster.audit(servers) == []
+            assert audit_index(cluster, servers) == []
         assert cluster.active_vms == sum(s.n_vms for s in servers)
 
 

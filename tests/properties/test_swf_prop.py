@@ -35,7 +35,7 @@ class TestSWFRoundTrip:
 
     @given(swf_records())
     def test_fields_roundtrip(self, record):
-        assert SWFRecord.from_fields(record.as_fields()) == record
+        assert SWFRecord(*tuple(record)) == record
 
 
 class TestMergeProperties:
@@ -69,7 +69,7 @@ class TestCleaningProperties:
     def test_survivors_are_sound(self, records):
         kept, _ = clean_trace(records)
         for record in kept:
-            assert record.job_status is JobStatus.COMPLETED
+            assert record.status == JobStatus.COMPLETED
             assert record.run_time > 0
             assert record.submit_time >= 0
             assert record.allocated_procs != 0
@@ -80,4 +80,4 @@ class TestCleaningProperties:
         once, _ = clean_trace(records)
         twice, report = clean_trace(once)
         assert twice == once
-        assert report.removed == 0
+        assert report.total - report.kept == 0

@@ -8,10 +8,10 @@ import pytest
 
 from repro.sim.accounting import (
     IntervalWeights,
-    fractions_from_durations,
     weighted_energy,
     weighted_execution_time,
 )
+from tests.oracles.chronicle import fractions_from_durations
 
 
 class TestPaperWorkedExample:

@@ -8,6 +8,7 @@ from repro.sim.server import ServerRuntime
 from repro.sim.vm import SimVM
 from repro.testbed.benchmarks import WorkloadClass
 from repro.testbed.spec import default_server
+from tests.oracles.chronicle import interval_weights, iter_all, vm_execution_time_s
 
 
 class TestChronicleLog:
@@ -37,7 +38,7 @@ class TestChronicleLog:
         chronicle = Chronicle("s0")
         chronicle.record(0.0, 10.0, (1, 0, 0), 100.0, ["a"])
         chronicle.record(10.0, 20.0, (0, 0, 0), 125.0, [])
-        busy, idle = (i.energy_j for i in chronicle.iter_all())
+        busy, idle = (i.energy_j for i in iter_all(chronicle))
         assert busy == pytest.approx(1000.0)
         assert idle == pytest.approx(1250.0)
 
@@ -45,12 +46,12 @@ class TestChronicleLog:
         chronicle = Chronicle("s0")
         chronicle.record(0.0, 10.0, (1, 0, 0), 100.0, ["a"])
         chronicle.record(10.0, 30.0, (2, 0, 0), 150.0, ["a", "b"])
-        assert chronicle.vm_execution_time_s("a") == pytest.approx(30.0)
-        assert chronicle.vm_execution_time_s("b") == pytest.approx(20.0)
-        weights = chronicle.interval_weights("a")
+        assert vm_execution_time_s(chronicle, "a") == pytest.approx(30.0)
+        assert vm_execution_time_s(chronicle, "b") == pytest.approx(20.0)
+        weights = interval_weights(chronicle, "a")
         assert [w for w, _ in weights] == pytest.approx([1 / 3, 2 / 3])
         with pytest.raises(KeyError):
-            chronicle.vm_execution_time_s("zzz")
+            vm_execution_time_s(chronicle, "zzz")
 
 
 class TestServerChronicleIntegration:
@@ -65,7 +66,7 @@ class TestServerChronicleIntegration:
         server.sync(server.next_boundary(boundary))
         # Two stages -> two intervals (init + work).
         assert len(server.chronicle) == 2
-        assert server.chronicle.vm_execution_time_s("v0") == pytest.approx(
+        assert vm_execution_time_s(server.chronicle, "v0") == pytest.approx(
             vm.benchmark.t_ref_s, rel=1e-6
         )
 
@@ -78,8 +79,9 @@ class TestServerChronicleIntegration:
                 0.0,
             )
         server.sync(10_000.0)
-        assert sum(i.energy_j for i in server.chronicle.iter_all()) == pytest.approx(
-            server.energy().total_j, rel=1e-9
+        energy = server.energy()
+        assert sum(i.energy_j for i in iter_all(server.chronicle)) == pytest.approx(
+            energy.busy_j + energy.idle_j, rel=1e-9
         )
 
     def test_disabled_by_default(self):

@@ -17,12 +17,12 @@ from repro.sim.chronicle import (
     ChronicleSpill,
     Interval,
     encode_interval,
-    iter_spilled,
 )
 from repro.strategies import FirstFitStrategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy
+from tests.oracles.chronicle import iter_all, iter_spilled, vm_execution_time_s, vm_intervals
 
 
 def fill(chronicle, n, vms=("a",)):
@@ -59,8 +59,8 @@ class TestBoundedChronicle:
         # The spill round-trips every float, so the replayed energies
         # (total, busy, idle) are the unbounded log's, exactly.
         for select in (lambda i: True, lambda i: i.vm_ids, lambda i: not i.vm_ids):
-            assert sum(i.energy_j for i in bounded.iter_all() if select(i)) == sum(
-                i.energy_j for i in unbounded.iter_all() if select(i)
+            assert sum(i.energy_j for i in iter_all(bounded) if select(i)) == sum(
+                i.energy_j for i in iter_all(unbounded) if select(i)
             )
 
     def test_residency_replay_matches_unbounded(self, tmp_path):
@@ -71,25 +71,25 @@ class TestBoundedChronicle:
         with ChronicleSpill(str(tmp_path / "spill.jsonl")) as spill:
             bounded = Chronicle("s0", capacity=2, spill=spill)
             fill(bounded, 8)
-        assert bounded.vm_execution_time_s("a") == unbounded.vm_execution_time_s("a")
+        assert vm_execution_time_s(bounded, "a") == vm_execution_time_s(unbounded, "a")
         with pytest.raises(KeyError, match="never appeared"):
-            bounded.vm_execution_time_s("ghost")
+            vm_execution_time_s(bounded, "ghost")
 
     def test_residency_without_eviction_needs_no_spill(self):
         chronicle = Chronicle("s0", capacity=8)
         fill(chronicle, 3)
-        assert chronicle.vm_execution_time_s("a") == pytest.approx(30.0)
+        assert vm_execution_time_s(chronicle, "a") == pytest.approx(30.0)
         with pytest.raises(KeyError, match="never appeared"):
-            chronicle.vm_execution_time_s("ghost")
+            vm_execution_time_s(chronicle, "ghost")
 
     def test_eviction_without_spill_blocks_interval_audit(self):
         chronicle = Chronicle("s0", capacity=2)
         fill(chronicle, 5)
         with pytest.raises(SimulationError, match="evicted without a spill"):
-            list(chronicle.iter_all())
+            list(iter_all(chronicle))
         # Residency is an interval-level query too.
         with pytest.raises(SimulationError, match="evicted without a spill"):
-            chronicle.vm_execution_time_s("a")
+            vm_execution_time_s(chronicle, "a")
 
 
 class TestChronicleSpill:
@@ -116,12 +116,12 @@ class TestChronicleSpill:
         with ChronicleSpill(path) as spill:
             chronicle = Chronicle("s0", capacity=2, spill=spill)
             fill(chronicle, 6)
-        replayed = list(chronicle.iter_all())
+        replayed = list(iter_all(chronicle))
         assert [i.t0_s for i in replayed] == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
         # Replay reconstructs the exact interval values.
         assert replayed[0].power_w == 100.0
         assert replayed[0].vm_ids == ("a",)
-        assert chronicle.vm_intervals("a") == replayed
+        assert vm_intervals(chronicle, "a") == replayed
 
     def test_pickle_drops_writer_keeps_path(self, tmp_path):
         path = str(tmp_path / "spill.jsonl")
@@ -130,7 +130,7 @@ class TestChronicleSpill:
             fill(chronicle, 3)
         clone = pickle.loads(pickle.dumps(chronicle))
         assert clone.spill_path == path
-        assert list(clone.iter_all()) == list(chronicle.iter_all())
+        assert list(iter_all(clone)) == list(iter_all(chronicle))
 
 
 #: (t0, t1, mix, power, vm ids) per record: busy and idle spans, a
@@ -181,26 +181,26 @@ class TestRecordedRows:
 
     def test_iter_all_is_every_interval(self, recorded):
         chronicle, _ = recorded
-        self.assert_intervals(list(chronicle.iter_all()), expected_intervals())
+        self.assert_intervals(list(iter_all(chronicle)), expected_intervals())
         assert chronicle.n_recorded == len(RECORDS)
 
     def test_vm_intervals(self, recorded):
         chronicle, _ = recorded
         for vm_id in ("j1-0", "j2-0", "j3-0"):
             self.assert_intervals(
-                chronicle.vm_intervals(vm_id),
+                vm_intervals(chronicle, vm_id),
                 [i for i in expected_intervals() if vm_id in i.vm_ids],
             )
-        assert chronicle.vm_execution_time_s("j2-0") == 0.5 + 4.25
+        assert vm_execution_time_s(chronicle, "j2-0") == 0.5 + 4.25
 
     def test_pickled_chronicle_reads_the_same(self, recorded):
         chronicle, resident = recorded
         clone = pickle.loads(pickle.dumps(chronicle))
         assert len(clone) == resident
         self.assert_intervals(list(clone), expected_intervals()[-resident:])
-        self.assert_intervals(list(clone.iter_all()), expected_intervals())
+        self.assert_intervals(list(iter_all(clone)), expected_intervals())
         self.assert_intervals(
-            clone.vm_intervals("j3-0"), expected_intervals()[-2:]
+            vm_intervals(clone, "j3-0"), expected_intervals()[-2:]
         )
 
 

@@ -33,6 +33,7 @@ from repro.strategies import FirstFitStrategy, ProactiveStrategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy
+from tests.oracles.chronicle import iter_all
 
 N_SERVERS = 6
 CLASSES = (WorkloadClass.CPU, WorkloadClass.MEM, WorkloadClass.IO)
@@ -127,7 +128,7 @@ def run_digest(tmp_path, strategy, *, faults=None) -> str:
         "chronicles": [
             {
                 "server": chronicle.server_id,
-                "intervals": [dataclasses.asdict(i) for i in chronicle.iter_all()],
+                "intervals": [dataclasses.asdict(i) for i in iter_all(chronicle)],
                 "notes": [dataclasses.asdict(n) for n in chronicle.notes],
             }
             for chronicle in result.chronicles

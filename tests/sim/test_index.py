@@ -17,7 +17,7 @@ from repro.testbed.benchmarks import WorkloadClass
 from repro.testbed.spec import default_server
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy
-from tests.oracles.sim import NaiveDatacenterSimulator
+from tests.oracles.sim import NaiveDatacenterSimulator, audit_index
 
 
 def view(i, ncpu=0, nmem=0, nio=0, powered=True, cpu_slots=2, max_vms=12):
@@ -76,12 +76,12 @@ class TestClusterIndex:
 
         index = ClusterIndex(2)
         servers = [Stub(True, 2, False), Stub(False, 0, True)]
-        assert index.audit(servers)  # all three counters are off
+        assert audit_index(index, servers)  # all three counters are off
         index.adopt(0, powered=True, n_vms=2, failed=False)
         index.adopt(1, powered=False, n_vms=0, failed=True)
-        assert index.audit(servers) == []
+        assert audit_index(index, servers) == []
         index.on_host(0)  # drift injected: no VM actually appeared
-        problems = index.audit(servers)
+        problems = audit_index(index, servers)
         assert len(problems) == 1 and "active_vms" in problems[0]
 
 

@@ -24,16 +24,21 @@ def server():
     return ServerRuntime("s0", default_server())
 
 
+def power_w(server):
+    """Instantaneous draw under the current mix (0 when off)."""
+    return server._mix_physics()[2] if server.powered_on else 0.0
+
+
 class TestPowerState:
     def test_starts_powered_off(self, server):
         assert not server.powered_on
-        assert server.current_power_w() == 0.0
+        assert power_w(server) == 0.0
 
     def test_powers_on_with_first_vm(self, server):
         server.sync(0.0)
         server.add_vm(make_vm(), 0.0)
         assert server.powered_on
-        assert server.current_power_w() > 125.0
+        assert power_w(server) > 125.0
 
     def test_powers_off_when_empty(self, server):
         server.sync(0.0)
@@ -129,7 +134,7 @@ class TestPhysicsEntryInvalidation:
     @staticmethod
     def assert_agree(memo, naive, now_s):
         assert memo.next_boundary(now_s) == naive.next_boundary(now_s)
-        assert memo.current_power_w() == naive.current_power_w()
+        assert power_w(memo) == power_w(naive)
         assert memo.energy() == naive.energy()
         assert [vm.vm_id for vm in memo.vms] == [vm.vm_id for vm in naive.vms]
         assert [vm.stage for vm in memo.vms] == [vm.stage for vm in naive.vms]

@@ -72,7 +72,7 @@ class TestLifecycle:
         assert vm.server_id == "s0"
         vm.finish(100.0)
         assert vm.state is VMState.FINISHED
-        assert vm.exec_time_s == pytest.approx(90.0)
+        assert vm.finished_at_s - vm.placed_at_s == pytest.approx(90.0)
         assert vm.response_time_s == pytest.approx(100.0)
 
     def test_double_place_rejected(self):

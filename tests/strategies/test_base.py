@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.strategies.base import ServerView, VMDescriptor, spread_by_class
+from repro.strategies.base import ServerView, VMDescriptor
 from repro.testbed.benchmarks import WorkloadClass
 
 
@@ -32,20 +32,6 @@ class TestServerView:
     def test_mixed_classes_consume_slots(self):
         # FF's slot budget is class-blind: mem/io VMs consume slots too.
         assert self.view(mix=(1, 1, 1)).free_slots(1) == 1
-
-
-class TestSpreadByClass:
-    def test_counts(self):
-        vms = [
-            VMDescriptor("a", WorkloadClass.CPU),
-            VMDescriptor("b", WorkloadClass.MEM),
-            VMDescriptor("c", WorkloadClass.CPU),
-            VMDescriptor("d", WorkloadClass.IO),
-        ]
-        assert spread_by_class(vms) == (2, 1, 1)
-
-    def test_empty(self):
-        assert spread_by_class([]) == (0, 0, 0)
 
 
 class TestVMDescriptor:

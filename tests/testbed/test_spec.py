@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.testbed.power import instantaneous_power
 from repro.testbed.spec import (
     SUBSYSTEMS,
     PowerSpec,
@@ -33,7 +34,10 @@ class TestPowerSpec:
 
     def test_max_w_sums_dynamics(self):
         spec = PowerSpec()
-        assert spec.max_w == 125.0 + sum(spec.dynamic_w[s] for s in SUBSYSTEMS)
+        saturated = {s: 1.0 for s in SUBSYSTEMS}
+        assert instantaneous_power(saturated, 0, spec) == 125.0 + sum(
+            spec.dynamic_w[s] for s in SUBSYSTEMS
+        )
 
     def test_negative_idle_rejected(self):
         with pytest.raises(ConfigurationError):

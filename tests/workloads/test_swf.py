@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import TraceFormatError
+from repro.workloads.cleaning import clean_trace
 from repro.workloads.swf import (
     N_FIELDS,
     JobStatus,
@@ -25,23 +26,28 @@ def record(job=1, submit=0, run=100, status=JobStatus.COMPLETED, procs=1):
 
 class TestRecord:
     def test_field_count(self):
-        assert len(record().as_fields()) == N_FIELDS
+        assert len(record()) == N_FIELDS
 
-    def test_from_fields_roundtrip(self):
+    def test_from_fields_roundtrip(self, tmp_path):
         original = record(job=7, submit=33)
-        assert SWFRecord.from_fields(original.as_fields()) == original
+        path = tmp_path / "trace.swf"
+        write_swf([original], path)
+        assert read_swf(path)[1] == [original]
 
-    def test_from_fields_wrong_arity(self):
-        with pytest.raises(ValueError):
-            SWFRecord.from_fields([1, 2, 3])
+    def test_from_fields_wrong_arity(self, tmp_path):
+        path = tmp_path / "trace.swf"
+        path.write_text("1 2 3\n", encoding="utf-8")
+        with pytest.raises(TraceFormatError, match="fields"):
+            read_swf(path)
 
     def test_status_enum(self):
-        assert record(status=JobStatus.FAILED).job_status is JobStatus.FAILED
-        assert record().completed
+        kept, report = clean_trace([record(status=JobStatus.FAILED), record()])
+        assert report.failed == 1
+        assert kept == [record()]
 
     def test_unknown_status_maps_to_unknown(self):
-        r = SWFRecord(job_number=1, submit_time=0, status=42)
-        assert r.job_status is JobStatus.UNKNOWN
+        r = SWFRecord(job_number=1, submit_time=0, run_time=100, status=42, allocated_procs=1)
+        assert clean_trace([r])[1].anomalies == 1
 
     def test_shifted(self):
         assert record(submit=10).shifted(5).submit_time == 15
@@ -59,7 +65,7 @@ class TestFileRoundTrip:
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "trace.swf"
-        line = " ".join(str(f) for f in record().as_fields())
+        line = " ".join(str(f) for f in record())
         path.write_text(f"\n{line}\n\n")
         _, loaded = read_swf(path)
         assert len(loaded) == 1

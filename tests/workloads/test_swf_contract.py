@@ -74,51 +74,71 @@ class TestRecordValue:
 
     def test_field_order_and_defaults(self):
         r = SWFRecord(11, 22)
-        assert r.as_fields() == (11, 22) + (-1,) * (N_FIELDS - 2)
+        assert tuple(r) == (11, 22) + (-1,) * (N_FIELDS - 2)
         assert r.status == JobStatus.UNKNOWN
         positional = SWFRecord(*range(N_FIELDS))
         for index, name in enumerate(FIELD_NAMES):
             assert getattr(positional, name) == index
 
     def test_as_fields_is_a_plain_tuple(self):
-        fields = record(job=5).as_fields()
-        assert type(fields) is tuple
+        fields = record(job=5)
+        assert isinstance(fields, tuple)
+        assert tuple(fields) == fields
         assert len(fields) == N_FIELDS
 
     def test_as_fields_round_trips(self):
         original = SWFRecord(*range(100, 100 + N_FIELDS))
-        again = SWFRecord.from_fields(original.as_fields())
+        again = SWFRecord(*tuple(original))
         assert again == original
         assert type(again) is SWFRecord
 
     @pytest.mark.parametrize("count", [N_FIELDS - 1, N_FIELDS + 1])
-    def test_from_fields_rejects_wrong_count(self, count):
-        with pytest.raises(ValueError, match=f"got {count}"):
-            SWFRecord.from_fields([0] * count)
+    def test_from_fields_rejects_wrong_count(self, count, tmp_path):
+        path = tmp_path / "trace.swf"
+        path.write_text(data_line([0] * count) + "\n", encoding="utf-8")
+        with pytest.raises(TraceFormatError, match=f"got {count}"):
+            read_swf(path)
 
     def test_shifted_moves_only_submit_time(self):
         original = SWFRecord(*range(1, N_FIELDS + 1))
         moved = original.shifted(-2)
         assert type(moved) is SWFRecord
         assert moved.submit_time == original.submit_time - 2
-        assert moved.as_fields()[:1] + moved.as_fields()[2:] == (
-            original.as_fields()[:1] + original.as_fields()[2:]
+        assert tuple(moved)[:1] + tuple(moved)[2:] == (
+            tuple(original)[:1] + tuple(original)[2:]
         )
         assert original.submit_time == 2  # the original is untouched
 
 
 class TestStatus:
+    """The cleaner reads the raw status: failed and cancelled jobs are
+    counted as such, only completed ones survive, and any other value,
+    listed or not, is an anomaly like ``JobStatus.UNKNOWN``."""
+
+    @staticmethod
+    def bucket(status):
+        kept, report = clean_trace([record(status=status)])
+        counts = {"kept": len(kept), "failed": report.failed, "cancelled": report.cancelled}
+        counts["anomaly"] = report.anomalies
+        (name,) = [name for name, count in counts.items() if count]
+        return name
+
     @pytest.mark.parametrize("raw", [4, -7])
     def test_unlisted_status_maps_to_unknown(self, raw):
-        assert record(status=raw).job_status is JobStatus.UNKNOWN
+        assert self.bucket(raw) == self.bucket(JobStatus.UNKNOWN) == "anomaly"
 
     @pytest.mark.parametrize("member", list(JobStatus))
     def test_listed_status_maps_to_its_member(self, member):
-        assert record(status=int(member)).job_status is member
+        expected = {
+            JobStatus.FAILED: "failed",
+            JobStatus.COMPLETED: "kept",
+            JobStatus.CANCELLED: "cancelled",
+        }.get(member, "anomaly")
+        assert self.bucket(int(member)) == expected
 
     def test_completed(self):
-        assert record(status=1).completed
-        assert not record(status=3).completed
+        assert self.bucket(1) == "kept"
+        assert self.bucket(3) == "anomaly"
 
 
 class TestReader:
@@ -130,10 +150,10 @@ class TestReader:
             "\n"
             ";Note:  two  spaces ; and a second ;\n"
             "   \t \n"
-            f"{data_line(first.as_fields())}\n"
+            f"{data_line(tuple(first))}\n"
             "  ; indented comment  \n"
             "\n"
-            f"  {data_line(second.as_fields())}  \n",
+            f"  {data_line(tuple(second))}  \n",
             encoding="utf-8",
         )
         comments, records = read_swf(path)
@@ -205,18 +225,18 @@ class TestCleaningContract:
         assert report.kept == 5 and report.failed == 1
 
     def test_survivors_keep_every_other_field(self):
-        source = SWFRecord.from_fields(
-            (9, 50, 3, 100, 4, 90, 512, 4, 200, 1024, 1, 7, 8, 9, 10, 11, -1, -1)
+        source = SWFRecord(
+            *(9, 50, 3, 100, 4, 90, 512, 4, 200, 1024, 1, 7, 8, 9, 10, 11, -1, -1)
         )
         (kept,), _ = clean_trace([source])
         assert type(kept) is SWFRecord
-        assert kept.as_fields() == (1, 0) + source.as_fields()[2:]
+        assert tuple(kept) == (1, 0) + tuple(source)[2:]
 
     def test_input_is_not_mutated(self):
         records = [record(job=7, submit=90), record(job=8, submit=30)]
-        before = [r.as_fields() for r in records]
+        before = [tuple(r) for r in records]
         clean_trace(records)
-        assert [r.as_fields() for r in records] == before
+        assert [tuple(r) for r in records] == before
 
 
 class TestMergeContract:

@@ -60,13 +60,13 @@ class TestFullTrace:
         assert len(trace) == 2000
 
     def test_contains_failures_and_cancellations(self, trace):
-        statuses = {r.job_status for r in trace}
+        statuses = {r.status for r in trace}
         assert JobStatus.FAILED in statuses
         assert JobStatus.CANCELLED in statuses
         assert JobStatus.COMPLETED in statuses
 
     def test_failure_fraction_near_config(self, trace):
-        failed = sum(1 for r in trace if r.job_status is JobStatus.FAILED)
+        failed = sum(1 for r in trace if r.status == JobStatus.FAILED)
         assert 0.12 < failed / len(trace) < 0.25
 
     def test_contains_anomalies(self, trace):
