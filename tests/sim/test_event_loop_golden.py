@@ -24,12 +24,20 @@ import hashlib
 import io
 import json
 
+import pytest
+
 from repro.ext.carbon import TemporalSignals
 from repro.ext.carbon.signal import daily_carbon_signal, double_peak_price_signal
 from repro.faults import FaultEvent, FaultKind, FaultSpec, materialize
 from repro.obs.runtime import observed
 from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
-from repro.strategies import FirstFitStrategy, ProactiveStrategy
+from repro.strategies import (
+    BestFitStrategy,
+    FirstFitStrategy,
+    ProactiveStrategy,
+    RandomFitStrategy,
+    WorstFitStrategy,
+)
 from repro.testbed.benchmarks import WorkloadClass
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy
@@ -141,11 +149,23 @@ def run_digest(tmp_path, strategy, *, faults=None) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-#: Recorded before the event loop's placement step and fault bracket
-#: were folded into one each; every output byte must survive that.
+#: FF-2 and PA-0.5 were recorded before the event loop's placement
+#: step and fault bracket were folded into one each; BF-2, WF-2 and
+#: RAND-2 before the slot strategies were folded into one placement
+#: loop.  Every output byte must survive both.
 GOLDEN = {
     "FF-2": "b02c5166f6053610cd92b0ea8432568b3324989b5f92d4e5063c0f7b08b7558c",
     "PA-0.5": "fca0f849f373ca78fc8ee65ca2bfa38af395019315138030e14e447530c271e1",
+    "BF-2": "2a2c17a77bff110f29b5121087bd8f2b9fa5d45467bd7e794d989744b736694d",
+    "WF-2": "8b2038b6bbdd950dc320bcf146f28099dc05cc301945ffe1bed5f477490cc1ac",
+    "RAND-2": "90c4c287d72d4e48c0d068b23a9aad593d8c88aa5ef7c856b206ef02372e54bc",
+}
+
+#: The slot-based contenders, RAND-2 with a fixed seed.
+SLOT_STRATEGIES = {
+    "BF-2": lambda: BestFitStrategy(2),
+    "WF-2": lambda: WorstFitStrategy(2),
+    "RAND-2": lambda: RandomFitStrategy(2, rng=2024),
 }
 
 
@@ -159,6 +179,12 @@ class TestEventLoopGolden:
         assert run_digest(
             tmp_path, ProactiveStrategy(database, alpha=0.5), faults=golden_faults()
         ) == GOLDEN["PA-0.5"]
+
+    @pytest.mark.parametrize("name", sorted(SLOT_STRATEGIES))
+    def test_slot_strategy_with_faults(self, tmp_path, name):
+        strategy = SLOT_STRATEGIES[name]()
+        assert strategy.name == name
+        assert run_digest(tmp_path, strategy, faults=golden_faults()) == GOLDEN[name]
 
     def test_runs_exercise_every_path(self, tmp_path):
         """The golden runs keep covering what they pin: both placement
