@@ -10,7 +10,7 @@ strategy ordering -- the paper's actual claim -- is unchanged.
 from repro.experiments.config import SMALLER
 from repro.experiments.evaluation import prepare_workload
 from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
-from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.slotfit import FirstFitStrategy
 from repro.strategies.proactive import ProactiveStrategy
 from repro.workloads.qos import QoSPolicy
 

@@ -10,7 +10,7 @@ same-class pressure to spread, while FF packs them blindly.
 from repro.experiments.config import SMALLER
 from repro.common.rng import SeedSequenceFactory
 from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
-from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.slotfit import FirstFitStrategy
 from repro.strategies.proactive import ProactiveStrategy
 from repro.workloads.assignment import AssignmentConfig, assign_profiles_and_vms, truncate_to_vm_budget
 from repro.workloads.cleaning import clean_trace

@@ -45,7 +45,7 @@ from repro.experiments.evaluation import prepare_workload
 from repro.ext.carbon.shifting import shift_deferrable
 from repro.ext.carbon.signal import DAY_S, TemporalSignal, TemporalSignals
 from repro.sim.datacenter import DatacenterConfig
-from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.slotfit import FirstFitStrategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy

@@ -9,7 +9,7 @@ full-scale simulation cell (SMALLER cloud, FF-3, the stress case).
 from repro.experiments.config import SMALLER
 from repro.experiments.report import format_series_table, headline_claims
 from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
-from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.slotfit import FirstFitStrategy
 
 
 def test_fig7_sla_violations(benchmark, evaluation_result, full_workload):

@@ -38,8 +38,6 @@ determinism-taint         nondeterminism sources (wall clock, unseeded
                           reach protected layers through any call path
 api-dead-export           ``repro.api.__all__`` entries are referenced
                           by at least one test or example
-dead-internal-function    no internal function with zero call-graph
-                          in-edges and no other reference
 suppression-stale         (engine-driven) directives shield a rule that
                           still fires there
 ========================  ==============================================

@@ -18,10 +18,7 @@ function it invokes:
 Call sites that resolve to nothing internal but still have a static
 dotted name (``time.monotonic``, ``numpy.random.default_rng``) are
 kept as *external calls* per function -- the raw material of the
-determinism taint rule.  Bare name references to internal functions
-(callbacks, decorator arguments, ``default_factory=fn``) are tracked
-as reference edges so the dead-code audit does not flag callback-only
-functions.
+determinism taint rule.
 """
 
 from __future__ import annotations
@@ -57,24 +54,14 @@ class CallGraph:
     project: Project
     #: caller qualname -> callee qualname -> first call-site node.
     edges: dict = field(default_factory=dict)
-    #: caller qualname -> referenced qualnames (superset of ``edges``):
-    #: includes bare-name references without a call.
-    refs: dict = field(default_factory=dict)
     #: caller qualname -> list[ExternalCall], in source order.
     external: dict = field(default_factory=dict)
     #: callee qualname -> set of caller qualnames (reverse of ``edges``).
     callers: dict = field(default_factory=dict)
-    #: qualname -> set of referencing caller qualnames (reverse of refs).
-    referrers: dict = field(default_factory=dict)
 
     def add_edge(self, caller: str, callee: str, node: ast.AST) -> None:
         self.edges.setdefault(caller, {}).setdefault(callee, node)
         self.callers.setdefault(callee, set()).add(caller)
-        self.add_ref(caller, callee)
-
-    def add_ref(self, caller: str, callee: str) -> None:
-        self.refs.setdefault(caller, set()).add(callee)
-        self.referrers.setdefault(callee, set()).add(caller)
 
     def add_external(self, caller: str, dotted: str, node: ast.Call) -> None:
         self.external.setdefault(caller, []).append(
@@ -172,7 +159,6 @@ class _FunctionWalker:
         if isinstance(target, FunctionSymbol):
             self.graph.add_edge(self.caller, target.qualname, node)
         elif isinstance(target, ClassSymbol):
-            self.graph.add_ref(self.caller, target.qualname)
             for init_name in _INIT_METHODS:
                 init = self.project.resolve_method(target, init_name)
                 if init is not None:
@@ -205,16 +191,6 @@ class _FunctionWalker:
             if isinstance(wrapped, FunctionSymbol):
                 self.var_partials[name] = wrapped
 
-    def _handle_name_ref(self, node: ast.Name) -> None:
-        if not isinstance(node.ctx, ast.Load):
-            return
-        if node.id in self.table.functions:
-            self.graph.add_ref(self.caller, self.table.functions[node.id].qualname)
-        elif node.id in self.table.import_bindings:
-            resolved = self.project.resolve(self.table.import_bindings[node.id])
-            if isinstance(resolved, (FunctionSymbol, ClassSymbol)):
-                self.graph.add_ref(self.caller, resolved.qualname)
-
     def walk(self, nodes) -> None:
         for root in nodes:
             for node in ast.walk(root):
@@ -222,8 +198,6 @@ class _FunctionWalker:
                     self._handle_assign(node)
                 elif isinstance(node, ast.Call):
                     self._handle_call(node)
-                elif isinstance(node, ast.Name):
-                    self._handle_name_ref(node)
 
 
 def _module_level_statements(tree: ast.Module):

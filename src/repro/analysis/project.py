@@ -39,10 +39,6 @@ class FunctionSymbol:
     def lineno(self) -> int:
         return self.node.lineno
 
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
-
 
 @dataclass(frozen=True)
 class ClassSymbol:

@@ -31,9 +31,11 @@ pure partition/merge bookkeeping (importable from ``sim``), while the
 fan-out over the pool lives in ``repro.exec.sharded`` -- a shard
 helper importing ``repro.exec`` from inside ``sim`` inverts the order
 and is flagged (``tests/analysis/fixtures/bad_shard_layering.py``).
-Strategies likewise reach the free-capacity index through the
-duck-typed ``free_candidates`` hook, and the class buckets through the
-duck-typed ``class_heads`` hook beside it, never by importing ``sim``.
+Strategies likewise reach the free-capacity index through one
+duck-typed ``free_candidates`` hook (read only by
+``strategies.slotfit.free_candidates``, the slot strategies' one
+candidate source), and the class buckets through the duck-typed
+``class_heads`` hook beside it, never by importing ``sim``.
 
 On top of the matrix one submodule edge is singled out: ``core`` must
 not import ``repro.obs.runtime`` (the process-global observability

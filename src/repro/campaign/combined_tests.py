@@ -73,35 +73,30 @@ def _instance_pools(
     return pools
 
 
-def build_mix_instances(
-    key: MixKey,
-    benchmarks: Mapping[WorkloadClass, BenchmarkSpec] | None = None,
-) -> list[VMInstance]:
-    """Materialize the VM instances of a (Ncpu, Nmem, Nio) mix."""
-    cpu, mem, io = _instance_pools(key, benchmarks)
-    return cpu + mem + io
-
-
 @dataclass(frozen=True)
 class _MixPayload:
-    """Read-only state every combined-test mix needs (mapper path)."""
+    """Read-only state every combined-test mix needs: the grid corner's
+    VM instance pools and, on the serial path only, the meter."""
 
     server: ServerSpec
     params: ContentionParams | None
-    benchmarks: Mapping[WorkloadClass, BenchmarkSpec] | None
+    pools: list[list[VMInstance]]
+    meter: PowerMeter | None = None
 
 
 def _measure_mix(payload: _MixPayload, key: MixKey) -> BenchmarkRecord:
-    """Measure one mix; the mapper path never carries a meter (its
-    noise stream is sequential by contract, so metered campaigns stay
-    on the serial loop)."""
-    instances = build_mix_instances(key, payload.benchmarks)
-    result = run_mix(payload.server, instances, params=payload.params)
+    """Measure one mix, made of prefixes of the pools.  The mapper path
+    never carries a meter: its noise stream is sequential by contract,
+    so metered campaigns stay on the serial loop."""
+    instances = [vm for pool, count in zip(payload.pools, key) for vm in pool[:count]]
+    result = run_mix(payload.server, instances, params=payload.params, meter=payload.meter)
+    # A metered run records what the meter read, not the exact figures.
+    measured = result if result.meter_reading is None else result.meter_reading
     return BenchmarkRecord.from_measurement(
         key,
         time_s=float(result.total_time_s),
-        energy_j=float(result.energy_j),
-        max_power_w=float(result.max_power_w),
+        energy_j=float(measured.energy_j),
+        max_power_w=float(measured.max_power_w),
     )
 
 
@@ -111,7 +106,6 @@ def run_combined_tests(
     params: ContentionParams | None = None,
     benchmarks: Mapping[WorkloadClass, BenchmarkSpec] | None = None,
     meter: PowerMeter | None = None,
-    progress: Callable[[MixKey], None] | None = None,
     mapper: Callable[[Callable, Sequence, object], list] | None = None,
 ) -> list[BenchmarkRecord]:
     """Run every combined-test mix and return its Table II records.
@@ -138,32 +132,12 @@ def run_combined_tests(
             f"tighter max or a larger server"
         )
     keys = list(combination_grid(osc, osm, osi))
+    payload = _MixPayload(
+        server=server,
+        params=params,
+        pools=_instance_pools((osc, osm, osi), benchmarks),
+        meter=meter,
+    )
     if mapper is not None and meter is None:
-        if progress is not None:
-            for key in keys:
-                progress(key)
-        payload = _MixPayload(server=server, params=params, benchmarks=benchmarks)
         return list(mapper(_measure_mix, keys, payload))
-    cpu, mem, io = _instance_pools((osc, osm, osi), benchmarks)
-    records: list[BenchmarkRecord] = []
-    for key in keys:
-        if progress is not None:
-            progress(key)
-        ncpu, nmem, nio = key
-        instances = cpu[:ncpu] + mem[:nmem] + io[:nio]
-        result = run_mix(server, instances, params=params, meter=meter)
-        if meter is not None and result.meter_reading is not None:
-            energy = float(result.meter_reading.energy_j)
-            max_power = float(result.meter_reading.max_power_w)
-        else:
-            energy = float(result.energy_j)
-            max_power = float(result.max_power_w)
-        records.append(
-            BenchmarkRecord.from_measurement(
-                key,
-                time_s=float(result.total_time_s),
-                energy_j=energy,
-                max_power_w=max_power,
-            )
-        )
-    return records
+    return [_measure_mix(payload, key) for key in keys]

@@ -26,9 +26,10 @@ structures incrementally instead:
   visible views: an array of free-slot counts plus a 64-view block
   occupancy summary, so strategies can iterate feasible candidates in
   list order in O(n/64 + candidates) instead of scanning every view.
-  Strategies reach it through the duck-typed
-  :meth:`ServerViews.free_candidates` hook (no import edge from
-  ``strategies`` back into ``sim``).
+  The slot strategies reach it through
+  ``strategies.slotfit.free_candidates``, which finds the
+  :meth:`ServerViews.free_candidates` hook by duck typing (no import
+  edge from ``strategies`` back into ``sim``).
 * class buckets -- per ``(mix, max_vms)`` class, the positions of its
   visible views in list order, so PROACTIVE reaches its class heads
   in O(classes x batch) instead of scanning every view.  Built on the
@@ -157,8 +158,9 @@ class ServerViews(list):
     A plain ``list[ServerView]`` to every existing consumer; on top of
     that it carries per-multiplex free-capacity levels and per-class
     buckets, and exposes :meth:`free_candidates` and
-    :meth:`class_heads`, which strategies discover via ``getattr``
-    (duck typing keeps ``strategies`` from importing ``sim``).  The
+    :meth:`class_heads`, which ``strategies.slotfit.free_candidates``
+    and PROACTIVE discover via ``getattr`` (duck typing keeps
+    ``strategies`` from importing ``sim``).  The
     simulator patches entries in place via :meth:`refresh` and wipes
     everything on membership changes via :meth:`reset`.
 
@@ -207,7 +209,8 @@ class ServerViews(list):
 
     def free_candidates(self, multiplex: int) -> Iterator[tuple["ServerView", int]]:
         """Yield ``(view, free_slots)`` for every view with headroom,
-        in list order -- the duck-typed strategy fast path."""
+        in list order -- what ``strategies.slotfit.free_candidates``
+        returns for an indexed list instead of scanning it."""
         level = self._levels.get(multiplex)
         if level is None:
             level = _FreeLevel(multiplex, self)

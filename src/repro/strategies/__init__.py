@@ -7,7 +7,9 @@
   minimizes energy, PA-0 minimizes execution time, PA-0.5 balances.
 
 Extra baselines beyond the paper (useful for ablations): BEST-FIT,
-WORST-FIT and RANDOM-FIT over CPU slots.
+WORST-FIT and RANDOM-FIT over CPU slots.  All four slot-based
+strategies live in :mod:`repro.strategies.slotfit`: one candidate
+source, one placement loop for BF/WF/RAND, and FF's lazy walk.
 
 All strategies implement :class:`~repro.strategies.base
 .AllocationStrategy`: given one job's VMs and the live cluster view,
@@ -15,10 +17,12 @@ return a placement map or ``None`` (job must queue).
 """
 
 from repro.strategies.base import AllocationStrategy, ServerView, VMDescriptor
-from repro.strategies.firstfit import FirstFitStrategy
-from repro.strategies.bestfit import BestFitStrategy
-from repro.strategies.worstfit import WorstFitStrategy
-from repro.strategies.random_fit import RandomFitStrategy
+from repro.strategies.slotfit import (
+    BestFitStrategy,
+    FirstFitStrategy,
+    RandomFitStrategy,
+    WorstFitStrategy,
+)
 from repro.strategies.proactive import ProactiveStrategy
 from repro.strategies.registry import STRATEGY_BUILDERS, make_strategy, paper_strategies
 

@@ -12,11 +12,13 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import RngLike
 from repro.core.model import ModelDatabase
 from repro.strategies.base import AllocationStrategy
-from repro.strategies.bestfit import BestFitStrategy
-from repro.strategies.firstfit import FirstFitStrategy
 from repro.strategies.proactive import ProactiveStrategy
-from repro.strategies.random_fit import RandomFitStrategy
-from repro.strategies.worstfit import WorstFitStrategy
+from repro.strategies.slotfit import (
+    BestFitStrategy,
+    FirstFitStrategy,
+    RandomFitStrategy,
+    WorstFitStrategy,
+)
 
 #: Builders for the slot-based strategies (no database needed).
 STRATEGY_BUILDERS: Mapping[str, Callable[[], AllocationStrategy]] = {

@@ -34,7 +34,7 @@ class QoSPolicy:
             if workload_class not in self.max_response_s:
                 raise ConfigurationError(f"QoS policy missing class {workload_class!r}")
             value = self.max_response_s[workload_class]
-            if value <= 0:
+            if not value > 0:  # also rejects NaN
                 raise ConfigurationError(
                     f"max response for {workload_class} must be positive, got {value}"
                 )

@@ -66,7 +66,6 @@ class TestAnalysisEntryPoint:
             "determinism-rng",
             "determinism-taint",
             "api-dead-export",
-            "dead-internal-function",
             "layering-import",
             "layering-cycle",
             "api-all-resolves",

@@ -12,10 +12,9 @@ Two scopes run here:
 
 * the package tree alone (``src/repro``);
 * the whole repository including its consumers (tests, examples,
-  scripts, benchmarks), which activates the reference-dependent audits
-  (``api-dead-export``, ``dead-internal-function``).  The
-  module-impersonating golden fixtures are excluded -- they exist to
-  be bad.
+  scripts, benchmarks), which activates the reference-dependent audit
+  (``api-dead-export``).  The module-impersonating golden fixtures are
+  excluded -- they exist to be bad.
 """
 
 from __future__ import annotations

@@ -339,45 +339,6 @@ class TestDeadcodeRules:
         # nothing and the rule stays quiet.
         assert run_lint([facade], rules={"api-dead-export"}).ok
 
-    def test_dead_internal_function_flagged(self, tmp_path):
-        module = tmp_path / "deadmod.py"
-        module.write_text(
-            "# repro-fixture-module: repro.experiments.deadmod\n"
-            "def used():\n"
-            "    return 1\n"
-            "def orphan():\n"
-            "    return 2\n",
-            encoding="utf-8",
-        )
-        consumer = tmp_path / "consumer.py"
-        consumer.write_text(
-            "from repro.experiments.deadmod import used\n", encoding="utf-8"
-        )
-        result = run_lint([module, consumer], rules={"dead-internal-function"})
-        assert len(result.violations) == 1
-        assert "orphan" in result.violations[0].message
-
-    def test_decorated_and_string_referenced_functions_live(self, tmp_path):
-        module = tmp_path / "livemod.py"
-        module.write_text(
-            "# repro-fixture-module: repro.experiments.livemod\n"
-            "def hook(fn):\n"
-            "    return fn\n"
-            "@hook\n"
-            "def registered():\n"
-            "    return 1\n"
-            "def dispatched():\n"
-            "    return 2\n"
-            'TABLE = {"dispatched": None}\n',
-            encoding="utf-8",
-        )
-        consumer = tmp_path / "consumer.py"
-        consumer.write_text(
-            "from repro.experiments.livemod import hook\n", encoding="utf-8"
-        )
-        result = run_lint([module, consumer], rules={"dead-internal-function"})
-        assert result.ok, "\n".join(v.render() for v in result.violations)
-
 
 class TestEngineBehaviour:
     def test_unknown_rule_id_raises_immediately(self):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.campaign.combined_tests import (
-    build_mix_instances,
     combination_grid,
     expected_combination_count,
     run_combined_tests,
@@ -12,6 +11,7 @@ from repro.campaign.optimal import ClassOptima, OptimalScenarios
 from repro.common.errors import ConfigurationError
 from repro.testbed.benchmarks import WorkloadClass
 from repro.testbed.spec import default_server
+from tests.oracles.runner import build_mix_instances
 
 
 def optima(osc=2, osm=2, osi=2):
@@ -81,11 +81,6 @@ class TestRunCombinedTests:
         assert len(records) == expected_combination_count(1, 1, 1)
         keys = [r.key for r in records]
         assert keys == sorted(keys)
-
-    def test_progress_called_per_mix(self):
-        seen = []
-        run_combined_tests(default_server(), optima(1, 1, 1), progress=seen.append)
-        assert len(seen) == expected_combination_count(1, 1, 1)
 
     def test_oversized_corner_rejected(self):
         server = default_server()

@@ -9,9 +9,8 @@ from repro.obs.runtime import Observability, observed
 from repro.exec.sharded import run_sharded, shard_spill_paths
 from repro.faults import random_crash_spec
 from repro.sim.datacenter import DatacenterConfig
-from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.slotfit import FirstFitStrategy, RandomFitStrategy
 from repro.strategies.proactive import ProactiveStrategy
-from repro.strategies.random_fit import RandomFitStrategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy

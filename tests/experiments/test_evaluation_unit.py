@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.config import SMALLER
 from repro.experiments.evaluation import run_evaluation
-from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.slotfit import FirstFitStrategy
 
 
 class TestRunEvaluationPlumbing:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.campaign.combined_tests import build_mix_instances
 from repro.campaign.records import BenchmarkRecord, MixKey
 from repro.common.errors import ConfigurationError
 from repro.core.model import ModelDatabase
@@ -21,6 +20,7 @@ from repro.sim.server import ServerRuntime
 from repro.sim.vm import SimVM
 from repro.testbed.contention import ContentionParams
 from repro.testbed.spec import ServerSpec, default_server
+from tests.oracles.runner import build_mix_instances
 
 
 @dataclass(frozen=True)

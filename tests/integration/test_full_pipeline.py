@@ -12,7 +12,7 @@ from repro.core.model import ModelDatabase
 from repro.profiling.profiler import ApplicationProfiler
 from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
 from repro.strategies.proactive import ProactiveStrategy
-from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.slotfit import FirstFitStrategy
 from repro.testbed.benchmarks import BENCHMARKS, canonical_benchmark
 from repro.workloads.assignment import assign_profiles_and_vms, truncate_to_vm_budget
 from repro.workloads.cleaning import clean_trace

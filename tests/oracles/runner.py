@@ -12,16 +12,19 @@ equal this one bit for bit (``tests/testbed/test_runner.py``).
 :func:`view_of` and :func:`view_record` are the view side of a kind:
 the view a VM presents in a stage, and the record the contention
 model reads of that view.  :func:`mix_power` prices one mix of views
-the same naive way.
+the same naive way.  :func:`build_mix_instances` gives the VM instances
+of one combined-test mix, as the campaign slices them from its pools.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from repro.campaign.combined_tests import _instance_pools
+from repro.campaign.records import MixKey
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.quantities import Seconds
-from repro.testbed.benchmarks import BenchmarkSpec
+from repro.testbed.benchmarks import BenchmarkSpec, WorkloadClass
 from repro.testbed.contention import ActiveVM, ContentionParams, KindRecord, MixModel
 from repro.testbed.meter import PowerMeter, PowerSegment, exact_energy, exact_max_power
 from repro.testbed.power import instantaneous_power
@@ -29,6 +32,16 @@ from repro.testbed.runner import MixRunResult, VMInstance, VMRunOutcome
 from repro.testbed.spec import SUBSYSTEMS, ServerSpec, Subsystem
 
 _EPSILON_S = 1e-9
+
+
+def build_mix_instances(
+    key: MixKey,
+    benchmarks: Mapping[WorkloadClass, BenchmarkSpec] | None = None,
+) -> list[VMInstance]:
+    """The VM instances of a (Ncpu, Nmem, Nio) mix: CPU, then MEM, then
+    IO, named by class and index as in the combined tests' pools."""
+    cpu, mem, io = _instance_pools(key, benchmarks)
+    return cpu + mem + io
 
 
 def view_of(benchmark: BenchmarkSpec, stage: int) -> ActiveVM:

@@ -5,7 +5,9 @@ event loop with none of its incremental structures:
 
 * every placement attempt gets a freshly built plain ``list`` of view
   snapshots (no :class:`~repro.sim.index.ServerViews`, hence no
-  free-capacity or class-bucket hooks for strategies to take);
+  free-capacity or class-bucket hooks for strategies to take: the slot
+  strategies' ``free_candidates`` scans the list, and PROACTIVE takes
+  its class heads in one pass over it);
 * the powered-on gauge and the idle-cluster check scan every server;
 * every physics query recomputes the mix from fresh per-VM views with
   ``MixModel.slowdowns`` + ``MixModel.subsystem_loads`` (no per-server

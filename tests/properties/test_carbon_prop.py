@@ -46,7 +46,7 @@ from repro.ext.carbon.shifting import shift_deferrable
 from repro.faults import FaultEvent, FaultKind, FaultSpec
 from repro.service import schema
 from repro.sim.datacenter import DatacenterConfig
-from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.slotfit import FirstFitStrategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy

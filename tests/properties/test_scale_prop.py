@@ -25,10 +25,13 @@ from repro.sim.index import ClusterIndex
 from repro.sim.server import ServerRuntime
 from repro.sim.shard import ShardPlan, partition_jobs, partition_schedule
 from repro.sim.vm import SimVM
-from repro.strategies.bestfit import BestFitStrategy
-from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.slotfit import (
+    BestFitStrategy,
+    FirstFitStrategy,
+    RandomFitStrategy,
+    WorstFitStrategy,
+)
 from repro.strategies.proactive import ProactiveStrategy
-from repro.strategies.worstfit import WorstFitStrategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.testbed.spec import default_server
 from repro.workloads.assignment import PreparedJob
@@ -40,6 +43,7 @@ STRATEGIES = {
     "FF": FirstFitStrategy,
     "BF": BestFitStrategy,
     "WF": WorstFitStrategy,
+    "RAND": RandomFitStrategy,
 }
 
 #: PROACTIVE goals: PA-0 (time), PA-0.5, PA-1 (energy).
@@ -93,12 +97,19 @@ class TestIndexedBitIdentity:
         st.integers(min_value=1, max_value=6),
         st.sampled_from(sorted(STRATEGIES)),
         st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**31 - 1),
     )
     @settings(max_examples=30, deadline=None)
-    def test_indexed_equals_naive(self, jobs, n_servers, name, multiplex):
-        strategy = STRATEGIES[name](multiplex)
-        naive = run(jobs, naive=True, n_servers=n_servers, strategy=strategy)
-        fast = run(jobs, naive=False, n_servers=n_servers, strategy=strategy)
+    def test_indexed_equals_naive(self, jobs, n_servers, name, multiplex, seed):
+        # Each side gets its own strategy; RAND's two are seeded alike,
+        # so both draw the same sequence.
+        kwargs = {"rng": seed} if name == "RAND" else {}
+        naive = run(
+            jobs, naive=True, n_servers=n_servers, strategy=STRATEGIES[name](multiplex, **kwargs)
+        )
+        fast = run(
+            jobs, naive=False, n_servers=n_servers, strategy=STRATEGIES[name](multiplex, **kwargs)
+        )
         assert fast == naive  # outcomes, metrics, energies: exact
 
     @given(

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
-from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.slotfit import FirstFitStrategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy

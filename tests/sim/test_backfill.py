@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
-from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.slotfit import FirstFitStrategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy

@@ -12,7 +12,7 @@ from repro.obs.runtime import Observability
 from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator
 from repro.sim.index import ClusterIndex, ServerViews, _BLOCK
 from repro.strategies.base import ServerView
-from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.slotfit import FirstFitStrategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.testbed.spec import default_server
 from repro.workloads.assignment import PreparedJob

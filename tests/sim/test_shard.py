@@ -13,7 +13,7 @@ from repro.sim.shard import (
     partition_schedule,
     shard_config,
 )
-from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.slotfit import FirstFitStrategy
 from repro.testbed.benchmarks import WorkloadClass
 from repro.workloads.assignment import PreparedJob
 from repro.workloads.qos import QoSPolicy

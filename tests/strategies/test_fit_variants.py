@@ -4,9 +4,11 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.strategies.base import ServerView, VMDescriptor
-from repro.strategies.bestfit import BestFitStrategy
-from repro.strategies.random_fit import RandomFitStrategy
-from repro.strategies.worstfit import WorstFitStrategy
+from repro.strategies.slotfit import (
+    BestFitStrategy,
+    RandomFitStrategy,
+    WorstFitStrategy,
+)
 from repro.testbed.benchmarks import WorkloadClass
 
 

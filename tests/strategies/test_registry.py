@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.strategies.registry import STRATEGY_BUILDERS, make_strategy, paper_strategies
-from repro.strategies.firstfit import FirstFitStrategy
+from repro.strategies.slotfit import FirstFitStrategy
 from repro.strategies.proactive import ProactiveStrategy
 
 

@@ -29,6 +29,11 @@ class TestQoSPolicy:
         with pytest.raises(ConfigurationError):
             QoSPolicy(max_response_s=bad)
 
+    def test_nan_max_response_rejected(self):
+        # NaN would make every deadline NaN and every comparison False.
+        with pytest.raises(ConfigurationError, match="must be positive, got nan"):
+            QoSPolicy({c: float("nan") for c in WorkloadClass})
+
     def test_from_optima_scales_reference_times(self, campaign):
         policy = QoSPolicy.from_optima(campaign.optima, factor=4.0)
         assert policy.max_response(WorkloadClass.CPU) == pytest.approx(4 * 600.0)
