@@ -11,7 +11,10 @@ HTTP (loopback) and records:
 * **identity** -- the same 64-request sequence admitted in chunks of
   1, 8 and 64 must produce byte-identical batch documents, and those
   must equal an in-process :class:`repro.service.session.Session` fed
-  the same stream (the HTTP path adds transport, never semantics).
+  the same stream (the HTTP path adds transport, never semantics);
+* **startup** (``startup_s``, ungated) -- a fresh ``repro serve
+  --model DIR --port 0`` process, from spawn to its "listening" line:
+  the interpreter, the imports the command loads and the model read.
 
 Writes ``BENCH_service.json`` next to this file in the one BENCH format
 (``benchfile.py``).  Its gates: median latency at most 50 ms, median
@@ -26,8 +29,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
+import signal
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -41,12 +49,14 @@ import benchfile
 from benchfile import identity, metric
 
 OUTPUT = Path(__file__).resolve().parent / "BENCH_service.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 N_SERVERS = 8
 CLASSES = ("cpu", "mem", "io")
 THROUGHPUT_REPEATS = 3
 LATENCY_CEILING_S = 0.050
 THROUGHPUT_FLOOR = 200.0
+STARTUP_SAMPLES = 7
 
 
 def request_doc(i: int) -> dict:
@@ -157,6 +167,33 @@ def bench_identity(svc: BackgroundService, database: ModelDatabase, total: int) 
     }
 
 
+def bench_startup(database: ModelDatabase, samples: int) -> list:
+    """Seconds from spawning ``repro serve`` to its "listening" line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    times = []
+    with tempfile.TemporaryDirectory() as model_dir:
+        database.save(
+            os.path.join(model_dir, "model_database.csv"),
+            os.path.join(model_dir, "auxiliary.csv"),
+        )
+        argv = [sys.executable, "-m", "repro", "serve", "--model", model_dir, "--port", "0"]
+        for _ in range(samples):
+            t0 = time.perf_counter()
+            process = subprocess.Popen(argv, stderr=subprocess.PIPE, text=True, env=env)
+            try:
+                for line in process.stderr:
+                    if re.search(r"listening on http://", line):
+                        times.append(time.perf_counter() - t0)
+                        break
+                else:
+                    raise RuntimeError(f"repro serve exited with {process.wait()}")
+            finally:
+                process.send_signal(signal.SIGINT)
+                process.communicate(timeout=60)
+    return times
+
+
 def run(quick: bool = False) -> dict:
     print("building campaign database...")
     database = ModelDatabase.from_campaign(run_campaign())
@@ -182,6 +219,9 @@ def run(quick: bool = False) -> dict:
             f"  chunks identical: {verdicts['chunks_identical']}, "
             f"library identical: {verdicts['library_identical']}"
         )
+    print("measuring startup (spawn to listening)...")
+    startup = bench_startup(database, samples=STARTUP_SAMPLES)
+    print(f"  median {statistics.median(startup) * 1e3:.0f}ms")
     metrics = [
         metric("latency", "s", "lower", latency, gate={"max": LATENCY_CEILING_S}),
         metric("throughput", "req/s", "higher",
@@ -191,6 +231,7 @@ def run(quick: bool = False) -> dict:
         identity("throughput/all_planned", [t["all_planned"] for t in throughputs]),
         identity("identity/chunks_identical", [verdicts["chunks_identical"]]),
         identity("identity/library_identical", [verdicts["library_identical"]]),
+        metric("startup_s", "s", "lower", startup),
     ]
     config = {
         "quick": quick,
@@ -199,6 +240,7 @@ def run(quick: bool = False) -> dict:
                        "repeats": THROUGHPUT_REPEATS},
         "identity": {"requests": verdicts["requests"],
                      "chunkings": verdicts["chunkings"]},
+        "startup_samples": STARTUP_SAMPLES,
     }
     return benchfile.write(OUTPUT, "bench_service", config, metrics, quick=quick)
 

@@ -39,8 +39,14 @@ Subpackages
 there is internal (see DESIGN.md, "Public API and stability").
 """
 
-from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
-from repro.core.model import ModelDatabase
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.common.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.model import ModelDatabase
 
 __version__ = "3.0.0"
 
@@ -53,6 +59,14 @@ __all__ = [
     "build_model",
 ]
 
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.allocator": ("ProactiveAllocator", "ServerState", "VMRequest"),
+        "repro.core.model": ("ModelDatabase",),
+    },
+)
+
 
 def build_model(**campaign_kwargs) -> ModelDatabase:
     """Run the benchmarking campaign and return the model database.
@@ -62,5 +76,6 @@ def build_model(**campaign_kwargs) -> ModelDatabase:
     through to the campaign.
     """
     from repro.campaign.platformrunner import run_campaign
+    from repro.core.model import ModelDatabase
 
     return ModelDatabase.from_campaign(run_campaign(**campaign_kwargs))

@@ -1,7 +1,8 @@
 """Shared AST helpers for the rule catalog.
 
 Everything here is pure functions over :mod:`ast` nodes: import
-extraction (with ``TYPE_CHECKING`` / deferred tagging), stdlib-alias
+extraction (with ``TYPE_CHECKING`` / deferred tagging, lazy-export
+tables included), stdlib-alias
 maps for call-site resolution, and the dotted-module arithmetic used by
 the layering rules.
 """
@@ -86,6 +87,37 @@ def iter_imports(tree: ast.Module, importer: str = "") -> Iterator[ImportedModul
                 yield from walk(statement.finalbody, type_checking, deferred)
 
     yield from walk(tree.body, False, False)
+    for statement in lazy_imports(tree):
+        names = tuple(alias.name for alias in statement.names)
+        yield ImportedModule(statement.module, names, statement, False, True)
+
+
+def lazy_imports(tree: ast.Module) -> Iterator[ast.ImportFrom]:
+    """The module's ``lazy_exports`` table, as the ``from`` imports it stands for.
+
+    ``__getattr__, __dir__ = lazy_exports(__name__, {"pkg.mod": ("a",)})``
+    (:mod:`repro.common.lazy`) binds ``a`` like ``from pkg.mod import
+    a``, deferred to the first read of ``a``: the rules see that import.
+    """
+    for statement in tree.body:
+        call = statement.value if isinstance(statement, ast.Assign) else None
+        if not (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == "lazy_exports"
+            and len(call.args) == 2
+            and isinstance(call.args[1], ast.Dict)
+        ):
+            continue
+        for key, value in zip(call.args[1].keys, call.args[1].values):
+            if not (isinstance(key, ast.Constant) and isinstance(value, (ast.Tuple, ast.List))):
+                continue
+            names = [
+                ast.alias(name=element.value)
+                for element in value.elts
+                if isinstance(element, ast.Constant) and isinstance(element.value, str)
+            ]
+            yield ast.copy_location(ast.ImportFrom(module=key.value, names=names, level=0), key)
 
 
 @dataclass(frozen=True)

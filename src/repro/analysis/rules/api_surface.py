@@ -19,7 +19,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.astutils import iter_imports
+from repro.analysis.astutils import iter_imports, lazy_imports
 from repro.analysis.registry import rule
 
 #: Modules allowed to import repro.api: the executables wrapping it.
@@ -106,6 +106,7 @@ def check_all_resolves(ctx) -> Iterator:
     if _has_star_import(ctx.tree):
         return  # bindings are not statically knowable
     bound = _module_level_bindings(ctx.tree)
+    bound.update(alias.name for lazy in lazy_imports(ctx.tree) for alias in lazy.names)
     bound.update({"__version__", "__doc__", "__name__", "__all__"})
     for name, node in exports:
         if name not in bound:

@@ -20,25 +20,7 @@ the paper's automation platform ("a platform that we developed to
 automatically run the benchmarks and process the data").
 """
 
-from repro.campaign.records import BenchmarkRecord, MixKey, total_vms
-from repro.campaign.base_tests import BaseTestPoint, run_base_tests
-from repro.campaign.optimal import (
-    ClassOptima,
-    OptimalScenarios,
-    extract_optima,
-)
-from repro.campaign.combined_tests import (
-    combination_grid,
-    expected_combination_count,
-    run_combined_tests,
-)
-from repro.campaign.csvdb import (
-    read_auxiliary_file,
-    read_records_csv,
-    write_auxiliary_file,
-    write_records_csv,
-)
-from repro.campaign.platformrunner import CampaignResult, run_campaign
+from repro.common.lazy import lazy_exports
 
 __all__ = [
     "BenchmarkRecord",
@@ -59,3 +41,24 @@ __all__ = [
     "CampaignResult",
     "run_campaign",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.campaign.records": ("BenchmarkRecord", "MixKey", "total_vms"),
+        "repro.campaign.base_tests": ("BaseTestPoint", "run_base_tests"),
+        "repro.campaign.optimal": ("ClassOptima", "OptimalScenarios", "extract_optima"),
+        "repro.campaign.combined_tests": (
+            "combination_grid",
+            "expected_combination_count",
+            "run_combined_tests",
+        ),
+        "repro.campaign.csvdb": (
+            "read_auxiliary_file",
+            "read_records_csv",
+            "write_auxiliary_file",
+            "write_records_csv",
+        ),
+        "repro.campaign.platformrunner": ("CampaignResult", "run_campaign"),
+    },
+)

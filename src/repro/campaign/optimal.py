@@ -15,11 +15,13 @@ and the combined-test grid bound ``OSx = max(OSPx, OSEx)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.campaign.base_tests import BaseTestPoint
 from repro.common.errors import ConfigurationError
 from repro.testbed.benchmarks import WORKLOAD_CLASSES, WorkloadClass
+
+if TYPE_CHECKING:
+    from repro.campaign.base_tests import BaseTestPoint
 
 
 @dataclass(frozen=True)

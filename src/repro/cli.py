@@ -35,15 +35,15 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-from repro.campaign.platformrunner import run_campaign
 from repro.common.errors import (
     AllocationError,
     ConfigurationError,
     FaultSpecError,
+    ReproError,
     TraceFormatError,
     UnplaceableJobError,
 )
-from repro.common.rng import SeedSequenceFactory
+from repro.common.lazy import lazy_exports, load
 from repro.common.validation import (
     parse_alpha,
     parse_alpha_carbon,
@@ -55,41 +55,53 @@ from repro.common.validation import (
     parse_time_budget,
     typed_flag,
 )
-from repro.core.allocator import ProactiveAllocator, ServerState, VMRequest
-from repro.core.model import ModelDatabase
-from repro.exec.sharded import run_sharded
 from repro.experiments.config import LARGER, SMALLER, EvaluationConfig
-from repro.experiments.evaluation import prepare_workload, run_evaluation
-from repro.experiments.fig2_basecurve import fig2_basecurve
-from repro.experiments.report import headline_claims
-from repro.ext.carbon.options import CarbonOptions
-from repro.ext.carbon.signal import (
-    TemporalSignals,
-    parse_carbon_signal,
-    parse_price_signal,
-)
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runtime import Observability, get_observability, set_observability
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim.datacenter import DatacenterConfig
-from repro.strategies.registry import make_strategy, proactive_alpha
 from repro.testbed.benchmarks import BENCHMARKS, WorkloadClass, get_benchmark
-from repro.workloads.assignment import (
-    assign_profiles_and_vms,
-    total_vms_requested,
-    truncate_to_vm_budget,
-)
-from repro.workloads.cleaning import clean_trace
-from repro.workloads.qos import QoSPolicy
-from repro.workloads.swf import read_swf
 
 if TYPE_CHECKING:
+    from repro.core.model import ModelDatabase
+    from repro.ext.carbon.options import CarbonOptions
     from repro.faults import FaultSpec
 
-# Layers only one command runs are imported inside its handler, so a
-# command's set-up loads what it runs (DESIGN.md "Set-up").  What the
-# commands run stays imported here: measurement hooks patch those names
-# on this module (``run_sharded`` marks perfbench's measured phase).
+# The layers the commands run are module attributes resolved on first
+# read, so a command's set-up loads what it runs and ``repro --help``
+# loads none of them (DESIGN.md "Set-up").  Each function binds the
+# names it reads with ``load`` before it reads them; a name already
+# bound stays, so measurement hooks can patch these names on this
+# module (perfbench's launcher replaces ``run_sharded`` to mark its
+# measured phase).
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.campaign.platformrunner": ("run_campaign",),
+        "repro.common.rng": ("SeedSequenceFactory",),
+        "repro.core.allocator": ("ProactiveAllocator", "ServerState", "VMRequest"),
+        "repro.core.model": ("ModelDatabase",),
+        "repro.exec.sharded": ("run_sharded",),
+        "repro.experiments.evaluation": ("prepare_workload", "run_evaluation"),
+        "repro.experiments.fig2_basecurve": ("fig2_basecurve",),
+        "repro.experiments.report": ("headline_claims",),
+        "repro.ext.carbon.options": ("CarbonOptions",),
+        "repro.ext.carbon.signal": (
+            "TemporalSignals",
+            "parse_carbon_signal",
+            "parse_price_signal",
+        ),
+        "repro.sim.datacenter": ("DatacenterConfig",),
+        "repro.strategies.registry": ("make_strategy", "proactive_alpha"),
+        "repro.workloads.assignment": (
+            "assign_profiles_and_vms",
+            "total_vms_requested",
+            "truncate_to_vm_budget",
+        ),
+        "repro.workloads.cleaning": ("clean_trace",),
+        "repro.workloads.qos": ("QoSPolicy",),
+        "repro.workloads.swf": ("read_swf",),
+    },
+)
 
 
 def _parse_faults(text: str) -> FaultSpec:
@@ -105,10 +117,20 @@ def _parse_faults(text: str) -> FaultSpec:
     return FaultSpec.from_path(text)
 
 
+def _parse_carbon_signal(text: str):
+    load(__name__, "parse_carbon_signal")
+    return parse_carbon_signal(text)
+
+
+def _parse_price_signal(text: str):
+    load(__name__, "parse_price_signal")
+    return parse_price_signal(text)
+
+
 _alpha_arg = typed_flag(parse_alpha)
 _alpha_carbon_arg = typed_flag(parse_alpha_carbon)
-_carbon_signal_arg = typed_flag(parse_carbon_signal)
-_price_signal_arg = typed_flag(parse_price_signal)
+_carbon_signal_arg = typed_flag(_parse_carbon_signal)
+_price_signal_arg = typed_flag(_parse_price_signal)
 _jobs_arg = typed_flag(parse_jobs)
 _meter_accuracy_arg = typed_flag(parse_meter_accuracy)
 _format_arg = typed_flag(parse_format)
@@ -242,6 +264,7 @@ def _carbon_options(args: argparse.Namespace, command: str) -> CarbonOptions | N
             "--alpha-carbon cannot be combined with --time-budget: "
             "carbon-aware scoring keeps the exact enumerator",
         )
+    load(__name__, "CarbonOptions", "TemporalSignals")
     return CarbonOptions(
         signals=TemporalSignals(carbon=carbon_signal, price=price_signal),
         alpha_carbon=alpha_carbon,
@@ -471,6 +494,7 @@ def _batch_error(message: str) -> "SystemExit":
 
 
 def _parse_batch(spec: str) -> list[VMRequest]:
+    load(__name__, "VMRequest")
     requests: list[VMRequest] = []
     for part in spec.split(","):
         part = part.strip().lower()
@@ -514,6 +538,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    load(__name__, "run_campaign")
     progress = None if args.quiet else print
     campaign = run_campaign(meter_accuracy=args.meter_accuracy, progress=progress)
     db_path, aux_path = campaign.save(args.output)
@@ -532,14 +557,25 @@ def _print_json(document: dict) -> None:
     print(encode_document(document))
 
 
-def _cmd_allocate(args: argparse.Namespace) -> int:
+def _load_model(command: str, model_dir: str) -> ModelDatabase:
+    """The model saved in ``model_dir`` by ``repro campaign``; exit 2 if unreadable."""
     import os
 
+    load(__name__, "ModelDatabase")
+    try:
+        return ModelDatabase.from_files(
+            os.path.join(model_dir, "model_database.csv"),
+            os.path.join(model_dir, "auxiliary.csv"),
+        )
+    except (OSError, ReproError) as error:
+        raise _usage_error(command, f"--model {model_dir}: {error}") from None
+
+
+def _cmd_allocate(args: argparse.Namespace) -> int:
+    load(__name__, "ProactiveAllocator", "ServerState")
     requests = _parse_batch(args.vms)
     carbon = _carbon_options(args, "allocate")
-    db_path = os.path.join(args.model, "model_database.csv")
-    aux_path = os.path.join(args.model, "auxiliary.csv")
-    database = ModelDatabase.from_files(db_path, aux_path)
+    database = _load_model("allocate", args.model)
     servers = [ServerState(f"s{i}") for i in range(args.servers)]
     allocator = ProactiveAllocator(
         database,
@@ -588,6 +624,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    load(__name__, "run_evaluation", "headline_claims")
     json_output = args.format == "json"
     if args.quiet:
         progress = None
@@ -689,6 +726,23 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    load(
+        __name__,
+        "SeedSequenceFactory",
+        "proactive_alpha",
+        "read_swf",
+        "clean_trace",
+        "assign_profiles_and_vms",
+        "truncate_to_vm_budget",
+        "total_vms_requested",
+        "prepare_workload",
+        "QoSPolicy",
+        "run_campaign",
+        "ModelDatabase",
+        "make_strategy",
+        "DatacenterConfig",
+        "run_sharded",
+    )
     json_output = args.format == "json"
     say = (
         (lambda message: print(message, file=sys.stderr)) if json_output else print
@@ -865,6 +919,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_fig2(args: argparse.Namespace) -> int:
     from repro.experiments.ascii import line_curve
 
+    load(__name__, "fig2_basecurve")
     result = fig2_basecurve()
     print(
         line_curve(
@@ -889,7 +944,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         model_dir=args.model,
         max_sessions=args.max_sessions,
     )
-    if args.model is None:
+    database = None
+    if args.model is not None:
+        database = _load_model("serve", args.model)
+    else:
         print(
             "repro serve: no --model given; running the benchmarking "
             "campaign once at startup (~seconds)",
@@ -897,6 +955,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     serve(
         config,
+        database=database,
         ready=lambda service: print(
             f"repro serve: listening on http://{config.host}:{service.port} "
             f"(schema v{schema.SCHEMA_VERSION}); try GET /v1/healthz",
@@ -907,14 +966,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    # Fig. 1 runs the profiler, which fig1_profiles imports on first use:
-    # load it with the command, before the reproduction starts.
+    # Every layer the reproduction runs loads with the command, before
+    # the reproduction starts.  Fig. 1 runs the profiler, which
+    # fig1_profiles imports on first use.
+    import repro.experiments.paper_summary as paper_summary
     import repro.profiling.profiler  # noqa: F401
-    from repro.experiments.paper_summary import reproduce_paper
 
+    load(paper_summary.__name__)
     progress = None if args.quiet else print
     try:
-        reproduction = reproduce_paper(
+        reproduction = paper_summary.reproduce_paper(
             vm_budget=args.vm_budget, progress=progress, jobs=args.jobs
         )
     except UnplaceableJobError as error:

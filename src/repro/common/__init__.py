@@ -12,23 +12,7 @@ it provides
   public entry points.
 """
 
-from repro.common.errors import (
-    ReproError,
-    ConfigurationError,
-    ModelLookupError,
-    AllocationError,
-    InfeasibleAllocationError,
-    QoSViolationError,
-    TraceFormatError,
-    SimulationError,
-)
-from repro.common.rng import SeedSequenceFactory, derive_rng
-from repro.common.quantities import (
-    Seconds,
-    Joules,
-    Watts,
-    energy_delay_product,
-)
+from repro.common.lazy import lazy_exports
 
 __all__ = [
     "ReproError",
@@ -46,3 +30,26 @@ __all__ = [
     "Watts",
     "energy_delay_product",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.common.errors": (
+            "ReproError",
+            "ConfigurationError",
+            "ModelLookupError",
+            "AllocationError",
+            "InfeasibleAllocationError",
+            "QoSViolationError",
+            "TraceFormatError",
+            "SimulationError",
+        ),
+        "repro.common.rng": ("SeedSequenceFactory", "derive_rng"),
+        "repro.common.quantities": (
+            "Seconds",
+            "Joules",
+            "Watts",
+            "energy_delay_product",
+        ),
+    },
+)

@@ -15,11 +15,9 @@ from typing import Union
 
 import numpy as np
 
-RngLike = Union[int, np.random.Generator, None]
+from repro.common.seeds import DEFAULT_SEED
 
-#: Default root seed used across examples/benchmarks when the caller
-#: does not specify one.  Any fixed value works; this one is arbitrary.
-DEFAULT_SEED = 20110516  # IPDPS 2011 conference date
+RngLike = Union[int, np.random.Generator, None]
 
 
 def derive_rng(rng: RngLike, *, default_seed: int = DEFAULT_SEED) -> np.random.Generator:

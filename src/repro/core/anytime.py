@@ -37,7 +37,7 @@ from typing import Callable, Iterable
 
 from repro.campaign.records import MixKey
 from repro.common.errors import ConfigurationError
-from repro.common.rng import DEFAULT_SEED, SeedSequenceFactory
+from repro.common.seeds import DEFAULT_SEED
 from repro.core.partitions import candidate_blocks
 
 Partition = tuple[MixKey, ...]
@@ -430,6 +430,9 @@ def run_anytime_search(
         result.best_partition = ()
         result.best_score = 0.0
         return result
+    # numpy (behind the seed streams) loads with the first search.
+    from repro.common.rng import SeedSequenceFactory
+
     deadline = Deadline(config.time_budget_s)
     factory = SeedSequenceFactory(config.seed)
 

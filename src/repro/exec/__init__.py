@@ -7,16 +7,7 @@ DESIGN.md, "Parallel execution", for the determinism contract and
 :mod:`repro.exec.engine` for the scheduler internals.
 """
 
-from repro.exec.engine import (
-    CHUNKS_PER_WORKER,
-    MAX_TASK_ATTEMPTS,
-    chunk_spans,
-    mapper,
-    pmap,
-    retry_backoff_s,
-    task_seeds,
-)
-from repro.exec.merge import RESCUES_TOTAL, TaskCapture, merge_capture
+from repro.common.lazy import lazy_exports
 
 __all__ = [
     "pmap",
@@ -30,3 +21,19 @@ __all__ = [
     "TaskCapture",
     "merge_capture",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.exec.engine": (
+            "CHUNKS_PER_WORKER",
+            "MAX_TASK_ATTEMPTS",
+            "chunk_spans",
+            "mapper",
+            "pmap",
+            "retry_backoff_s",
+            "task_seeds",
+        ),
+        "repro.exec.merge": ("RESCUES_TOTAL", "TaskCapture", "merge_capture"),
+    },
+)

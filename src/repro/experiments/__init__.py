@@ -14,17 +14,7 @@ paper-vs-measured values.
 * :mod:`~repro.experiments.report`          -- headline-claim extraction
 """
 
-from repro.experiments.config import EvaluationConfig, SMALLER, LARGER
-from repro.experiments.fig1_profiles import fig1_profiles
-from repro.experiments.fig2_basecurve import fig2_basecurve
-from repro.experiments.fig4_accounting import fig4_worked_example
-from repro.experiments.evaluation import (
-    EvaluationResult,
-    StrategyOutcome,
-    run_evaluation,
-    prepare_workload,
-)
-from repro.experiments.report import headline_claims, format_series_table
+from repro.common.lazy import lazy_exports
 
 __all__ = [
     "EvaluationConfig",
@@ -40,3 +30,20 @@ __all__ = [
     "headline_claims",
     "format_series_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.config": ("EvaluationConfig", "SMALLER", "LARGER"),
+        "repro.experiments.fig1_profiles": ("fig1_profiles",),
+        "repro.experiments.fig2_basecurve": ("fig2_basecurve",),
+        "repro.experiments.fig4_accounting": ("fig4_worked_example",),
+        "repro.experiments.evaluation": (
+            "EvaluationResult",
+            "StrategyOutcome",
+            "run_evaluation",
+            "prepare_workload",
+        ),
+        "repro.experiments.report": ("headline_claims", "format_series_table"),
+    },
+)

@@ -10,16 +10,31 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.campaign.platformrunner import run_campaign
-from repro.exec import mapper as exec_mapper
+from repro.common.lazy import lazy_exports, load
 from repro.experiments.config import LARGER, SMALLER
-from repro.experiments.evaluation import EvaluationResult, run_evaluation
-from repro.experiments.fig1_profiles import Fig1Result, fig1_profiles
-from repro.experiments.fig2_basecurve import Fig2Result, fig2_basecurve
-from repro.experiments.fig4_accounting import Fig4Result, fig4_worked_example
-from repro.experiments.report import format_series_table, headline_claims
-from repro.testbed.spec import Subsystem
+
+if TYPE_CHECKING:
+    from repro.experiments.fig1_profiles import Fig1Result
+    from repro.experiments.fig2_basecurve import Fig2Result
+    from repro.experiments.fig4_accounting import Fig4Result
+    from repro.experiments.outcomes import EvaluationResult
+
+# The layers the reproduction runs load with it, not with this module:
+# perfbench's launcher imports this module for every command it runs.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.campaign.platformrunner": ("run_campaign",),
+        "repro.exec.engine": ("mapper",),
+        "repro.experiments.evaluation": ("run_evaluation",),
+        "repro.experiments.fig1_profiles": ("fig1_profiles",),
+        "repro.experiments.fig2_basecurve": ("fig2_basecurve",),
+        "repro.experiments.fig4_accounting": ("fig4_worked_example",),
+        "repro.experiments.report": ("format_series_table", "headline_claims"),
+    },
+)
 
 
 @dataclass(frozen=True)
@@ -51,12 +66,14 @@ def reproduce_paper(
     bit-identical to serial (DESIGN.md, "Parallel execution").
     """
 
+    load(__name__)  # a no-op when ``repro reproduce`` loaded them first
+
     def say(message: str) -> None:
         if progress is not None:
             progress(message)
 
     say("campaign + Tables I/II")
-    campaign = run_campaign(mapper=exec_mapper(jobs))
+    campaign = run_campaign(mapper=mapper(jobs))
     optima = campaign.optima
 
     say("Fig. 1 profiles")

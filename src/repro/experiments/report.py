@@ -1,6 +1,6 @@
 """Headline-claim extraction and display formatting.
 
-Turns an :class:`~repro.experiments.evaluation.EvaluationResult` into
+Turns an :class:`~repro.experiments.outcomes.EvaluationResult` into
 the quantities the paper states in prose, so EXPERIMENTS.md and the
 assertion tests can compare paper-vs-measured directly:
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.experiments.evaluation import EvaluationResult
+from repro.experiments.outcomes import EvaluationResult
 
 FF_FAMILY = ("FF", "FF-2", "FF-3")
 PA_FAMILY = ("PA-1", "PA-0", "PA-0.5")

@@ -6,20 +6,7 @@ extension, per-interval carbon/cost accounting in the simulator, and
 temporal shifting of deferrable jobs toward cheap/green windows.
 """
 
-from repro.ext.carbon.options import CarbonOptions
-from repro.ext.carbon.shifting import shift_deferrable
-from repro.ext.carbon.signal import (
-    DAY_S,
-    J_PER_KWH,
-    TemporalSignal,
-    TemporalSignals,
-    daily_carbon_signal,
-    double_peak_price_signal,
-    load_signal,
-    parse_carbon_signal,
-    parse_price_signal,
-    signal_from_document,
-)
+from repro.common.lazy import lazy_exports
 
 __all__ = [
     "DAY_S",
@@ -35,3 +22,23 @@ __all__ = [
     "shift_deferrable",
     "signal_from_document",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.ext.carbon.options": ("CarbonOptions",),
+        "repro.ext.carbon.shifting": ("shift_deferrable",),
+        "repro.ext.carbon.signal": (
+            "DAY_S",
+            "J_PER_KWH",
+            "TemporalSignal",
+            "TemporalSignals",
+            "daily_carbon_signal",
+            "double_peak_price_signal",
+            "load_signal",
+            "parse_carbon_signal",
+            "parse_price_signal",
+            "signal_from_document",
+        ),
+    },
+)

@@ -23,24 +23,7 @@ input index -- so a faulted run is bit-identical between ``--jobs 1``
 and ``--jobs N`` (asserted in ``tests/faults/test_determinism.py``).
 """
 
-from repro.faults.schedule import (
-    FaultAction,
-    FaultSchedule,
-    ScheduledFault,
-    materialize,
-    random_crash_spec,
-)
-from repro.faults.spec import (
-    FAULTS_INJECTED,
-    FAULTS_REALLOCATIONS,
-    FAULTS_RETRIES,
-    FaultEvent,
-    FaultKind,
-    FaultRecord,
-    FaultSpec,
-    RandomFaults,
-    WorkerFaultPlan,
-)
+from repro.common.lazy import lazy_exports
 
 __all__ = [
     "FaultKind",
@@ -58,3 +41,27 @@ __all__ = [
     "FAULTS_REALLOCATIONS",
     "FAULTS_RETRIES",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.schedule": (
+            "FaultAction",
+            "FaultSchedule",
+            "ScheduledFault",
+            "materialize",
+            "random_crash_spec",
+        ),
+        "repro.faults.spec": (
+            "FAULTS_INJECTED",
+            "FAULTS_REALLOCATIONS",
+            "FAULTS_RETRIES",
+            "FaultEvent",
+            "FaultKind",
+            "FaultRecord",
+            "FaultSpec",
+            "RandomFaults",
+            "WorkerFaultPlan",
+        ),
+    },
+)

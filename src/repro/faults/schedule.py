@@ -14,7 +14,6 @@ import enum
 from dataclasses import dataclass
 
 from repro.common.errors import FaultSpecError
-from repro.common.rng import SeedSequenceFactory
 from repro.faults.spec import (
     FaultEvent,
     FaultKind,
@@ -76,6 +75,9 @@ def _random_crashes(spec: FaultSpec, n_servers: int) -> list[ScheduledFault]:
     random = spec.random
     if random is None or random.crash_rate_per_1000s == 0.0:
         return []
+    # numpy (behind the seed streams) loads only when a spec draws.
+    from repro.common.rng import SeedSequenceFactory
+
     factory = SeedSequenceFactory(spec.seed)
     entries: list[ScheduledFault] = []
     mean_gap_s = 1000.0 / random.crash_rate_per_1000s

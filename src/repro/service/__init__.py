@@ -22,20 +22,7 @@ call becomes a multi-tenant service here (ROADMAP,
 See DESIGN.md, "Service architecture".
 """
 
-from repro.service.schema import (
-    SCHEMA_VERSION,
-    decode_evaluation,
-    decode_fault_spec,
-    decode_plan,
-    decode_vm_request,
-    error_envelope,
-    evaluation_document,
-    fault_spec_document,
-    plan_document,
-    vm_request_document,
-)
-from repro.service.server import BackgroundService, Service, ServiceConfig, serve
-from repro.service.session import BatchRecord, Session, SessionConfig
+from repro.common.lazy import lazy_exports
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -56,3 +43,28 @@ __all__ = [
     "SessionConfig",
     "BatchRecord",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.schema": (
+            "SCHEMA_VERSION",
+            "decode_evaluation",
+            "decode_fault_spec",
+            "decode_plan",
+            "decode_vm_request",
+            "error_envelope",
+            "evaluation_document",
+            "fault_spec_document",
+            "plan_document",
+            "vm_request_document",
+        ),
+        "repro.service.server": (
+            "BackgroundService",
+            "Service",
+            "ServiceConfig",
+            "serve",
+        ),
+        "repro.service.session": ("BatchRecord", "Session", "SessionConfig"),
+    },
+)

@@ -36,7 +36,7 @@ from repro.common.errors import SchemaError
 from repro.core.allocator import VMRequest
 from repro.core.model import EstimatedOutcome
 from repro.core.plan import AllocationPlan, AllocationProvenance, BlockAssignment
-from repro.experiments.evaluation import EvaluationResult, StrategyOutcome
+from repro.experiments.outcomes import EvaluationResult, StrategyOutcome
 from repro.faults.spec import FaultRecord, FaultSpec
 from repro.testbed.benchmarks import WorkloadClass
 

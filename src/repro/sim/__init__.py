@@ -21,16 +21,7 @@ This package provides:
   workload trace to an allocation strategy.
 """
 
-from repro.sim.engine import EventQueue
-from repro.sim.accounting import (
-    IntervalWeights,
-    weighted_execution_time,
-    weighted_energy,
-)
-from repro.sim.vm import SimVM, VMState
-from repro.sim.server import ServerRuntime
-from repro.sim.metrics import JobOutcome, SimulationMetrics
-from repro.sim.datacenter import DatacenterConfig, DatacenterSimulator, SimulationResult
+from repro.common.lazy import lazy_exports
 
 __all__ = [
     "EventQueue",
@@ -46,3 +37,23 @@ __all__ = [
     "DatacenterSimulator",
     "SimulationResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.engine": ("EventQueue",),
+        "repro.sim.accounting": (
+            "IntervalWeights",
+            "weighted_execution_time",
+            "weighted_energy",
+        ),
+        "repro.sim.vm": ("SimVM", "VMState"),
+        "repro.sim.server": ("ServerRuntime",),
+        "repro.sim.metrics": ("JobOutcome", "SimulationMetrics"),
+        "repro.sim.datacenter": (
+            "DatacenterConfig",
+            "DatacenterSimulator",
+            "SimulationResult",
+        ),
+    },
+)

@@ -16,15 +16,7 @@ All strategies implement :class:`~repro.strategies.base
 return a placement map or ``None`` (job must queue).
 """
 
-from repro.strategies.base import AllocationStrategy, ServerView, VMDescriptor
-from repro.strategies.slotfit import (
-    BestFitStrategy,
-    FirstFitStrategy,
-    RandomFitStrategy,
-    WorstFitStrategy,
-)
-from repro.strategies.proactive import ProactiveStrategy
-from repro.strategies.registry import STRATEGY_BUILDERS, make_strategy, paper_strategies
+from repro.common.lazy import lazy_exports
 
 __all__ = [
     "AllocationStrategy",
@@ -39,3 +31,22 @@ __all__ = [
     "make_strategy",
     "paper_strategies",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.strategies.base": ("AllocationStrategy", "ServerView", "VMDescriptor"),
+        "repro.strategies.slotfit": (
+            "BestFitStrategy",
+            "FirstFitStrategy",
+            "RandomFitStrategy",
+            "WorstFitStrategy",
+        ),
+        "repro.strategies.proactive": ("ProactiveStrategy",),
+        "repro.strategies.registry": (
+            "STRATEGY_BUILDERS",
+            "make_strategy",
+            "paper_strategies",
+        ),
+    },
+)

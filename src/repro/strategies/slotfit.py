@@ -24,6 +24,8 @@ source lazily, since it only ever takes the first candidate.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
@@ -65,10 +67,20 @@ class SlotFitStrategy(AllocationStrategy):
     label: str
 
     def __init__(self, multiplex: int = 1):
-        if multiplex < 1:
-            raise ConfigurationError(f"multiplex must be >= 1, got {multiplex}")
+        # bool is an int subclass, and int() truncates 2.5 or fails on
+        # nan, so check the value before converting it.
+        if (
+            isinstance(multiplex, bool)
+            or not isinstance(multiplex, numbers.Real)
+            or not math.isfinite(multiplex)
+            or multiplex != int(multiplex)
+            or multiplex < 1
+        ):
+            raise ConfigurationError(
+                f"multiplex must be a whole number >= 1, got {multiplex!r}"
+            )
         self.multiplex = int(multiplex)
-        self.name = self.label if multiplex == 1 else f"{self.label}-{multiplex}"
+        self.name = self.label if self.multiplex == 1 else f"{self.label}-{self.multiplex}"
 
     def place(
         self,

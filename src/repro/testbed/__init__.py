@@ -17,23 +17,7 @@ Layering::
     runner.py      runs a VM mix on one emulated server (mini event loop)
 """
 
-from repro.testbed.spec import (
-    Subsystem,
-    PowerSpec,
-    ServerSpec,
-    default_server,
-)
-from repro.testbed.benchmarks import (
-    WorkloadClass,
-    BenchmarkSpec,
-    BENCHMARKS,
-    get_benchmark,
-    canonical_benchmark,
-)
-from repro.testbed.contention import ContentionParams, MixModel
-from repro.testbed.power import instantaneous_power
-from repro.testbed.meter import PowerMeter, MeterReading
-from repro.testbed.runner import VMInstance, MixRunResult, run_mix
+from repro.common.lazy import lazy_exports
 
 __all__ = [
     "Subsystem",
@@ -54,3 +38,26 @@ __all__ = [
     "MixRunResult",
     "run_mix",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.testbed.spec": (
+            "Subsystem",
+            "PowerSpec",
+            "ServerSpec",
+            "default_server",
+        ),
+        "repro.testbed.benchmarks": (
+            "WorkloadClass",
+            "BenchmarkSpec",
+            "BENCHMARKS",
+            "get_benchmark",
+            "canonical_benchmark",
+        ),
+        "repro.testbed.contention": ("ContentionParams", "MixModel"),
+        "repro.testbed.power": ("instantaneous_power",),
+        "repro.testbed.meter": ("PowerMeter", "MeterReading"),
+        "repro.testbed.runner": ("VMInstance", "MixRunResult", "run_mix"),
+    },
+)

@@ -22,24 +22,7 @@ multi-format shape, so that the *entire* pre-processing pipeline above
 is exercised, not bypassed.
 """
 
-from repro.workloads.swf import SWFRecord, JobStatus, read_swf, write_swf, merge_swf
-from repro.workloads.synthetic import (
-    EGEETraceConfig,
-    generate_raw_grid_logs,
-    generate_egee_like_trace,
-)
-from repro.workloads.rawlogs import (
-    parse_raw_log,
-    raw_log_to_swf,
-    RawLogDialect,
-)
-from repro.workloads.cleaning import CleanReport, clean_trace
-from repro.workloads.assignment import (
-    PreparedJob,
-    AssignmentConfig,
-    assign_profiles_and_vms,
-)
-from repro.workloads.qos import QoSPolicy
+from repro.common.lazy import lazy_exports
 
 __all__ = [
     "SWFRecord",
@@ -60,3 +43,29 @@ __all__ = [
     "assign_profiles_and_vms",
     "QoSPolicy",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.swf": (
+            "SWFRecord",
+            "JobStatus",
+            "read_swf",
+            "write_swf",
+            "merge_swf",
+        ),
+        "repro.workloads.synthetic": (
+            "EGEETraceConfig",
+            "generate_raw_grid_logs",
+            "generate_egee_like_trace",
+        ),
+        "repro.workloads.rawlogs": ("parse_raw_log", "raw_log_to_swf", "RawLogDialect"),
+        "repro.workloads.cleaning": ("CleanReport", "clean_trace"),
+        "repro.workloads.assignment": (
+            "PreparedJob",
+            "AssignmentConfig",
+            "assign_profiles_and_vms",
+        ),
+        "repro.workloads.qos": ("QoSPolicy",),
+    },
+)

@@ -400,3 +400,35 @@ class TestTypedErrors:
         assert captured.out == ""
         assert captured.err.startswith("repro allocate: error: no feasible partition")
         assert "across 1 servers" in captured.err
+
+
+class TestModelDirectoryErrors:
+    """A missing or malformed ``--model`` directory is a one-line error, exit 2."""
+
+    @pytest.fixture
+    def bad_header(self, campaign, tmp_path):
+        campaign.save(tmp_path)
+        database = tmp_path / "model_database.csv"
+        rows = database.read_text(encoding="utf-8").splitlines(keepends=True)
+        database.write_text("not,the,header\n" + "".join(rows[1:]), encoding="utf-8")
+        return tmp_path
+
+    def fails(self, command, model, capsys):
+        port = ["--port", "0"] if command == "serve" else []
+        with pytest.raises(SystemExit) as info:
+            main([command, "--model", str(model), *port])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command}: error: --model {model}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command", ["allocate", "serve"])
+    def test_missing_directory(self, command, tmp_path, capsys):
+        err = self.fails(command, tmp_path / "absent", capsys)
+        assert "No such file or directory" in err and "model_database.csv" in err
+
+    @pytest.mark.parametrize("command", ["allocate", "serve"])
+    def test_bad_header(self, command, bad_header, capsys):
+        err = self.fails(command, bad_header, capsys)
+        assert "unexpected header" in err

@@ -3,16 +3,19 @@
 Two checks, both static (DESIGN.md §3):
 
 * **Modules.**  Walk imports -- at module level and inside functions,
-  absolute and relative -- from the entry points (``repro.cli``,
-  ``repro.api`` and every ``__main__`` module).  A package
-  ``__init__``'s own imports are re-exports, not reach: a module is
+  absolute and relative, and the entries of a ``lazy_exports`` table
+  (:mod:`repro.common.lazy`), each an import deferred to first use --
+  from the entry points (``repro.cli``, ``repro.api`` and every
+  ``__main__`` module).  A package ``__init__``'s own imports are
+  re-exports, not reach: a module is
   reached through one only when a reached module imports the
   re-exported name from the package.  The exception is registration:
   an ``__init__`` importing a module for its ``@rule`` decorators
   (``repro.analysis.rules``) reaches it.
 * **Definitions.**  Every function, method and class defined in
-  ``src/repro`` must be named by code in ``src/repro`` (docstrings and
-  a package's re-exports do not count), ``perfbench/`` or
+  ``src/repro`` must be named by code in ``src/repro`` (docstrings,
+  a package's re-exports and the names of lazy-export tables do not
+  count), ``perfbench/`` or
   ``examples/``.  Names a test or bench uses do not count.  A
   definition named only from inside definitions that are themselves
   unnamed is unnamed too.  Exempt are dunder methods, ``@rule``
@@ -31,6 +34,8 @@ import importlib
 import pathlib
 import sys
 from dataclasses import dataclass
+
+from repro.analysis.astutils import lazy_imports
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
@@ -83,7 +88,8 @@ def _imports(module: str, path: pathlib.Path):
     Relative imports resolve against the module's package.
     """
     package = module if path.name == "__init__.py" else module.rpartition(".")[0]
-    for node in ast.walk(_parse(path)):
+    tree = _parse(path)
+    for node in [*ast.walk(tree), *lazy_imports(tree)]:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name, None
@@ -190,6 +196,17 @@ def _docstrings(tree: ast.Module) -> set[int]:
     return found
 
 
+def _is_lazy_table(node: ast.AST) -> bool:
+    """``... = lazy_exports(__name__, {...})``: imports, like ``from x import y``."""
+    call = getattr(node, "value", None)
+    return (
+        isinstance(node, ast.Assign)
+        and isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "lazy_exports"
+    )
+
+
 def _is_dunder_all(node: ast.AST) -> bool:
     targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
     return isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
@@ -212,7 +229,7 @@ def scan(module: str, path: pathlib.Path, definitions: dict, references: list) -
 
     def walk(node: ast.AST, scope: str | None, within: tuple[str, ...]) -> None:
         for child in ast.iter_child_nodes(node):
-            if _is_dunder_all(child):
+            if _is_dunder_all(child) or _is_lazy_table(child):
                 continue
             if isinstance(child, _DEFINITIONS):
                 inner, child_scope = within, None
@@ -330,6 +347,29 @@ class TestSourceReachable:
         init = tree / "repro" / "core" / "__init__.py"
         init.write_text(init.read_text("utf-8") + "from repro.core.orphan import f\n", "utf-8")
         assert set(unreached(tree)) - set(unreached(SRC)) == {"repro.core.orphan"}
+
+    def test_a_module_only_a_lazy_package_table_exports_is_reported(self, tmp_path):
+        tree = _copy_tree(tmp_path) / "src"
+        (tree / "repro" / "sim" / "orphan.py").write_text("def f():\n    pass\n", "utf-8")
+        init = tree / "repro" / "sim" / "__init__.py"
+        text = init.read_text("utf-8")
+        entry = '        "repro.sim.engine": ("EventQueue",),\n'
+        assert entry in text
+        init.write_text(text.replace(entry, entry + '        "repro.sim.orphan": ("f",),\n'))
+        assert set(unreached(tree)) - set(unreached(SRC)) == {"repro.sim.orphan"}
+
+    def test_a_lazy_table_in_a_command_module_reaches(self, tmp_path):
+        package = tmp_path / "repro"
+        package.mkdir()
+        (package / "__init__.py").write_text("", encoding="utf-8")
+        (package / "cli.py").write_text(
+            "__getattr__, __dir__ = lazy_exports(__name__, {'repro.used': ('f',)})\n",
+            encoding="utf-8",
+        )
+        (package / "api.py").write_text("", encoding="utf-8")
+        (package / "used.py").write_text("def f():\n    pass\n", encoding="utf-8")
+        (package / "stray.py").write_text("", encoding="utf-8")
+        assert unreached(tmp_path) == ["repro.stray"]
 
     def test_a_reexported_name_imported_from_the_package_reaches_its_module(self, tmp_path):
         package = tmp_path / "repro"

@@ -28,6 +28,19 @@ class TestNames:
         with pytest.raises(ConfigurationError):
             FirstFitStrategy(0)
 
+    @pytest.mark.parametrize(
+        "multiplex", [2.5, float("nan"), float("inf"), True, False, "2", None]
+    )
+    def test_non_integral_multiplex_is_rejected(self, multiplex):
+        # 2.5 used to be named FF-2.5 but place at multiplex 2, nan to
+        # raise a bare ValueError, and True to pass as 1.
+        with pytest.raises(ConfigurationError, match="whole number"):
+            FirstFitStrategy(multiplex)
+
+    def test_integral_float_multiplex_names_the_integer(self):
+        strategy = FirstFitStrategy(2.0)
+        assert (strategy.name, strategy.multiplex) == ("FF-2", 2)
+
 
 class TestPlacement:
     def test_fills_first_server_first(self):

@@ -71,3 +71,10 @@ class TestRandomFit:
 
     def test_name(self):
         assert RandomFitStrategy(3).name == "RAND-3"
+
+
+@pytest.mark.parametrize("strategy", [BestFitStrategy, WorstFitStrategy, RandomFitStrategy])
+@pytest.mark.parametrize("multiplex", [2.5, float("nan"), True])
+def test_non_integral_multiplex_is_rejected(strategy, multiplex):
+    with pytest.raises(ConfigurationError, match="whole number"):
+        strategy(multiplex)
