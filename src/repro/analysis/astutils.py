@@ -92,6 +92,24 @@ def iter_imports(tree: ast.Module, importer: str = "") -> Iterator[ImportedModul
         yield ImportedModule(statement.module, names, statement, False, True)
 
 
+def lazy_table(statement: ast.stmt) -> ast.Dict | None:
+    """The table of ``__getattr__, __dir__ = lazy_exports(__name__, {...})``.
+
+    ``None`` for any other statement.  The one place that recognises a
+    :mod:`repro.common.lazy` table; :func:`lazy_imports` reads it.
+    """
+    call = statement.value if isinstance(statement, ast.Assign) else None
+    if (
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "lazy_exports"
+        and len(call.args) == 2
+        and isinstance(call.args[1], ast.Dict)
+    ):
+        return call.args[1]
+    return None
+
+
 def lazy_imports(tree: ast.Module) -> Iterator[ast.ImportFrom]:
     """The module's ``lazy_exports`` table, as the ``from`` imports it stands for.
 
@@ -100,16 +118,10 @@ def lazy_imports(tree: ast.Module) -> Iterator[ast.ImportFrom]:
     a``, deferred to the first read of ``a``: the rules see that import.
     """
     for statement in tree.body:
-        call = statement.value if isinstance(statement, ast.Assign) else None
-        if not (
-            isinstance(call, ast.Call)
-            and isinstance(call.func, ast.Name)
-            and call.func.id == "lazy_exports"
-            and len(call.args) == 2
-            and isinstance(call.args[1], ast.Dict)
-        ):
+        table = lazy_table(statement)
+        if table is None:
             continue
-        for key, value in zip(call.args[1].keys, call.args[1].values):
+        for key, value in zip(table.keys, table.values):
             if not (isinstance(key, ast.Constant) and isinstance(value, (ast.Tuple, ast.List))):
                 continue
             names = [

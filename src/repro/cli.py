@@ -43,7 +43,7 @@ from repro.common.errors import (
     TraceFormatError,
     UnplaceableJobError,
 )
-from repro.common.lazy import lazy_exports, load
+from repro.common.lazy import lazy_exports
 from repro.common.validation import (
     parse_alpha,
     parse_alpha_carbon,
@@ -56,52 +56,29 @@ from repro.common.validation import (
     typed_flag,
 )
 from repro.experiments.config import LARGER, SMALLER, EvaluationConfig
+from repro.ext.carbon.signal import (
+    TemporalSignals,
+    parse_carbon_signal,
+    parse_price_signal,
+)
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runtime import Observability, get_observability, set_observability
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.testbed.benchmarks import BENCHMARKS, WorkloadClass, get_benchmark
 
 if TYPE_CHECKING:
+    from repro.core.allocator import VMRequest
     from repro.core.model import ModelDatabase
     from repro.ext.carbon.options import CarbonOptions
     from repro.faults import FaultSpec
 
-# The layers the commands run are module attributes resolved on first
-# read, so a command's set-up loads what it runs and ``repro --help``
-# loads none of them (DESIGN.md "Set-up").  Each function binds the
-# names it reads with ``load`` before it reads them; a name already
-# bound stays, so measurement hooks can patch these names on this
-# module (perfbench's launcher replaces ``run_sharded`` to mark its
-# measured phase).
-__getattr__, __dir__ = lazy_exports(
-    __name__,
-    {
-        "repro.campaign.platformrunner": ("run_campaign",),
-        "repro.common.rng": ("SeedSequenceFactory",),
-        "repro.core.allocator": ("ProactiveAllocator", "ServerState", "VMRequest"),
-        "repro.core.model": ("ModelDatabase",),
-        "repro.exec.sharded": ("run_sharded",),
-        "repro.experiments.evaluation": ("prepare_workload", "run_evaluation"),
-        "repro.experiments.fig2_basecurve": ("fig2_basecurve",),
-        "repro.experiments.report": ("headline_claims",),
-        "repro.ext.carbon.options": ("CarbonOptions",),
-        "repro.ext.carbon.signal": (
-            "TemporalSignals",
-            "parse_carbon_signal",
-            "parse_price_signal",
-        ),
-        "repro.sim.datacenter": ("DatacenterConfig",),
-        "repro.strategies.registry": ("make_strategy", "proactive_alpha"),
-        "repro.workloads.assignment": (
-            "assign_profiles_and_vms",
-            "total_vms_requested",
-            "truncate_to_vm_budget",
-        ),
-        "repro.workloads.cleaning": ("clean_trace",),
-        "repro.workloads.qos": ("QoSPolicy",),
-        "repro.workloads.swf": ("read_swf",),
-    },
-)
+# Layers only one command runs are imported inside its handler, so a
+# command's set-up loads what it runs and ``repro --help`` loads none
+# of them (DESIGN.md "Set-up").  ``run_sharded`` is the exception: it
+# stays a module attribute, resolved on first read, because
+# measurement hooks patch it here (perfbench's launcher replaces it to
+# mark its measured phase); ``_cmd_simulate`` reads it before the call.
+__getattr__, __dir__ = lazy_exports(__name__, {"repro.exec.sharded": ("run_sharded",)})
 
 
 def _parse_faults(text: str) -> FaultSpec:
@@ -117,20 +94,10 @@ def _parse_faults(text: str) -> FaultSpec:
     return FaultSpec.from_path(text)
 
 
-def _parse_carbon_signal(text: str):
-    load(__name__, "parse_carbon_signal")
-    return parse_carbon_signal(text)
-
-
-def _parse_price_signal(text: str):
-    load(__name__, "parse_price_signal")
-    return parse_price_signal(text)
-
-
 _alpha_arg = typed_flag(parse_alpha)
 _alpha_carbon_arg = typed_flag(parse_alpha_carbon)
-_carbon_signal_arg = typed_flag(_parse_carbon_signal)
-_price_signal_arg = typed_flag(_parse_price_signal)
+_carbon_signal_arg = typed_flag(parse_carbon_signal)
+_price_signal_arg = typed_flag(parse_price_signal)
 _jobs_arg = typed_flag(parse_jobs)
 _meter_accuracy_arg = typed_flag(parse_meter_accuracy)
 _format_arg = typed_flag(parse_format)
@@ -264,7 +231,8 @@ def _carbon_options(args: argparse.Namespace, command: str) -> CarbonOptions | N
             "--alpha-carbon cannot be combined with --time-budget: "
             "carbon-aware scoring keeps the exact enumerator",
         )
-    load(__name__, "CarbonOptions", "TemporalSignals")
+    from repro.ext.carbon.options import CarbonOptions
+
     return CarbonOptions(
         signals=TemporalSignals(carbon=carbon_signal, price=price_signal),
         alpha_carbon=alpha_carbon,
@@ -494,7 +462,8 @@ def _batch_error(message: str) -> "SystemExit":
 
 
 def _parse_batch(spec: str) -> list[VMRequest]:
-    load(__name__, "VMRequest")
+    from repro.core.allocator import VMRequest
+
     requests: list[VMRequest] = []
     for part in spec.split(","):
         part = part.strip().lower()
@@ -538,7 +507,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    load(__name__, "run_campaign")
+    from repro.campaign.platformrunner import run_campaign
+
     progress = None if args.quiet else print
     campaign = run_campaign(meter_accuracy=args.meter_accuracy, progress=progress)
     db_path, aux_path = campaign.save(args.output)
@@ -561,7 +531,8 @@ def _load_model(command: str, model_dir: str) -> ModelDatabase:
     """The model saved in ``model_dir`` by ``repro campaign``; exit 2 if unreadable."""
     import os
 
-    load(__name__, "ModelDatabase")
+    from repro.core.model import ModelDatabase
+
     try:
         return ModelDatabase.from_files(
             os.path.join(model_dir, "model_database.csv"),
@@ -572,7 +543,8 @@ def _load_model(command: str, model_dir: str) -> ModelDatabase:
 
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
-    load(__name__, "ProactiveAllocator", "ServerState")
+    from repro.core.allocator import ProactiveAllocator, ServerState
+
     requests = _parse_batch(args.vms)
     carbon = _carbon_options(args, "allocate")
     database = _load_model("allocate", args.model)
@@ -624,7 +596,9 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    load(__name__, "run_evaluation", "headline_claims")
+    from repro.experiments.evaluation import run_evaluation
+    from repro.experiments.report import headline_claims
+
     json_output = args.format == "json"
     if args.quiet:
         progress = None
@@ -726,23 +700,22 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    load(
-        __name__,
-        "SeedSequenceFactory",
-        "proactive_alpha",
-        "read_swf",
-        "clean_trace",
-        "assign_profiles_and_vms",
-        "truncate_to_vm_budget",
-        "total_vms_requested",
-        "prepare_workload",
-        "QoSPolicy",
-        "run_campaign",
-        "ModelDatabase",
-        "make_strategy",
-        "DatacenterConfig",
-        "run_sharded",
+    from repro.campaign.platformrunner import run_campaign
+    from repro.common.rng import SeedSequenceFactory
+    from repro.core.model import ModelDatabase
+    from repro.experiments.evaluation import prepare_workload
+    from repro.sim.datacenter import DatacenterConfig
+    from repro.strategies.registry import make_strategy, proactive_alpha
+    from repro.workloads.assignment import (
+        assign_profiles_and_vms,
+        total_vms_requested,
+        truncate_to_vm_budget,
     )
+    from repro.workloads.cleaning import clean_trace
+    from repro.workloads.qos import QoSPolicy
+    from repro.workloads.swf import read_swf
+
+    run_sharded = sys.modules[__name__].run_sharded  # patched, or loaded now
     json_output = args.format == "json"
     say = (
         (lambda message: print(message, file=sys.stderr)) if json_output else print
@@ -918,8 +891,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
     from repro.experiments.ascii import line_curve
+    from repro.experiments.fig2_basecurve import fig2_basecurve
 
-    load(__name__, "fig2_basecurve")
     result = fig2_basecurve()
     print(
         line_curve(
@@ -941,7 +914,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        model_dir=args.model,
         max_sessions=args.max_sessions,
     )
     database = None
@@ -966,16 +938,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    # Every layer the reproduction runs loads with the command, before
+    # The layers the reproduction imports load with the command, before
     # the reproduction starts.  Fig. 1 runs the profiler, which
     # fig1_profiles imports on first use.
-    import repro.experiments.paper_summary as paper_summary
+    import repro.experiments.evaluation  # noqa: F401
+    import repro.experiments.fig1_profiles  # noqa: F401
+    import repro.experiments.fig2_basecurve  # noqa: F401
+    import repro.experiments.fig4_accounting  # noqa: F401
+    import repro.experiments.report  # noqa: F401
     import repro.profiling.profiler  # noqa: F401
+    from repro.experiments.paper_summary import reproduce_paper
 
-    load(paper_summary.__name__)
     progress = None if args.quiet else print
     try:
-        reproduction = paper_summary.reproduce_paper(
+        reproduction = reproduce_paper(
             vm_budget=args.vm_budget, progress=progress, jobs=args.jobs
         )
     except UnplaceableJobError as error:

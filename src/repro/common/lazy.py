@@ -1,6 +1,6 @@
 """Module attributes resolved on first read (PEP 562).
 
-A package ``__init__`` (or a command module) declares the names it
+A module -- a package ``__init__``, mostly -- declares the names it
 offers from other modules as one table, defining module -> names, and
 binds the two hooks :func:`lazy_exports` returns::
 
@@ -18,8 +18,9 @@ attribute lookup and a ``setattr`` patch of the name sticks.  Importing
 the declaring module imports none of the table's modules: a command
 loads the layers it runs and no others (DESIGN.md "Set-up").
 
-Code inside the declaring module reads these names as globals, which
-PEP 562 does not cover; :func:`load` binds them before that code runs.
+Code inside the declaring module that reads such a name as a global
+bypasses the hook (PEP 562 covers attribute reads only): it reads the
+name through the module object instead.
 """
 
 from __future__ import annotations
@@ -76,16 +77,3 @@ def _shadowing_module(shadowed: set[str]) -> type[ModuleType]:
 
     return ShadowingModule
 
-
-def load(module: str, *names: str) -> None:
-    """Bind ``names`` (default: all of them) of ``module``'s lazy table now.
-
-    A name already bound -- read before, or patched by a caller -- keeps
-    its value.  Call it where a command starts, so the imports land in
-    its set-up and not inside the call that does the work.
-    """
-    namespace = sys.modules[module].__dict__
-    resolve = namespace["__getattr__"]
-    for name in names or namespace["__dir__"]():
-        if name not in namespace:
-            resolve(name)

@@ -12,7 +12,6 @@ import io
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.common.lazy import lazy_exports, load
 from repro.experiments.config import LARGER, SMALLER
 
 if TYPE_CHECKING:
@@ -20,21 +19,6 @@ if TYPE_CHECKING:
     from repro.experiments.fig2_basecurve import Fig2Result
     from repro.experiments.fig4_accounting import Fig4Result
     from repro.experiments.outcomes import EvaluationResult
-
-# The layers the reproduction runs load with it, not with this module:
-# perfbench's launcher imports this module for every command it runs.
-__getattr__, __dir__ = lazy_exports(
-    __name__,
-    {
-        "repro.campaign.platformrunner": ("run_campaign",),
-        "repro.exec.engine": ("mapper",),
-        "repro.experiments.evaluation": ("run_evaluation",),
-        "repro.experiments.fig1_profiles": ("fig1_profiles",),
-        "repro.experiments.fig2_basecurve": ("fig2_basecurve",),
-        "repro.experiments.fig4_accounting": ("fig4_worked_example",),
-        "repro.experiments.report": ("format_series_table", "headline_claims"),
-    },
-)
 
 
 @dataclass(frozen=True)
@@ -66,7 +50,15 @@ def reproduce_paper(
     bit-identical to serial (DESIGN.md, "Parallel execution").
     """
 
-    load(__name__)  # a no-op when ``repro reproduce`` loaded them first
+    # The layers load with the reproduction, not with this module, which
+    # perfbench's launcher imports for every command it runs.
+    from repro.campaign.platformrunner import run_campaign
+    from repro.exec.engine import mapper
+    from repro.experiments.evaluation import run_evaluation
+    from repro.experiments.fig1_profiles import fig1_profiles
+    from repro.experiments.fig2_basecurve import fig2_basecurve
+    from repro.experiments.fig4_accounting import fig4_worked_example
+    from repro.experiments.report import format_series_table, headline_claims
 
     def say(message: str) -> None:
         if progress is not None:

@@ -31,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.common.rng import DEFAULT_SEED, SeedSequenceFactory
+from repro.common.seeds import DEFAULT_SEED
 from repro.common.validation import check_positive
 
 #: Seconds per day -- the period of the synthetic grid signals.
@@ -326,6 +326,9 @@ def daily_carbon_signal(seed: int = DEFAULT_SEED) -> TemporalSignal:
     16:00) sampled hourly with seeded jitter, clipped back into the
     140-280 band so the documented range holds exactly.
     """
+    # numpy (behind the seed streams) loads only when a signal is drawn.
+    from repro.common.rng import SeedSequenceFactory
+
     rng = SeedSequenceFactory(seed).child("carbon-signal-daily")
     jitter = rng.uniform(-8.0, 8.0, 24)
     values = []
@@ -349,6 +352,8 @@ def double_peak_price_signal(seed: int = DEFAULT_SEED) -> TemporalSignal:
     sampled hourly with seeded jitter -- the classic double-peak spot
     shape the DC-simulator snippet models.
     """
+    from repro.common.rng import SeedSequenceFactory
+
     rng = SeedSequenceFactory(seed).child("price-signal-double-peak")
     jitter = rng.uniform(-0.004, 0.004, 24)
     values = []

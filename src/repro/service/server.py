@@ -66,6 +66,10 @@ from repro.service.session import Session, SessionConfig
 MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Longest accepted request or header line (the stream reader's limit).
 MAX_LINE_BYTES = 64 * 1024
+#: Most bytes one socket read takes.  asyncio's default, 256 KiB, is
+#: above glibc's initial mmap threshold (128 KiB), so every read would
+#: map and unmap a fresh buffer and fault its pages in again.
+RECV_BYTES = 64 * 1024
 #: Most header lines accepted per request.
 MAX_HEADERS = 100
 #: Seconds a connection may take to send its next complete request,
@@ -81,15 +85,13 @@ class ServiceConfig:
     """Where the service listens and how big it may grow.
 
     ``port=0`` binds an ephemeral port (tests read it back from
-    :attr:`Service.port` after startup).  ``model_dir`` points at a
-    saved campaign (``model_database.csv`` + ``auxiliary.csv``, as
-    written by ``repro campaign``); when ``None`` the service runs the
-    in-process campaign once at startup via :func:`repro.build_model`.
+    :attr:`Service.port` after startup).  The model comes with the
+    :class:`Service` (``database=``); without one, the service runs the
+    in-process campaign once at startup.
     """
 
     host: str = "127.0.0.1"
     port: int = 8765
-    model_dir: str | None = None
     max_sessions: int = 64
 
     def __post_init__(self) -> None:
@@ -212,8 +214,9 @@ class Service:
     """The allocation service: sessions, routes and batching loops.
 
     Construct, then either ``await start()`` inside a running loop
-    (tests) or call the blocking :func:`serve` (CLI).  ``database``
-    short-circuits model loading for tests that already built one.
+    (tests) or call the blocking :func:`serve` (CLI).  ``database`` is
+    the model (``repro serve --model`` loads it from disk); without one,
+    the service builds it from the benchmarking campaign at startup.
     """
 
     def __init__(
@@ -246,17 +249,9 @@ class Service:
 
     def _resolve_database(self) -> ModelDatabase:
         if self._database is None:
-            if self.config.model_dir is not None:
-                import os
+            from repro.campaign.platformrunner import run_campaign
 
-                self._database = ModelDatabase.from_files(
-                    os.path.join(self.config.model_dir, "model_database.csv"),
-                    os.path.join(self.config.model_dir, "auxiliary.csv"),
-                )
-            else:
-                from repro.campaign.platformrunner import run_campaign
-
-                self._database = ModelDatabase.from_campaign(run_campaign())
+            self._database = ModelDatabase.from_campaign(run_campaign())
         return self._database
 
     async def start(self) -> None:
@@ -268,6 +263,7 @@ class Service:
         self.port = self._server.sockets[0].getsockname()[1]
 
     def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        writer.transport.max_size = RECV_BYTES  # the selector transport's recv size
         # A plain callback, so the service owns each connection's task:
         # asyncio's stream protocol would wrap a coroutine handler in a
         # task whose done-callback logs a traceback when it is cancelled

@@ -18,7 +18,7 @@ import types
 import pytest
 
 from repro.analysis.astutils import lazy_imports
-from repro.common.lazy import lazy_exports, load
+from repro.common.lazy import lazy_exports
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
@@ -135,15 +135,6 @@ class TestHelper:
         assert module.sqrt is math.sqrt
         assert vars(module)["sqrt"] is math.sqrt
 
-    def test_load_binds_every_name(self, module):
-        load(module.__name__)
-        assert {"sqrt", "pi"} <= set(vars(module))
-
-    def test_load_keeps_a_patched_name(self, module):
+    def test_a_patched_name_stays(self, module):
         module.sqrt = patched = object()
-        load(module.__name__, "sqrt", "pi")
         assert module.sqrt is patched
-
-    def test_load_rejects_an_unknown_name(self, module):
-        with pytest.raises(AttributeError):
-            load(module.__name__, "cbrt_of_nothing")

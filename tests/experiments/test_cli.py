@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-import repro.cli as cli_module
+import repro.campaign.platformrunner as platformrunner
 from repro.cli import _parse_batch, build_parser, main
 from repro.common.rng import SeedSequenceFactory
 from repro.workloads.assignment import assign_profiles_and_vms
@@ -267,7 +267,7 @@ class TestTypedErrors:
         raise AssertionError("the campaign ran for a trace with nothing to simulate")
 
     def test_simulate_comments_only_swf_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli_module, "run_campaign", self.no_campaign)
+        monkeypatch.setattr(platformrunner, "run_campaign", self.no_campaign)
         path = tmp_path / "empty.swf"
         path.write_text("; Version: 2.2\n; no jobs\n\n", encoding="utf-8")
         assert main(["simulate", "--swf", str(path)]) == 2
@@ -282,7 +282,7 @@ class TestTypedErrors:
     def test_simulate_all_jobs_cleaned_away_exits_2(
         self, strategy, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setattr(cli_module, "run_campaign", self.no_campaign)
+        monkeypatch.setattr(platformrunner, "run_campaign", self.no_campaign)
         path = tmp_path / "failed.swf"
         # job 1, submitted at 0, ran 100 s on 2 processors, status 0 (failed)
         fields = ["1", "0", "0", "100", "2"] + ["-1"] * 5 + ["0"] + ["-1"] * 7
@@ -326,7 +326,7 @@ class TestTypedErrors:
     def test_simulate_empty_synthetic_workload_exits_2(
         self, strategy, monkeypatch, capsys
     ):
-        monkeypatch.setattr(cli_module, "run_campaign", self.no_campaign)
+        monkeypatch.setattr(platformrunner, "run_campaign", self.no_campaign)
         assert main(["simulate", "--vm-budget", "1", "--strategy", strategy]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -340,7 +340,7 @@ class TestTypedErrors:
         def no_campaign(*args, **kwargs):
             raise AssertionError("the campaign ran before the name was checked")
 
-        monkeypatch.setattr(cli_module, "run_campaign", no_campaign)
+        monkeypatch.setattr(platformrunner, "run_campaign", no_campaign)
         assert main(["simulate", "--strategy", name, "--vm-budget", "50"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"repro simulate: error: bad proactive name {name!r}")

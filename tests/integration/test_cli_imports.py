@@ -1,13 +1,12 @@
 """A command imports the layers it runs, not every layer the CLI knows.
 
-``repro.cli`` resolves the layers its commands run on first use, and
-imports the linter, the service and its wire schema, the ASCII charts
-and the profiler inside the handlers that use them (DESIGN.md
-"Set-up").  These checks run in a fresh interpreter, since the test
-process has long imported everything.
+``repro.cli`` imports each command's layers inside its handler -- the
+linter, the service and its wire schema, the simulator, the ASCII
+charts and the profiler among them (DESIGN.md "Set-up").  These
+checks run in a fresh interpreter, since the test process has long
+imported everything.
 """
 
-import ast
 import json
 import os
 import pathlib
@@ -18,7 +17,6 @@ import sys
 
 import pytest
 
-from repro.analysis.astutils import lazy_imports
 from repro.cli import main
 from repro.workloads.swf import SWFRecord, write_swf
 
@@ -230,45 +228,3 @@ class TestServeImports:
         }
         assert "repro.service.server" in imported
         assert [name for name in HEAVY if name in imported] == []
-
-
-def lazy_reads_left_unloaded(path):
-    """``function: [names]`` read before any ``load`` of them binds them."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    lazy = {alias.name for statement in lazy_imports(tree) for alias in statement.names}
-    found = {}
-    for function in tree.body:
-        if not isinstance(function, ast.FunctionDef):
-            continue
-        annotations = {
-            id(node)
-            for annotation in [
-                function.returns,
-                *(arg.annotation for arg in ast.walk(function.args) if isinstance(arg, ast.arg)),
-                *(n.annotation for n in ast.walk(function) if isinstance(n, ast.AnnAssign)),
-            ]
-            if annotation is not None
-            for node in ast.walk(annotation)
-        }
-        loaded, everything = set(), False
-        for node in ast.walk(function):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "load":
-                everything |= len(node.args) == 1
-                loaded |= {arg.value for arg in node.args[1:] if isinstance(arg, ast.Constant)}
-        reads = {
-            node.id
-            for node in ast.walk(function)
-            if isinstance(node, ast.Name) and node.id in lazy and id(node) not in annotations
-        }
-        missing = sorted(reads - loaded) if not everything else []
-        if missing:
-            found[function.name] = missing
-    return found
-
-
-@pytest.mark.parametrize("module", ["cli.py", "experiments/paper_summary.py"])
-def test_every_function_loads_the_lazy_names_it_reads(module):
-    # A name read without a load works only if some earlier call bound
-    # it: a test order or a command sequence would decide.
-    assert lazy_reads_left_unloaded(SRC / "repro" / module) == {}
-

@@ -35,7 +35,7 @@ import pathlib
 import sys
 from dataclasses import dataclass
 
-from repro.analysis.astutils import lazy_imports
+from repro.analysis.astutils import lazy_imports, lazy_table
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
@@ -196,17 +196,6 @@ def _docstrings(tree: ast.Module) -> set[int]:
     return found
 
 
-def _is_lazy_table(node: ast.AST) -> bool:
-    """``... = lazy_exports(__name__, {...})``: imports, like ``from x import y``."""
-    call = getattr(node, "value", None)
-    return (
-        isinstance(node, ast.Assign)
-        and isinstance(call, ast.Call)
-        and isinstance(call.func, ast.Name)
-        and call.func.id == "lazy_exports"
-    )
-
-
 def _is_dunder_all(node: ast.AST) -> bool:
     targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
     return isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
@@ -229,7 +218,7 @@ def scan(module: str, path: pathlib.Path, definitions: dict, references: list) -
 
     def walk(node: ast.AST, scope: str | None, within: tuple[str, ...]) -> None:
         for child in ast.iter_child_nodes(node):
-            if _is_dunder_all(child) or _is_lazy_table(child):
+            if _is_dunder_all(child) or lazy_table(child) is not None:
                 continue
             if isinstance(child, _DEFINITIONS):
                 inner, child_scope = within, None

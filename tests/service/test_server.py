@@ -119,6 +119,24 @@ class TestLifecycle:
         assert response.status == 400
         assert body["error"]["code"] == "invalid_json"
 
+    def test_a_body_spanning_several_socket_reads(self, svc):
+        import http.client
+
+        from repro.service.server import RECV_BYTES
+
+        body = json.dumps({"n_servers": 2}).encode("ascii") + b" " * (3 * RECV_BYTES)
+        connection = http.client.HTTPConnection(
+            svc.service.config.host, svc.port, timeout=30
+        )
+        try:
+            connection.request("POST", "/v1/sessions", body=body)
+            response = connection.getresponse()
+            created = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 201, created
+        assert svc.request("DELETE", f"/v1/sessions/{created['session_id']}")[0] == 200
+
     def raw_exchange(self, svc, content_length, headers=()):
         """Send one POST with a raw ``Content-Length`` (after any extra
         ``headers`` lines) and read the reply until the server closes
